@@ -28,12 +28,14 @@ from .kernel import KernelContext
 from .noise_model import DataModel
 from .simulator import (CustomJointStrategy, GameConfig, ReplicatedStrategy,
                         dominance_check, run_monte_carlo, run_scenario_suite)
-from .strategy import (AtomicAdversary, UtilitySpec, best_alpha_set,
-                       build_adversary, solve_equilibrium)
+from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, AtomicAdversary, UtilitySpec,
+                       best_alpha_set, build_adversary, solve_equilibrium)
 from .tradeoff import (ALPHA_MIN, atom_accept_prob, atom_error_moment,
                        build_curve, build_oracle_table, c_alpha, oracle_c2)
 
 OUTPUT_DIR_ENV = "STACKGAME_OUTPUT_DIR"
+# a start/stop/step grid must span a whole number of steps, up to fp rounding
+_STEP_SLACK = 1e-9
 
 _GRID_SCHEMA = {
     "type": "object",
@@ -46,6 +48,44 @@ _GRID_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+
+DEFAULT_CONFIG = {
+    "honest_noise": {"kind": "uniform", "delta": 1.0, "params": {}},
+    "data": {"m": 1000.0},
+    "eta_grid": {"start": 2.0, "stop": 8.0, "step": 0.01},
+    "alpha_grid": {"start": ALPHA_MIN, "stop": 1.0, "num": 1000},
+    "report_alphas": {"start": 0.1, "stop": 1.0, "num": 10},
+    "utility": {
+        "adversary": {"family": "scaled_product", "params": {"c": 1.0}},
+        "dc": {"family": "linear_penalty", "params": {"gamma": 1.0}},
+    },
+    "simulation": {"n_nodes": [2, 3, 5], "trials": 100000, "seed": 20260814,
+                   "chunk_size": 65536},
+    "envelope": {"grid_size": 4096},
+    "oracle": {"grid_size": 2048},
+}
+
+
+def _utility_schema(families: dict, default: str) -> dict:
+    """A utility's schema: the family's params must be numbers.
+
+    An omitted family is the default one, so its case matches without it.
+    """
+    cases = []
+    for family, names in families.items():
+        case = {"properties": {"family": {"const": family}}}
+        if family != default:
+            case["required"] = ["family"]
+        params = {"properties": {name: {"type": "number"} for name in names}}
+        cases.append({"if": case, "then": {"properties": {"params": params}}})
+    return {
+        "type": "object",
+        "properties": {"family": {"enum": list(families)}, "params": {"type": "object"}},
+        "additionalProperties": False,
+        "allOf": cases,
+    }
+
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -71,16 +111,9 @@ CONFIG_SCHEMA = {
         "utility": {
             "type": "object",
             "properties": {
-                "adversary": {
-                    "type": "object",
-                    "properties": {"family": {"type": "string"}, "params": {"type": "object"}},
-                    "additionalProperties": False,
-                },
-                "dc": {
-                    "type": "object",
-                    "properties": {"family": {"type": "string"}, "params": {"type": "object"}},
-                    "additionalProperties": False,
-                },
+                "adversary": _utility_schema(
+                    ADVERSARY_FAMILIES, DEFAULT_CONFIG["utility"]["adversary"]["family"]),
+                "dc": _utility_schema(DC_FAMILIES, DEFAULT_CONFIG["utility"]["dc"]["family"]),
             },
             "additionalProperties": False,
         },
@@ -110,22 +143,6 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-DEFAULT_CONFIG = {
-    "honest_noise": {"kind": "uniform", "delta": 1.0, "params": {}},
-    "data": {"m": 1000.0},
-    "eta_grid": {"start": 2.0, "stop": 8.0, "step": 0.01},
-    "alpha_grid": {"start": ALPHA_MIN, "stop": 1.0, "num": 1000},
-    "report_alphas": {"start": 0.1, "stop": 1.0, "num": 10},
-    "utility": {
-        "adversary": {"family": "scaled_product", "params": {"c": 1.0}},
-        "dc": {"family": "linear_penalty", "params": {"gamma": 1.0}},
-    },
-    "simulation": {"n_nodes": [2, 3, 5], "trials": 100000, "seed": 20260814,
-                   "chunk_size": 65536},
-    "envelope": {"grid_size": 4096},
-    "oracle": {"grid_size": 2048},
-}
-
 
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
@@ -144,8 +161,11 @@ def _resolve_grid(spec: dict, path: str) -> np.ndarray:
         start, stop, step = spec["start"], spec["stop"], spec["step"]
         if stop < start:
             raise ConfigError(f"{path}: stop must be >= start")
-        num = int(round((stop - start) / step)) + 1
-        grid = np.linspace(start, stop, num)
+        steps = (stop - start) / step
+        if abs(steps - round(steps)) > _STEP_SLACK * max(1.0, steps):
+            raise ConfigError(
+                f"{path}: (stop - start) / step = {steps:.10g} is not a whole number of steps")
+        grid = np.linspace(start, stop, int(round(steps)) + 1)
     elif "start" in spec and "stop" in spec and "num" in spec:
         if spec["stop"] < spec["start"]:
             raise ConfigError(f"{path}: stop must be >= start")
@@ -162,7 +182,8 @@ def _resolve_grid(spec: dict, path: str) -> np.ndarray:
 class RunConfig:
     """Fully resolved run configuration plus the derived model objects."""
 
-    def __init__(self, resolved: dict, base_dir=None, output_override=None):
+    def __init__(self, resolved: dict, base_dir=None, output_override=None,
+                 check_noise: bool = True):
         self.raw = resolved
         self.noise = noise_model.from_spec(resolved["honest_noise"], base_dir=base_dir)
         self.data = DataModel(resolved["data"]["m"])
@@ -186,10 +207,16 @@ class RunConfig:
             json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
 
-        self._semantic_checks()
+        self._semantic_checks(check_noise)
 
-    def _semantic_checks(self):
+    def _semantic_checks(self, check_noise: bool):
         problems = []
+        # the analytic families are valid by construction; a table may not be
+        if check_noise and self.noise.kind == "tabulated":
+            failures = noise_model.validate(self.noise).failures
+            if failures:
+                problems.append("/honest_noise: tabulated noise fails validation: " + ", ".join(
+                    f"{c.name} ({c.detail})" for c in failures))
         if self.eta_grid[0] < 2.0:
             problems.append(
                 "/eta_grid: every threshold multiple must satisfy eta >= 2; the "
@@ -208,11 +235,13 @@ class RunConfig:
             raise ConfigError("; ".join(problems))
 
 
-def parse_config(path=None, output_override=None) -> RunConfig:
+def parse_config(path=None, output_override=None, check_noise: bool = True) -> RunConfig:
     """Load, validate, and resolve a JSON run configuration.
 
     Schema violations are collected with JSON-pointer paths; a missing path
-    means an empty configuration (all defaults).
+    means an empty configuration (all defaults). A tabulated noise model that
+    fails noise_model.validate is a config error unless check_noise is false,
+    which is how `validate-noise` reports on it instead.
     """
     user: dict = {}
     base_dir = None
@@ -237,7 +266,8 @@ def parse_config(path=None, output_override=None) -> RunConfig:
         raise ConfigError("; ".join(msgs))
     resolved = _merge(DEFAULT_CONFIG, user)
     try:
-        return RunConfig(resolved, base_dir=base_dir, output_override=output_override)
+        return RunConfig(resolved, base_dir=base_dir, output_override=output_override,
+                         check_noise=check_noise)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -411,26 +441,19 @@ def cmd_simulate(cfg: RunConfig, out: Path, adversary_path=None) -> int:
     return 0
 
 
+def _symmetric_atoms(rng, z_hi: float):
+    """1 or 2 random offset pairs +/-z on [0, z_hi], mirrored weights summing to 1."""
+    n_atoms = int(rng.integers(1, 3))
+    zs = rng.uniform(0.0, z_hi, n_atoms)
+    w = rng.uniform(0.2, 1.0, n_atoms)
+    w = np.concatenate([w, w])
+    return np.concatenate([-zs, zs]), w / w.sum()
+
+
 def _random_candidates(ctx, rng, n_replicated: int, n_iid: int):
     """Random symmetric atomic strategies: replicated and independent draws."""
-    cands = []
-    for i in range(n_replicated):
-        n_atoms = int(rng.integers(1, 3))  # 1 or 2 symmetric offset pairs
-        zs = rng.uniform(0.0, ctx.z_hi, n_atoms)
-        locs = np.concatenate([-zs, zs])
-        w = rng.uniform(0.2, 1.0, n_atoms)
-        w = np.concatenate([w, w])
-        w = w / w.sum()
-        cands.append((f"replicated_{i}", ReplicatedStrategy(locs, w)))
-    base_for_iid = []
-    for i in range(n_iid):
-        n_atoms = int(rng.integers(1, 3))
-        zs = rng.uniform(0.0, ctx.z_hi, n_atoms)
-        locs = np.concatenate([-zs, zs])
-        w = rng.uniform(0.2, 1.0, n_atoms)
-        w = np.concatenate([w, w])
-        w = w / w.sum()
-        base_for_iid.append((locs, w))
+    cands = [(f"replicated_{i}", ReplicatedStrategy(*_symmetric_atoms(rng, ctx.z_hi)))
+             for i in range(n_replicated)]
 
     def make_sampler(locs, w):
         def sampler(rng_, count, n_adv):
@@ -438,9 +461,8 @@ def _random_candidates(ctx, rng, n_replicated: int, n_iid: int):
             return locs[idx]
         return sampler
 
-    iid = []
-    for i, (locs, w) in enumerate(base_for_iid):
-        iid.append((f"iid_{i}", make_sampler(locs, w)))
+    iid = [(f"iid_{i}", make_sampler(*_symmetric_atoms(rng, ctx.z_hi)))
+           for i in range(n_iid)]
     return cands, iid
 
 
@@ -613,7 +635,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config, output_override=args.output)
+        cfg = parse_config(args.config, output_override=args.output,
+                           check_noise=args.command != "validate-noise")
         options = {}
         if args.command in ("tradeoff", "adversary") and args.eta is not None:
             options["eta"] = args.eta

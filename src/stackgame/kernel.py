@@ -11,7 +11,8 @@ range [(eta-1)*delta, (eta+1)*delta] this defines:
   moment_at_level(q) -- error_moment at the offset whose acceptance is q
 
 moment_at_level is the curve whose least concave majorant drives the whole
-trade-off analysis downstream.
+trade-off analysis downstream. All three are closed forms of the noise
+model: its CDF, its inverse CDF and its partial moments.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, UndefinedConditionalError
 from .noise_model import HonestNoiseModel
-from .numerics import adaptive_simpson, bisect_monotone_vec
+from .numerics import adaptive_simpson
 
 # fp slack when checking offsets against the closed domain
 _EDGE_SLACK = 1e-9
@@ -57,12 +58,12 @@ class KernelContext:
 
     def _check_z(self, z) -> np.ndarray:
         arr = np.asarray(z, dtype=float)
+        lo, hi = self.z_lo, self.z_hi
         slack = _EDGE_SLACK * self.delta
-        if np.any(arr < self.z_lo - slack) or np.any(arr > self.z_hi + slack):
+        if arr.size and (arr.min() < lo - slack or arr.max() > hi + slack):
             raise DomainError(
-                f"offset outside [{self.z_lo}, {self.z_hi}] for eta={self.eta}, "
-                f"delta={self.delta}")
-        return np.clip(arr, self.z_lo, self.z_hi)
+                f"offset outside [{lo}, {hi}] for eta={self.eta}, delta={self.delta}")
+        return np.clip(arr, lo, hi)
 
     # --- forward kernel ----------------------------------------------------
 
@@ -73,40 +74,25 @@ class KernelContext:
         return float(out) if np.ndim(z) == 0 else np.asarray(out)
 
     def error_moment(self, z):
-        """integral of (x+z)^2 f(x) over x in [z - eta*delta, delta]."""
+        """integral of (x+z)^2 f(x) over x in [L, delta], L = z - eta*delta.
+
+        Expanding the square gives z^2 M0(L) + 2z M1(L) + M2(L) in the noise
+        model's partial moments.
+        """
         arr = self._check_z(z)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        d, eta = self.delta, self.eta
-        if self.noise.kind == "uniform":
-            lo = arr - eta * d
-            out = ((d + arr) ** 3 - (lo + arr) ** 3) / (6.0 * d)
-        else:
-            out = np.empty_like(arr)
-            for i, zi in enumerate(arr):
-                out[i] = error_moment_quad(self, float(zi))
-        out = np.maximum(out, 0.0)
-        return float(out[0]) if scalar else out
+        m0, m1, m2 = self.noise.partial_moments(arr - self.eta * self.delta)
+        out = np.maximum(arr * (arr * m0 + 2.0 * m1) + m2, 0.0)
+        return float(out) if arr.ndim == 0 else out
 
     # --- inverse kernel ------------------------------------------------------
 
     def accept_prob_inv(self, q):
-        """Offset achieving acceptance probability q (bisection, 1e-12 on z)."""
+        """Offset achieving acceptance probability q: eta*delta + F^-1(1 - q)."""
         arr = np.asarray(q, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if np.any((arr < 0.0) | (arr > 1.0)) or not np.all(np.isfinite(arr)):
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
             raise DomainError("acceptance level must lie in [0, 1]")
-        d, eta = self.delta, self.eta
-        if self.noise.kind == "uniform":
-            out = (eta + 1.0) * d - 2.0 * d * arr
-        else:
-            out = bisect_monotone_vec(
-                lambda zz: 1.0 - self.noise.cdf(zz - eta * d),
-                self.z_lo, self.z_hi, arr, increasing=False,
-                xtol=1e-12, max_iter=200)
-            out = np.where(arr <= 0.0, self.z_hi, np.where(arr >= 1.0, self.z_lo, out))
-        return float(out[0]) if scalar else out
+        out = self.eta * self.delta + self.noise.law.inv_cdf(1.0 - arr)
+        return float(out) if arr.ndim == 0 else out
 
     def moment_at_level(self, q):
         """error_moment at the offset whose acceptance probability is q."""
@@ -121,7 +107,7 @@ class KernelContext:
         return self.error_moment(z) / (4.0 * k)
 
 
-# --- direct quadrature (generic path; cross-check for the closed forms) -----
+# --- direct quadrature (independent cross-check of the closed forms) --------
 
 def accept_prob_quad(ctx: KernelContext, z: float) -> float:
     """accept_prob by adaptive Simpson on the density itself."""

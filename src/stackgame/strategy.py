@@ -21,8 +21,9 @@ from .kernel import KernelContext
 from .tradeoff import c_alpha
 
 TIE_TOL_REL = 1e-9
-ADVERSARY_FAMILIES = ("weighted_sum", "scaled_product")
-DC_FAMILIES = ("linear_penalty", "exp_penalty")
+# utility family -> its parameter names, all numbers
+ADVERSARY_FAMILIES = {"weighted_sum": ("a", "b"), "scaled_product": ("c",)}
+DC_FAMILIES = {"linear_penalty": ("gamma",), "exp_penalty": ("s",)}
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,8 @@ class AdversaryUtility:
             if not (c and c > 0):
                 raise DomainError(f"scaled_product needs c > 0, got {self.params}")
         else:
-            raise DomainError(
-                f"unknown adversary utility family {self.family!r}; expected {ADVERSARY_FAMILIES}")
+            raise DomainError(f"unknown adversary utility family {self.family!r}; "
+                              f"expected {tuple(ADVERSARY_FAMILIES)}")
 
     def value(self, mse, pa):
         if self.family == "weighted_sum":
@@ -74,8 +75,8 @@ class DCUtility:
             if not (s and s > 0):
                 raise DomainError(f"exp_penalty needs s > 0, got {self.params}")
         else:
-            raise DomainError(
-                f"unknown defender utility family {self.family!r}; expected {DC_FAMILIES}")
+            raise DomainError(f"unknown defender utility family {self.family!r}; "
+                              f"expected {tuple(DC_FAMILIES)}")
 
     def value(self, mse, pa):
         if self.family == "linear_penalty":

@@ -76,11 +76,7 @@ def atom_error_moment(ctx: KernelContext, z: float) -> float:
         return 0.0
     if az >= ctx.z_lo:
         return float(ctx.error_moment(az))
-    lo, hi = ctx.noise.support
-    pdf = ctx.noise.pdf_scalar
-    f = lambda x: (x + az) ** 2 * pdf(x)
-    return (adaptive_simpson(f, lo, 0.0, ctx.quad_tol)
-            + adaptive_simpson(f, 0.0, hi, ctx.quad_tol))
+    return az * az + ctx.noise.second_moment  # always accepted; symmetric noise has mean 0
 
 
 @dataclass(frozen=True)

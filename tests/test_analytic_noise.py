@@ -1,0 +1,118 @@
+"""Property tests: the closed-form noise layer against adaptive quadrature.
+
+Random family, parameters, lower limits L and levels p; hypothesis runs
+derandomized so the suite stays deterministic and fast.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stackgame as sg
+from stackgame.errors import NumericalError
+from stackgame.kernel import error_moment_quad
+from stackgame.noise_model import KINDS
+from stackgame.numerics import adaptive_simpson
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def noise_models(draw):
+    kind = draw(st.sampled_from(KINDS))
+    delta = draw(st.floats(0.25, 3.0))
+    if kind == "uniform":
+        return sg.uniform(delta)
+    if kind == "triangular":
+        return sg.triangular(delta)
+    if kind == "truncated-normal":
+        return sg.truncated_normal(delta, delta * draw(st.floats(0.05, 3.0)))
+    # symmetric table; zero density inside is allowed, the center keeps mass
+    half = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12))
+    center = draw(st.floats(0.1, 2.0))
+    pdf = half[::-1] + [center] + half
+    return sg.tabulated(np.linspace(-delta, delta, len(pdf)), pdf)
+
+
+def _quad_moment(model, k, lo, hi):
+    """integral of x^k f(x) over [lo, hi], split at 0 where f may have a kink."""
+    f = lambda x: x ** k * model.pdf_scalar(x)
+    tol = 1e-13
+    if lo < 0.0 < hi:
+        return adaptive_simpson(f, lo, 0.0, tol) + adaptive_simpson(f, 0.0, hi, tol)
+    return adaptive_simpson(f, lo, hi, tol)
+
+
+@PROPERTY
+@given(noise_models(), st.floats(-1.2, 1.2))
+def test_partial_moments_match_quadrature(model, frac):
+    lo, hi = model.support
+    L = frac * model.delta
+    got = model.partial_moments(L)
+    for k in range(3):
+        want = _quad_moment(model, k, max(L, lo), hi) if L < hi else 0.0
+        assert abs(float(got[k]) - want) <= 1e-9, (model, L, k)
+
+
+@PROPERTY
+@given(noise_models(), st.floats(2.0, 4.0), st.floats(0.0, 1.0))
+def test_error_moment_matches_quadrature(model, eta, frac):
+    ctx = sg.KernelContext(eta, model, quad_tol=1e-12)
+    z = ctx.z_lo + frac * (ctx.z_hi - ctx.z_lo)
+    want = error_moment_quad(ctx, z)
+    assert abs(ctx.error_moment(z) - want) <= 1e-9 * max(1.0, want), (model, eta, z)
+
+
+@PROPERTY
+@given(noise_models(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+def test_inv_cdf_round_trip(model, ps):
+    ps = np.sort(np.asarray(ps))
+    xs = model.inv_cdf(ps)  # raises NumericalError on a miss
+    lo, hi = model.support
+    assert np.all((xs >= lo) & (xs <= hi))
+    assert np.all(np.diff(xs) >= 0.0)
+    tol = 1e-12 * float(np.max(model.pdf(np.linspace(lo, hi, 2001)))) + 1e-15
+    assert np.max(np.abs(model.cdf(xs) - ps)) <= tol
+    # the family's symmetry carries over to the inverse (1 - (1 - p) is
+    # exact), up to its conditioning: an error e in p moves x by e / pdf(x)
+    mirrored = 1.0 - ps
+    left, right = model.inv_cdf(mirrored), -model.inv_cdf(1.0 - mirrored)
+    slack = tol / np.maximum(model.pdf(left), 1e-300)
+    assert np.all(np.abs(left - right) <= 1e-12 + slack)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_and_array_forms_agree(kind):
+    model = {"uniform": sg.uniform(1.5), "triangular": sg.triangular(1.5),
+             "truncated-normal": sg.truncated_normal(1.5, 0.4),
+             "tabulated": sg.tabulated([-1.5, 0.0, 1.5], [0.0, 1.0, 0.0])}[kind]
+    ps = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
+    xs = model.inv_cdf(ps)
+    assert [model.inv_cdf(float(p)) for p in ps] == list(xs)
+    assert (xs[0], xs[-1]) == model.support
+    moments = model.partial_moments(xs)
+    for i, x in enumerate(xs):
+        assert [float(m) for m in model.partial_moments(float(x))] == \
+            [float(m[i]) for m in moments]
+
+
+def test_inv_cdf_round_trip_check_raises(monkeypatch):
+    model = sg.truncated_normal(1.0, 0.5)
+    exact = model.law.inv_cdf
+    monkeypatch.setattr(model.law, "inv_cdf", lambda p: exact(p) + 1e-9)
+    with pytest.raises(NumericalError, match="misses its target"):
+        model.inv_cdf(np.array([0.3, 0.7]))
+    with pytest.raises(NumericalError):
+        model.sample(np.random.default_rng(0), 10)
+
+
+def test_tabulated_matches_the_family_it_tabulates():
+    # a triangle tabulated at its kinks is exactly the triangular family
+    tab = sg.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+    tri = sg.triangular(1.0)
+    ls = np.linspace(-1.0, 1.0, 101)
+    for got, want in zip(tab.partial_moments(ls), tri.partial_moments(ls)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    ps = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_allclose(tab.inv_cdf(ps), tri.inv_cdf(ps), rtol=0, atol=1e-15)

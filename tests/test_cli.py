@@ -80,6 +80,63 @@ def test_incomplete_utility_spec_names_required_params(tmp_path):
         cli.parse_config(bad)
 
 
+def test_grid_step_must_divide_the_range(tmp_path):
+    with pytest.raises(ConfigError, match="/eta_grid: .* not a whole number of steps"):
+        cli._resolve_grid({"start": 2, "stop": 2.25, "step": 0.1}, "/eta_grid")
+    np.testing.assert_allclose(
+        cli._resolve_grid({"start": 2, "stop": 2.25, "step": 0.125}, "/x"), [2, 2.125, 2.25])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"alpha_grid": {"start": 0.1, "stop": 1.0, "step": 0.25}}))
+    with pytest.raises(ConfigError, match="/alpha_grid"):
+        cli.parse_config(bad)
+
+
+@pytest.mark.parametrize("utility, pointer", [
+    ({"adversary": {"family": "scaled_product", "params": {"c": "1"}}},
+     "/utility/adversary/params/c"),
+    ({"adversary": {"params": {"c": "1"}}}, "/utility/adversary/params/c"),
+    ({"adversary": {"family": "weighted_sum", "params": {"a": 1, "b": [2]}}},
+     "/utility/adversary/params/b"),
+    ({"dc": {"family": "exp_penalty", "params": {"s": None}}}, "/utility/dc/params/s"),
+])
+def test_utility_param_types_fail_at_the_boundary(tmp_path, capsys, utility, pointer):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"utility": utility}))
+    code = cli.main(["solve", "--config", str(bad), "--output", str(tmp_path / "o")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith(pointer)
+
+
+def test_invalid_tabulated_noise_is_a_config_error(tmp_path, capsys):
+    asymmetric = {"kind": "tabulated", "delta": 1.0,
+                  "params": {"xs": [-1, -0.5, 0, 0.5, 1], "pdf": [0.2, 0.2, 0.6, 0.8, 0.8]}}
+    config = write_config(tmp_path, {"honest_noise": asymmetric})
+    code, _ = run(["tradeoff"], tmp_path, config=config)
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith("/honest_noise") and "symmetry" in message
+    # validate-noise still loads it, to report the failure
+    code, out = run(["validate-noise"], tmp_path, config=config)
+    assert code == 1
+    report = json.loads((out / "noise_validation.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["symmetry"]
+
+
+def test_valid_tabulated_noise_runs(tmp_path):
+    # a wavy 4096-point table: valid, though quadrature of its ~4096 kinks
+    # cannot confirm its unit mass to 1e-8
+    xs = np.linspace(-1.0, 1.0, 4096)
+    pdf = 1.0 - 0.6 * np.abs(xs) + 0.3 * np.cos(9.0 * np.pi * xs)
+    wavy = {"kind": "tabulated", "delta": 1.0,
+            "params": {"xs": xs.tolist(), "pdf": pdf.tolist()}}
+    code, out = run(["tradeoff", "--eta", "2.0"], tmp_path,
+                    config=write_config(tmp_path, {"honest_noise": wavy}))
+    assert code == 0
+    summary = json.loads((out / "tradeoff_summary.json").read_text())
+    assert summary["max_rel_diff"] <= 5e-3
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"eta_grid": {"values": [1.0]}}))

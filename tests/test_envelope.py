@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,16 @@ def test_other_models_build(noise):
     qs = np.linspace(0.0, 1.0, 257)
     gap_off = env.evaluate(qs) - env.curve_value(qs)
     assert np.min(gap_off) >= -5e-5
+
+
+def test_tabulated_envelope_within_budget():
+    # 4096-point wavy table: many chords, every sample through the closed-form kernel
+    xs = np.linspace(-1.0, 1.0, 4096)
+    noise = sg.tabulated(xs, 1.0 - 0.6 * np.abs(xs) + 0.3 * np.cos(25.0 * np.pi * xs))
+    ctx = sg.KernelContext(2.0, noise)
+    t0 = time.perf_counter()
+    env = sg.build_envelope(ctx, 4096)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"4096-point tabulated envelope took {elapsed:.2f}s"
+    assert len(env.chords()) >= 10 and env.source_qs.size > 4096
+    assert np.min(env.evaluate(env.source_qs) - env.source_vals) >= -1e-12

@@ -265,6 +265,10 @@ def parse_config(path=None, output_override=None, check_noise: bool = True) -> R
             msgs.append(f"{pointer}: {err.message}")
         raise ConfigError("; ".join(msgs))
     resolved = _merge(DEFAULT_CONFIG, user)
+    # a family other than the default one takes only its own params
+    for role, spec in user.get("utility", {}).items():
+        if spec.get("family") not in (None, DEFAULT_CONFIG["utility"][role]["family"]):
+            resolved["utility"][role]["params"] = spec.get("params", {})
     try:
         return RunConfig(resolved, base_dir=base_dir, output_override=output_override,
                          check_noise=check_noise)
@@ -430,7 +434,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, adversary_path=None) -> int:
     else:
         report = _solve(cfg)
         ctx = KernelContext(report.eta_star, cfg.noise)
-        env = report.envelopes[report.eta_star]
+        env = report.envelope
         adv = build_adversary(env, ctx, report.equilibrium_pa)
     rows, results = _simulate_rows(cfg, adv)
     _write_csv(out / "simulations.csv",
@@ -506,7 +510,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     cmd_tradeoff(cfg, out, eta_star)
 
     ctx = KernelContext(eta_star, cfg.noise)
-    env = report.envelopes[eta_star]
+    env = report.envelope
     adv_eq = build_adversary(env, ctx, report.equilibrium_pa)
     _write_json(out / "adversary.json", {**adv_eq.to_json_dict(), **_stamp(cfg)})
 

@@ -1,14 +1,21 @@
 """Least concave majorant of the acceptance-level moment curve.
 
 The curve q -> moment_at_level(q) on [0, 1] is sampled on a dense grid, its
-upper concave hull is taken with a monotone chain, and hull segments that
-bridge over strictly lower samples are recorded as chords. One refinement
-pass re-samples around each chord endpoint so the detected tangency points
-are sharp to roughly the square of the grid resolution.
+upper concave hull is taken with a monotone chain (Andrew 1979), and hull
+segments that bridge over strictly lower samples are recorded as chords. One
+refinement pass re-samples around each chord endpoint so the detected
+tangency points are sharp to roughly the square of the grid resolution.
+
+The chain's cross products for all consecutive sample triples are computed as
+one array, so the runs of samples it keeps without popping are appended in
+bulk; the scalar pop loop runs only where the curve bends the other way. Every
+keep/pop decision uses the same floating-point expression as the plain
+chain, so the hull is the same to the bit.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +41,40 @@ class Chord:
     q2: float
 
 
-def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> list[int]:
-    """Indices of the upper concave hull; collinear points are kept."""
-    kept: list[int] = []
-    for i in range(qs.size):
+def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Indices of the upper concave hull; collinear points are kept.
+
+    The chain pops its top index while the cross product of the top two kept
+    indices a, b and the next index i is positive (b strictly below the a->i
+    chord). While a, b are i-2, i-1 that product is cross[i-2] below, so the
+    run up to the next reflex index (positive cross) is kept without popping.
+    """
+    n = qs.size
+    cross = ((qs[1:-1] - qs[:-2]) * (vals[2:] - vals[:-2])
+             - (qs[2:] - qs[:-2]) * (vals[1:-1] - vals[:-2]))
+    reflex = np.flatnonzero(cross > 0.0) + 2
+    if reflex.size == 0:  # concave throughout: every sample is kept
+        return np.arange(n)
+    reflex = reflex.tolist() + [n]
+    q, v = qs.tolist(), vals.tolist()
+    kept = [0, 1]
+    i = 2
+    while i < n:
+        if kept[-2] == i - 2:  # the top two are i-2, i-1
+            stop = reflex[bisect.bisect_left(reflex, i)]
+            kept.extend(range(i, stop))
+            i = stop
+            if i == n:
+                break
         while len(kept) >= 2:
             a, b = kept[-2], kept[-1]
-            cross = ((qs[b] - qs[a]) * (vals[i] - vals[a])
-                     - (qs[i] - qs[a]) * (vals[b] - vals[a]))
-            if cross > 0.0:  # middle point strictly below the a->i chord
+            if (q[b] - q[a]) * (v[i] - v[a]) - (q[i] - q[a]) * (v[b] - v[a]) > 0.0:
                 kept.pop()
             else:
                 break
         kept.append(i)
-    return kept
+        i += 1
+    return np.array(kept, dtype=np.intp)
 
 
 class Envelope:
@@ -74,15 +101,15 @@ class Envelope:
         self.breakpoint_vals = vals[hull]
         # A segment is a chord when it bridges over samples that sit strictly
         # below it; single-cell segments follow the curve by construction.
-        flags = []
-        for a, b in zip(hull[:-1], hull[1:]):
-            if b - a <= 1:
-                flags.append(False)
-                continue
+        flags = np.zeros(len(hull) - 1, dtype=bool)
+        for s in np.flatnonzero(np.diff(hull) > 1).tolist():
+            a, b = hull[s], hull[s + 1]
             t = (qs[a + 1:b] - qs[a]) / (qs[b] - qs[a])
             line = vals[a] + t * (vals[b] - vals[a])
-            flags.append(bool(np.max(line - vals[a + 1:b]) > self.touch_tolerance))
-        self._chord_flags = np.asarray(flags, dtype=bool)
+            flags[s] = np.max(line - vals[a + 1:b]) > self.touch_tolerance
+        self._chord_flags = flags
+        self._chords = [Chord(float(self.breakpoint_qs[s]), float(self.breakpoint_qs[s + 1]))
+                        for s in np.flatnonzero(flags).tolist()]
 
     # --- queries -----------------------------------------------------------
 
@@ -103,12 +130,7 @@ class Envelope:
         return float(out) if np.ndim(q) == 0 else out
 
     def chords(self) -> list[Chord]:
-        out = []
-        for i, is_chord in enumerate(self._chord_flags):
-            if is_chord:
-                out.append(Chord(float(self.breakpoint_qs[i]),
-                                 float(self.breakpoint_qs[i + 1])))
-        return out
+        return list(self._chords)
 
     def supporting_chord(self, q: float):
         """Touch(q) where the majorant meets the curve, else the hull Chord.
@@ -135,11 +157,23 @@ class Envelope:
         return Chord(float(bq[i]), float(bq[i + 1]))
 
     def is_touch(self, q) -> np.ndarray:
-        """Vectorized touch/chord classification (True where Touch)."""
+        """Vectorized touch/chord classification (True where Touch).
+
+        Applies supporting_chord's rules to every point at once, and q <= 0
+        counts as a touch; the curve is evaluated only strictly inside chords.
+        """
         arr = np.atleast_1d(np.asarray(q, dtype=float))
-        out = np.empty(arr.shape, dtype=bool)
-        for i, qi in enumerate(arr):
-            out[i] = True if qi <= 0.0 else isinstance(self.supporting_chord(qi), Touch)
+        if np.any(np.isnan(arr) | (arr > 1.0 + 1e-12)):
+            raise DomainError("supporting_chord argument must lie in (0, 1]")
+        arr = np.minimum(arr, 1.0)
+        bq = self.breakpoint_qs
+        seg = np.clip(np.searchsorted(bq, arr, side="right") - 1, 0, bq.size - 2)
+        inside = ((arr > 0.0) & (arr < bq[-1]) & (arr != bq[seg])
+                  & self._chord_flags[seg])
+        out = ~inside
+        if np.any(inside):
+            gap = self.evaluate(arr[inside]) - self.curve_value(arr[inside])
+            out[inside] = gap <= self.touch_tolerance
         return out
 
 

@@ -157,7 +157,7 @@ class EquilibriumReport:
     equilibrium_mse: float
     equilibrium_pa: float
     eta_on_grid_boundary: bool
-    envelopes: dict = field(repr=False, default_factory=dict)
+    envelope: Envelope = field(repr=False)  # the envelope at eta_star
 
     @property
     def equilibrium_pair(self) -> tuple[float, float]:
@@ -198,7 +198,6 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
 
     best_sets: dict = {}
     guarantees: dict = {}
-    envelopes: dict = {}
     best = None  # (guarantee, eta, env, alpha_set)
     for ctx in ctxs:
         env = build_envelope(ctx) if grid_size is None else build_envelope(ctx, grid_size)
@@ -207,7 +206,6 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
         guarantee = float(np.min(dc_vals))
         best_sets[ctx.eta] = aset
         guarantees[ctx.eta] = guarantee
-        envelopes[ctx.eta] = env
         if best is None or guarantee > best[0]:
             best = (guarantee, ctx.eta, env, aset)
 
@@ -227,7 +225,7 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
         equilibrium_mse=float(mse_eq),
         equilibrium_pa=alpha_eq,
         eta_on_grid_boundary=bool(on_boundary),
-        envelopes=envelopes,
+        envelope=env_star,
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +81,30 @@ def test_incomplete_utility_spec_names_required_params(tmp_path):
     bad.write_text(json.dumps({"utility": {"dc": {"family": "nope"}}}))
     with pytest.raises(ConfigError, match="linear_penalty"):
         cli.parse_config(bad)
+
+
+def test_other_utility_family_takes_only_its_own_params(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    weighted = {"family": "weighted_sum", "params": {"a": 1, "b": 2}}
+    config = write_config(tmp_path, {"utility": {"adversary": weighted}})
+    code, out = run(["validate-noise"], tmp_path, config=config)
+    assert code == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["utility"]["adversary"] == weighted
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"utility": {"adversary": {"family": "weighted_sum"}}}))
+    code = cli.main(["solve", "--config", str(bad), "--output", str(tmp_path / "o")])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == "weighted_sum needs a > 0 and b > 0, got {}"
+
+    # the default families merge as before, so their configs keep their hash
+    default = tmp_path / "default.json"
+    default.write_text(json.dumps({"utility": {"adversary": {"family": "scaled_product"},
+                                               "dc": {"family": "linear_penalty"}}}))
+    assert cli.parse_config(default).config_hash == (
+        "6856adb9fe1e5764446533fcbf1ae5a172cf387736fad5b287cc2db61221c16e")
 
 
 def test_grid_step_must_divide_the_range(tmp_path):
@@ -237,3 +264,14 @@ def test_output_dir_env(tmp_path, monkeypatch):
     code = cli.main(["validate-noise", "--config", str(write_config(tmp_path))])
     assert code == 0
     assert (tmp_path / "envout" / "noise_validation.json").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "stackgame", "validate-noise",
+                           "--output", str(out)], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "noise_validation.json").read_text())["passed"] is True

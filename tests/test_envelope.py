@@ -1,11 +1,39 @@
+import itertools
+import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stackgame as sg
+from stackgame import cli, envelope
 from stackgame.envelope import Chord, Touch, envelope_from_samples
 from stackgame.errors import DomainError, NumericalError
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def reference_hull(qs, vals):
+    """The plain monotone chain (Andrew 1979): the oracle for _upper_hull_indices."""
+    kept = []
+    for i in range(qs.size):
+        while len(kept) >= 2:
+            a, b = kept[-2], kept[-1]
+            cross = ((qs[b] - qs[a]) * (vals[i] - vals[a])
+                     - (qs[i] - qs[a]) * (vals[b] - vals[a]))
+            if cross > 0.0:  # middle point strictly below the a->i chord
+                kept.pop()
+            else:
+                break
+        kept.append(i)
+    return kept
+
+
+def wavy_table():
+    xs = np.linspace(-1.0, 1.0, 4096)
+    return sg.tabulated(xs, 1.0 - 0.6 * np.abs(xs) + 0.3 * np.cos(25.0 * np.pi * xs))
 
 
 def h_uniform(q):
@@ -114,12 +142,121 @@ def test_other_models_build(noise):
 
 def test_tabulated_envelope_within_budget():
     # 4096-point wavy table: many chords, every sample through the closed-form kernel
-    xs = np.linspace(-1.0, 1.0, 4096)
-    noise = sg.tabulated(xs, 1.0 - 0.6 * np.abs(xs) + 0.3 * np.cos(25.0 * np.pi * xs))
-    ctx = sg.KernelContext(2.0, noise)
+    ctx = sg.KernelContext(2.0, wavy_table())
     t0 = time.perf_counter()
     env = sg.build_envelope(ctx, 4096)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"4096-point tabulated envelope took {elapsed:.2f}s"
     assert len(env.chords()) >= 10 and env.source_qs.size > 4096
     assert np.min(env.evaluate(env.source_qs) - env.source_vals) >= -1e-12
+
+
+# --- the bulk-append hull against the plain chain ------------------------------
+
+@st.composite
+def hull_inputs(draw):
+    """Strictly increasing qs in [0, 1] with arbitrary, repeated or collinear values."""
+    n = draw(st.integers(2, 80))
+    kind = draw(st.sampled_from(["arbitrary", "repeated", "collinear"]))
+    if kind == "collinear":
+        # integer steps and slopes: every collinear triple has a zero cross product
+        steps = np.array(draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1)))
+        slopes = np.array(draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)))
+        run = draw(st.integers(1, 8))
+        slopes = np.repeat(slopes[::run], run)[:n - 1]  # runs of equal slope
+        qs = np.concatenate([[0.0], np.cumsum(steps)]).astype(float)
+        vals = np.concatenate([[0.0], np.cumsum(steps * slopes)]).astype(float)
+        return qs / qs[-1], vals
+    qs = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    qs = (qs - qs[0]) / (qs[-1] - qs[0])
+    if kind == "repeated":
+        vals = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    else:
+        vals = draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n))
+    return qs, np.asarray(vals, dtype=float)
+
+
+@PROPERTY
+@given(hull_inputs())
+def test_hull_matches_the_plain_chain(data):
+    qs, vals = data
+    assert envelope._upper_hull_indices(qs, vals).tolist() == reference_hull(qs, vals)
+
+
+@PROPERTY
+@given(hull_inputs())
+def test_majorant_majorizes_with_nonincreasing_slopes(data):
+    qs, vals = data
+    env = envelope_from_samples(qs, vals)
+    scale = 1.0 + np.max(np.abs(vals))
+    assert np.min(env.evaluate(qs) - vals) >= -1e-12 * scale
+    slopes = np.diff(env.breakpoint_vals) / np.diff(env.breakpoint_qs)
+    assert np.all(np.diff(slopes) <= 1e-9 * (1.0 + np.max(np.abs(slopes))))
+
+
+def test_hull_matches_the_plain_chain_on_rounded_lines():
+    # samples of one line in floating point: every keep/pop decision rests on
+    # rounding, so any change in how the cross product is evaluated shows here
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        qs = np.cumsum(rng.uniform(0.01, 1.0, rng.integers(3, 80)))
+        qs = (qs - qs[0]) / (qs[-1] - qs[0])
+        vals = rng.uniform(-10.0, 10.0) * qs + rng.uniform(-10.0, 10.0)
+        assert envelope._upper_hull_indices(qs, vals).tolist() == reference_hull(qs, vals)
+
+
+def test_hull_of_two_and_three_points():
+    qs2, qs3 = np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0])
+    assert envelope._upper_hull_indices(qs2, np.array([1.0, -1.0])).tolist() == [0, 1]
+    for vals in itertools.product([-1.0, 0.0, 1.0], repeat=3):
+        vals = np.array(vals)
+        assert envelope._upper_hull_indices(qs3, vals).tolist() == reference_hull(qs3, vals), vals
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.sampled_from(["uniform", "triangular", "truncated-normal", "tabulated"]),
+       st.floats(2.0, 8.0))
+def test_hull_matches_the_plain_chain_on_envelope_samples(kind, eta):
+    noise = {"uniform": sg.uniform(1.0), "triangular": sg.triangular(1.0),
+             "truncated-normal": sg.truncated_normal(1.0, 0.5),
+             "tabulated": wavy_table()}[kind]
+    ctx = sg.KernelContext(eta, noise)
+    env = sg.build_envelope(ctx, 1024)
+    qs = np.linspace(0.0, 1.0, 1024)
+    for q, v in ((qs, ctx.moment_at_level(qs)), (env.source_qs, env.source_vals)):
+        assert envelope._upper_hull_indices(q, v).tolist() == reference_hull(q, v)
+
+
+# sigma = 3 gives the truncated normal a chord at eta = 2 (sigma = 0.5 has none)
+@pytest.mark.parametrize("noise", [sg.uniform(1.0), sg.truncated_normal(1.0, 3.0), wavy_table()],
+                         ids=["uniform", "truncated-normal", "tabulated"])
+def test_is_touch_matches_supporting_chord(noise):
+    env = sg.build_envelope(sg.KernelContext(2.0, noise), 4096)
+    qs = env.source_qs
+    scalar = [q <= 0.0 or isinstance(env.supporting_chord(q), Touch) for q in qs]
+    np.testing.assert_array_equal(env.is_touch(qs), scalar)
+    assert not all(scalar)
+    for bad in (1.5, np.nan):
+        with pytest.raises(DomainError):
+            env.is_touch(np.array([0.5, bad]))
+
+
+def test_solve_artifacts_do_not_depend_on_the_hull(tmp_path, monkeypatch):
+    # 31 etas; eta < 2.8 carries a chord on uniform noise, the rest do not
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "eta_grid": {"start": 2.0, "stop": 8.0, "step": 0.2},
+        "utility": {"dc": {"family": "linear_penalty", "params": {"gamma": 0.02}}},
+    }))
+    noise = sg.uniform(1.0)
+    assert sg.build_envelope(sg.KernelContext(2.0, noise)).chords()
+    assert not sg.build_envelope(sg.KernelContext(8.0, noise)).chords()
+
+    def solve(name):
+        out = tmp_path / name
+        assert cli.main(["solve", "--config", str(config), "--output", str(out)]) == 0
+        return {n: (out / n).read_bytes() for n in ("equilibrium.json", "eta_utility.csv")}
+
+    fast = solve("out")
+    monkeypatch.setattr(envelope, "_upper_hull_indices", reference_hull)
+    assert solve("out") == fast

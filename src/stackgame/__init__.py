@@ -8,22 +8,19 @@ atomic noise distribution, and verifies all of it against brute-force
 oracles and Monte Carlo simulation.
 """
 
-from .envelope import Chord, Envelope, Touch, build_envelope, envelope_from_samples
-from .errors import (ConditioningError, ConfigError, DomainError, NumericalError,
-                     UndefinedConditionalError)
+from .envelope import Chord, Envelope, Touch, build_envelope
+from .errors import ConfigError, DomainError, NumericalError
 from .kernel import KernelContext
 from .noise_model import (DataModel, HonestNoiseModel, ValidationReport, from_spec,
                           tabulated, tabulated_from_csv, triangular,
                           truncated_normal, uniform, validate)
-from .simulator import (ConditionedStrategy, CustomJointStrategy, DominanceReport,
-                        GameConfig, ReplicatedStrategy, ScenarioCheck,
-                        SimulationResult, accept, check_scenario_equivalence,
-                        condition_noncancelling, dominance_check, estimate,
-                        run_monte_carlo, run_scenario_suite, scenario_reduce)
+from .simulator import (CustomJointStrategy, DominanceReport, GameConfig,
+                        ReplicatedStrategy, SimulationResult, accept,
+                        dominance_check, estimate, run_monte_carlo,
+                        run_scenario_suite)
 from .strategy import (AdversaryUtility, AtomicAdversary, DCUtility,
                        EquilibriumReport, UtilitySpec, best_alpha_set,
-                       build_adversary, eval_adversary_utility, replicate_gstar,
-                       solve_equilibrium)
+                       build_adversary, solve_equilibrium)
 from .tradeoff import (TradeoffCurve, atom_accept_prob, atom_error_moment,
                        build_curve, build_oracle_table, c_alpha, oracle_c2,
                        oracle_c2_witness, zero_limit)

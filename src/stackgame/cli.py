@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -184,7 +185,6 @@ class RunConfig:
 
     def __init__(self, resolved: dict, base_dir=None, output_override=None,
                  check_noise: bool = True):
-        self.raw = resolved
         self.noise = noise_model.from_spec(resolved["honest_noise"], base_dir=base_dir)
         self.data = DataModel(resolved["data"]["m"])
         self.eta_grid = _resolve_grid(resolved["eta_grid"], "/eta_grid")
@@ -338,7 +338,8 @@ def _hcurve_rows(env):
     return zip(qs, hs, stars, touch)
 
 
-def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float, alphas=None) -> int:
+def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=None) -> int:
+    eta = float(cfg.eta_grid[0]) if eta is None else eta
     ctx = KernelContext(eta, cfg.noise)
     grid = cfg.report_alphas if alphas is None else np.asarray(alphas, dtype=float)
     curve = build_curve(ctx, grid, grid_size=cfg.envelope_grid)
@@ -385,7 +386,8 @@ def cmd_solve(cfg: RunConfig, out: Path, report=None) -> int:
     return 0
 
 
-def cmd_adversary(cfg: RunConfig, out: Path, eta: float, alpha: float) -> int:
+def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = None) -> int:
+    eta = float(cfg.eta_grid[0]) if eta is None else eta
     ctx = KernelContext(eta, cfg.noise)
     env = build_envelope(ctx, cfg.envelope_grid)
     adv = build_adversary(env, ctx, alpha)
@@ -413,18 +415,24 @@ def _load_adversary(path) -> AtomicAdversary:
         raise ConfigError(f"cannot load adversary file {path}: {exc}") from exc
 
 
-def _simulate_rows(cfg: RunConfig, adv: AtomicAdversary):
-    strategy = ReplicatedStrategy.from_atomic(adv)
+_SIM_HEADER = ["n_nodes", "eta", "alpha", "pa_hat", "mse_hat",
+               "pa_stderr", "mse_stderr", "seed"]
+
+
+def _simulate_cells(cfg: RunConfig, cells):
+    """Monte Carlo runs of replicated adversaries over (n_nodes, adversary, seed) cells.
+
+    Returns one _SIM_HEADER row and one SimulationResult per cell.
+    """
     rows = []
     results = []
-    for i, n in enumerate(cfg.n_nodes):
-        seed = cfg.seed + i
+    for n, adv, seed in cells:
         game = GameConfig(n_nodes=n, eta=adv.eta, data=cfg.data, noise=cfg.noise,
                           trials=cfg.trials, seed=seed, chunk_size=cfg.chunk_size)
-        res = run_monte_carlo(game, strategy)
+        res = run_monte_carlo(game, ReplicatedStrategy.from_atomic(adv))
         rows.append((n, adv.eta, adv.alpha, res.pa_hat, res.mse_hat,
                      res.pa_stderr, res.mse_stderr, seed))
-        results.append({"n_nodes": n, "seed": seed, **res.to_json_dict()})
+        results.append(res)
     return rows, results
 
 
@@ -436,11 +444,13 @@ def cmd_simulate(cfg: RunConfig, out: Path, adversary_path=None) -> int:
         ctx = KernelContext(report.eta_star, cfg.noise)
         env = report.envelope
         adv = build_adversary(env, ctx, report.equilibrium_pa)
-    rows, results = _simulate_rows(cfg, adv)
-    _write_csv(out / "simulations.csv",
-               ["n_nodes", "eta", "alpha", "pa_hat", "mse_hat",
-                "pa_stderr", "mse_stderr", "seed"], rows, append=True)
-    payload = {"adversary": adv.to_json_dict(), "results": results, **_stamp(cfg)}
+    rows, results = _simulate_cells(
+        cfg, [(n, adv, cfg.seed + i) for i, n in enumerate(cfg.n_nodes)])
+    _write_csv(out / "simulations.csv", _SIM_HEADER, rows, append=True)
+    payload = {"adversary": adv.to_json_dict(),
+               "results": [{"n_nodes": row[0], "seed": row[-1], **res.to_json_dict()}
+                           for row, res in zip(rows, results)],
+               **_stamp(cfg)}
     _write_json(out / "simulation.json", payload)
     return 0
 
@@ -487,7 +497,7 @@ def cmd_verify(cfg: RunConfig, out: Path, realizations: int = 100_000,
     cands = replicated + [(label, CustomJointStrategy(s, n_nodes - 1))
                           for label, s in iid_specs]
     game = GameConfig(n_nodes=n_nodes, eta=eta, data=cfg.data, noise=cfg.noise,
-                      trials=trials or cfg.trials, seed=cfg.seed,
+                      trials=cfg.trials if trials is None else trials, seed=cfg.seed,
                       chunk_size=cfg.chunk_size)
     dom = dominance_check(game, cfg.utility, cands, optimum)
 
@@ -514,31 +524,21 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     adv_eq = build_adversary(env, ctx, report.equilibrium_pa)
     _write_json(out / "adversary.json", {**adv_eq.to_json_dict(), **_stamp(cfg)})
 
-    rows = []
+    advs = [build_adversary(env, ctx, float(a)) for a in cfg.report_alphas]
+    # cell k = (n, alpha), n outer and alpha inner, runs on seed + k
+    rows, results = _simulate_cells(
+        cfg, [(n, adv, cfg.seed + k)
+              for k, (n, adv) in enumerate(itertools.product(cfg.n_nodes, advs))])
     worst_pa_sigmas = 0.0
     worst_mse_sigmas = 0.0
-    cell = 0
-    for n in cfg.n_nodes:
-        for a in cfg.report_alphas:
-            adv = build_adversary(env, ctx, float(a))
-            strategy = ReplicatedStrategy.from_atomic(adv)
-            seed = cfg.seed + cell
-            cell += 1
-            game = GameConfig(n_nodes=n, eta=eta_star, data=cfg.data, noise=cfg.noise,
-                              trials=cfg.trials, seed=seed, chunk_size=cfg.chunk_size)
-            res = run_monte_carlo(game, strategy)
-            rows.append((n, eta_star, float(a), res.pa_hat, res.mse_hat,
-                         res.pa_stderr, res.mse_stderr, seed))
-            if res.pa_stderr > 0:
-                worst_pa_sigmas = max(worst_pa_sigmas,
-                                      abs(res.pa_hat - float(a)) / res.pa_stderr)
-            if res.mse_hat is not None and res.mse_stderr and res.mse_stderr > 0:
-                predicted = c_alpha(env, float(a))
-                worst_mse_sigmas = max(worst_mse_sigmas,
-                                       abs(res.mse_hat - predicted) / res.mse_stderr)
-    _write_csv(out / "sweep_simulations.csv",
-               ["n_nodes", "eta", "alpha", "pa_hat", "mse_hat",
-                "pa_stderr", "mse_stderr", "seed"], rows)
+    for row, res in zip(rows, results):
+        alpha = row[2]
+        if res.pa_stderr > 0:
+            worst_pa_sigmas = max(worst_pa_sigmas, abs(res.pa_hat - alpha) / res.pa_stderr)
+        if res.mse_hat is not None and res.mse_stderr and res.mse_stderr > 0:
+            worst_mse_sigmas = max(worst_mse_sigmas,
+                                   abs(res.mse_hat - c_alpha(env, alpha)) / res.mse_stderr)
+    _write_csv(out / "sweep_simulations.csv", _SIM_HEADER, rows)
 
     payload = {
         "eta_star": eta_star,
@@ -565,34 +565,29 @@ def _parse_alpha_spec(spec: str) -> np.ndarray:
             return np.linspace(float(start), float(stop), int(num))
         return np.array([float(tok) for tok in spec.split(",") if tok.strip()])
     except ValueError as exc:
-        raise ConfigError(f"bad alpha spec {spec!r}: {exc}") from exc
+        raise ConfigError(f"--alphas: bad spec {spec!r}: {exc}") from exc
 
 
-def dispatch(command: str, cfg: RunConfig, **options) -> int:
-    """Run one CLI command against a resolved configuration."""
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "resolved_config.json", cfg.raw)
-    if command == "validate-noise":
-        return cmd_validate_noise(cfg, out)
-    if command == "tradeoff":
-        return cmd_tradeoff(cfg, out, options.get("eta", float(cfg.eta_grid[0])),
-                            options.get("alphas"))
-    if command == "solve":
-        return cmd_solve(cfg, out)
-    if command == "adversary":
-        return cmd_adversary(cfg, out, options.get("eta", float(cfg.eta_grid[0])),
-                             options["alpha"])
-    if command == "simulate":
-        return cmd_simulate(cfg, out, options.get("adversary_path"))
-    if command == "verify":
-        return cmd_verify(cfg, out,
-                          realizations=options.get("realizations", 100_000),
-                          candidates=options.get("candidates", 20),
-                          trials=options.get("trials"))
-    if command == "sweep":
-        return cmd_sweep(cfg, out)
-    raise ConfigError(f"unknown command {command!r}")
+COMMANDS = {
+    "validate-noise": cmd_validate_noise,
+    "tradeoff": cmd_tradeoff,
+    "solve": cmd_solve,
+    "adversary": cmd_adversary,
+    "simulate": cmd_simulate,
+    "verify": cmd_verify,
+    "sweep": cmd_sweep,
+}
+
+# flag -> (accepts the parsed value, what it must be); checked before any output
+_FLAG_DOMAINS = {
+    "eta": (lambda v: 2.0 <= v < np.inf, "a finite threshold multiple >= 2"),
+    "alpha": (lambda v: 0.0 < v <= 1.0, "an acceptance level in (0, 1]"),
+    "alphas": (lambda v: v.size > 0 and bool(np.all((v >= ALPHA_MIN) & (v <= 1.0))),
+               f"one or more acceptance levels in [{ALPHA_MIN}, 1]"),
+    "realizations": (lambda v: v >= 1, "at least 1"),
+    "candidates": (lambda v: v >= 0, "at least 0"),
+    "trials": (lambda v: v >= 1, "at least 1"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -628,8 +623,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="scenario-reduction and dominance suites")
     common(p)
-    p.add_argument("--realizations", type=int, default=100_000)
-    p.add_argument("--candidates", type=int, default=20)
+    p.add_argument("--realizations", type=int, help="scenario realizations (default: 100000)")
+    p.add_argument("--candidates", type=int,
+                   help="random replicated candidates (default: 20)")
     p.add_argument("--trials", type=int)
 
     common(sub.add_parser("sweep", help="full pipeline with a combined report"))
@@ -637,23 +633,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command: its flags' destination names are its keyword arguments."""
+    options = vars(_build_parser().parse_args(argv))
+    command, config, output = options.pop("command"), options.pop("config"), options.pop("output")
+    options = {flag: value for flag, value in options.items() if value is not None}
     try:
-        cfg = parse_config(args.config, output_override=args.output,
-                           check_noise=args.command != "validate-noise")
-        options = {}
-        if args.command in ("tradeoff", "adversary") and args.eta is not None:
-            options["eta"] = args.eta
-        if args.command == "tradeoff" and args.alphas is not None:
-            options["alphas"] = _parse_alpha_spec(args.alphas)
-        if args.command == "adversary":
-            options["alpha"] = args.alpha
-        if args.command == "simulate" and args.adversary_path:
-            options["adversary_path"] = args.adversary_path
-        if args.command == "verify":
-            options.update(realizations=args.realizations,
-                           candidates=args.candidates, trials=args.trials)
-        return dispatch(args.command, cfg, **options)
+        if "alphas" in options:
+            options["alphas"] = _parse_alpha_spec(options["alphas"])
+        for flag, (accepts, need) in _FLAG_DOMAINS.items():
+            if flag in options and not accepts(options[flag]):
+                raise ConfigError(f"--{flag}: must be {need}, got {options[flag]}")
+        cfg = parse_config(config, output_override=output,
+                           check_noise=command != "validate-noise")
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(cfg.output_dir / "resolved_config.json", cfg.raw)
+        return COMMANDS[command](cfg, cfg.output_dir, **options)
     except ConfigError as exc:
         json.dump({"error": {"type": "ConfigError", "message": str(exc)}},
                   sys.stderr, sort_keys=True)

@@ -177,11 +177,6 @@ class Envelope:
         return out
 
 
-def envelope_from_samples(qs, vals, curve=None, touch_tolerance=None) -> Envelope:
-    """Upper concave hull of explicit samples (no refinement pass)."""
-    return Envelope(qs, vals, curve=curve, touch_tolerance=touch_tolerance)
-
-
 def build_envelope(ctx: KernelContext, grid_size: int = DEFAULT_GRID_SIZE,
                    touch_tolerance: float | None = None,
                    refine_points: int = REFINE_POINTS) -> Envelope:

@@ -5,17 +5,9 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class UndefinedConditionalError(ArithmeticError):
-    """A conditional quantity was requested on an event of probability zero."""
-
-
 class NumericalError(RuntimeError):
     """An iterative numerical routine failed to meet its tolerance."""
 
 
 class ConfigError(ValueError):
     """A run configuration is malformed or violates a documented constraint."""
-
-
-class ConditioningError(RuntimeError):
-    """Rejection sampling cannot condition on an event of negligible probability."""

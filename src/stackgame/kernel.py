@@ -18,17 +18,16 @@ model: its CDF, its inverse CDF and its partial moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UndefinedConditionalError
+from .errors import DomainError
 from .noise_model import HonestNoiseModel
 from .numerics import adaptive_simpson
 
 # fp slack when checking offsets against the closed domain
 _EDGE_SLACK = 1e-9
-_K_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -97,14 +96,6 @@ class KernelContext:
     def moment_at_level(self, q):
         """error_moment at the offset whose acceptance probability is q."""
         return self.error_moment(self.accept_prob_inv(q))
-
-    def atom_mse(self, z):
-        """Conditional MSE of a replicated atom: error_moment / (4 accept_prob)."""
-        k = self.accept_prob(z)
-        if np.any(np.asarray(k) <= _K_FLOOR):
-            raise UndefinedConditionalError(
-                f"acceptance probability vanishes at offset {z}; conditional MSE undefined")
-        return self.error_moment(z) / (4.0 * k)
 
 
 # --- direct quadrature (independent cross-check of the closed forms) --------

@@ -1,4 +1,4 @@
-"""Monte Carlo game simulator and the exact scenario-reduction checks.
+"""Monte Carlo game simulator and the exact scenario-reduction suite.
 
 One honest node draws from the noise model; the other n-1 nodes are the
 adversary's. The collector accepts when the report spread is within
@@ -10,27 +10,25 @@ that identity is exact and independent of the data magnitude.
 Trials are split into fixed-size chunks; each chunk draws from its own
 counter-based substream (Philox keyed by the seed, jumped by the chunk
 index) and partial sums are merged in chunk order, so results are bitwise
-reproducible for a given (seed, trials, chunk size) regardless of worker
-count.
+reproducible for a given (seed, trials, chunk size). Within a chunk the
+draw order is fixed: collected values, honest noise, adversary noise. Only
+the debug identities read the values, but they are always drawn, so the
+noise streams do not depend on the debug flag.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .noise_model import DataModel, HonestNoiseModel
 from .strategy import AtomicAdversary
 
 DEFAULT_CHUNK_SIZE = 65536
 _DEBUG_TRIALS_PER_CHUNK = 128
-_PILOT_DRAWS = 10_000
-_MIN_CONDITION_PROB = 1e-4
-_MAX_REJECTION_ROUNDS = 100_000
 
 
 def accept(y, eta: float, delta: float) -> bool:
@@ -61,7 +59,6 @@ class ReplicatedStrategy:
     replicated-atom domain, but the simulator itself does not care.
     """
 
-    u_dependent = False
     n_adv = None  # works for any number of controlled nodes
 
     def __init__(self, locations, weights):
@@ -84,86 +81,22 @@ class ReplicatedStrategy:
 class CustomJointStrategy:
     """Arbitrary joint noise sampler for a fixed number of controlled nodes.
 
-    sampler(rng, count, n_adv) -> array (n_adv, count); when u_dependent is
-    set the sampler also receives the collected values (exploratory only: the
-    formal analysis covers value-independent strategies).
+    sampler(rng, count, n_adv) -> array (n_adv, count).
     """
 
-    def __init__(self, sampler, n_adv: int, u_dependent: bool = False):
+    def __init__(self, sampler, n_adv: int):
         if n_adv < 1:
             raise DomainError(f"need at least one controlled node, got {n_adv}")
         self.sampler = sampler
         self.n_adv = int(n_adv)
-        self.u_dependent = bool(u_dependent)
 
-    def sample(self, rng: np.random.Generator, count: int, n_adv: int,
-               u: np.ndarray | None = None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, count: int, n_adv: int) -> np.ndarray:
         if n_adv != self.n_adv:
             raise DomainError(f"strategy is for {self.n_adv} controlled nodes, asked {n_adv}")
-        if self.u_dependent:
-            out = self.sampler(rng, count, n_adv, u)
-        else:
-            out = self.sampler(rng, count, n_adv)
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(self.sampler(rng, count, n_adv), dtype=float)
         if out.shape != (n_adv, count):
             raise DomainError(f"sampler returned shape {out.shape}, expected {(n_adv, count)}")
         return out
-
-
-class ConditionedStrategy:
-    """Rejection-sampled restriction to pairwise spread <= eta * delta."""
-
-    u_dependent = False
-
-    def __init__(self, base, eta: float, delta: float):
-        if base.u_dependent:
-            raise DomainError("cannot condition a value-dependent strategy")
-        self.base = base
-        self.eta = float(eta)
-        self.delta = float(delta)
-        self.n_adv = base.n_adv
-
-    def sample(self, rng: np.random.Generator, count: int, n_adv: int) -> np.ndarray:
-        bound = self.eta * self.delta
-        out = np.empty((n_adv, count))
-        filled = 0
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            if filled >= count:
-                return out
-            need = count - filled
-            draw = self.base.sample(rng, need, n_adv)
-            ok = (draw.max(axis=0) - draw.min(axis=0)) <= bound
-            good = draw[:, ok]
-            take = min(good.shape[1], need)
-            out[:, filled:filled + take] = good[:, :take]
-            filled += take
-        raise NumericalError("rejection sampling failed to fill the batch")
-
-
-def condition_noncancelling(adv, eta: float, delta: float,
-                            rng: np.random.Generator,
-                            pilot_draws: int = _PILOT_DRAWS,
-                            min_prob: float = _MIN_CONDITION_PROB):
-    """Condition a joint strategy on bounded pairwise spread.
-
-    Replicated strategies already satisfy the event (all noises equal), so
-    they pass through unchanged. Otherwise a pilot run estimates the event
-    probability and the call refuses when it is negligible, since rejection
-    sampling would stall and the conditional law would be meaningless anyway.
-    """
-    if isinstance(adv, ReplicatedStrategy):
-        return adv
-    if adv.u_dependent:
-        raise DomainError("conditioning applies to value-independent strategies only")
-    if adv.n_adv == 1:
-        return adv
-    pilot = adv.sample(rng, pilot_draws, adv.n_adv)
-    p_hat = float(np.mean((pilot.max(axis=0) - pilot.min(axis=0)) <= eta * delta))
-    if p_hat < min_prob:
-        raise ConditioningError(
-            f"pairwise-bounded event has pilot probability {p_hat} "
-            f"(< {min_prob}) over {pilot_draws} draws; refusing to condition")
-    return ConditionedStrategy(adv, eta, delta)
 
 
 # --- the simulation loop ------------------------------------------------------
@@ -219,11 +152,7 @@ def _chunk_stats(cfg: GameConfig, strategy, chunk_index: int, count: int):
     # reproducibility contract
     u = cfg.data.sample(rng, count)
     honest = cfg.noise.sample(rng, count)
-    n_adv = cfg.n_nodes - 1
-    if strategy.u_dependent:
-        adv = strategy.sample(rng, count, n_adv, u=u)
-    else:
-        adv = strategy.sample(rng, count, n_adv)
+    adv = strategy.sample(rng, count, cfg.n_nodes - 1)
     nmax = np.maximum(honest, adv.max(axis=0))
     nmin = np.minimum(honest, adv.min(axis=0))
     mask = (nmax - nmin) <= cfg.eta * cfg.noise.delta
@@ -231,12 +160,11 @@ def _chunk_stats(cfg: GameConfig, strategy, chunk_index: int, count: int):
     e2 = err * err
     if cfg.debug:
         _debug_identities(cfg, u, honest, adv, nmax, nmin, mask)
-    return count, int(np.count_nonzero(mask)), float(np.sum(e2)), float(np.sum(e2 * e2))
+    return int(np.count_nonzero(mask)), float(np.sum(e2)), float(np.sum(e2 * e2))
 
 
 def _debug_identities(cfg, u, honest, adv, nmax, nmin, mask):
     """Per-trial consistency: the error identity is exact in noise space."""
-    bound = cfg.eta * cfg.noise.delta
     for i in range(min(u.size, _DEBUG_TRIALS_PER_CHUNK)):
         row = np.concatenate(([honest[i]], adv[:, i]))
         assert accept(row, cfg.eta, cfg.noise.delta) == bool(mask[i])
@@ -247,7 +175,7 @@ def _debug_identities(cfg, u, honest, adv, nmax, nmin, mask):
         assert abs(shifted - mid) <= 1e-9 * max(1.0, abs(u[i]))
 
 
-def run_monte_carlo(cfg: GameConfig, strategy, n_workers: int = 1) -> SimulationResult:
+def run_monte_carlo(cfg: GameConfig, strategy) -> SimulationResult:
     """Estimate acceptance probability and conditional MSE for a strategy.
 
     When no trial is accepted the conditional MSE is reported as absent
@@ -259,25 +187,12 @@ def run_monte_carlo(cfg: GameConfig, strategy, n_workers: int = 1) -> Simulation
     if fixed_arity is not None and fixed_arity != cfg.n_nodes - 1:
         raise DomainError(
             f"strategy is for {fixed_arity} controlled nodes, config has {cfg.n_nodes - 1}")
-    chunks = []
-    offset = 0
-    index = 0
-    while offset < cfg.trials:
-        count = min(cfg.chunk_size, cfg.trials - offset)
-        chunks.append((index, count))
-        offset += count
-        index += 1
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(lambda c: _chunk_stats(cfg, strategy, *c), chunks))
-    else:
-        parts = [_chunk_stats(cfg, strategy, i, n) for i, n in chunks]
-
     accepted = 0
     s2 = 0.0
     s4 = 0.0
-    for _, acc, p2, p4 in parts:  # merged in chunk order
+    for index, offset in enumerate(range(0, cfg.trials, cfg.chunk_size)):
+        count = min(cfg.chunk_size, cfg.trials - offset)
+        acc, p2, p4 = _chunk_stats(cfg, strategy, index, count)  # merged in chunk order
         accepted += acc
         s2 += p2
         s4 += p4
@@ -293,91 +208,6 @@ def run_monte_carlo(cfg: GameConfig, strategy, n_workers: int = 1) -> Simulation
 
 
 # --- scenario reductions (exact, noise-space) ---------------------------------
-
-def scenario_reduce(honest_noise: float, adv_noises):
-    """Replace every adversarial noise by the one largest in magnitude.
-
-    Ties go to the first index. Returns the reduced adversarial vector and
-    the equivalent two-node pair (honest, dominant noise).
-    """
-    adv = np.asarray(adv_noises, dtype=float)
-    if adv.ndim != 1 or adv.size == 0:
-        raise DomainError("need a nonempty 1-d adversarial noise vector")
-    i = int(np.argmax(np.abs(adv)))
-    n_abs = float(adv[i])
-    return np.full(adv.shape, n_abs), (float(honest_noise), n_abs)
-
-
-@dataclass(frozen=True)
-class ScenarioCheck:
-    skipped: bool
-    reason: str = ""
-    accept_full: bool | None = None
-    accept_reduced: bool | None = None
-    accept_pair: bool | None = None
-    acceptance_match: bool | None = None
-    error_bound_ok: bool | None = None  # None when the full scenario rejects
-    pair_match: bool | None = None
-    midrange_full: float | None = None
-    midrange_reduced: float | None = None
-
-    @property
-    def passed(self) -> bool:
-        if self.skipped:
-            return False
-        return (bool(self.acceptance_match)
-                and self.error_bound_ok in (None, True)
-                and bool(self.pair_match))
-
-
-def check_scenario_equivalence(honest_noise: float, adv_noises, eta: float,
-                               delta: float) -> ScenarioCheck:
-    """Exact reduction checks for one realization.
-
-    Requires the adversarial noises to be pairwise within eta*delta of each
-    other (realizations outside that event are reported as skipped). Checks:
-    (a) replacing all adversarial noises by the dominant one preserves the
-    acceptance decision; (b) on acceptance it cannot shrink the midrange
-    error magnitude; (c) the reduced scenario matches the two-node pair
-    exactly. All comparisons are exact, no tolerances.
-    """
-    adv = np.asarray(adv_noises, dtype=float)
-    if adv.ndim != 1 or adv.size == 0:
-        raise DomainError("need a nonempty 1-d adversarial noise vector")
-    bound = eta * delta
-    if adv.size > 1 and (np.max(adv) - np.min(adv)) > bound:
-        return ScenarioCheck(skipped=True,
-                             reason="adversarial noises exceed pairwise spread bound")
-    reduced, (h, n_abs) = scenario_reduce(honest_noise, adv)
-
-    full = np.concatenate(([honest_noise], adv))
-    fmax, fmin = float(np.max(full)), float(np.min(full))
-    acc1 = (fmax - fmin) <= bound
-    mid1 = 0.5 * (fmax + fmin)
-
-    # reduced scenario goes through the n-node vector, the pair through plain
-    # scalar comparisons: two genuinely different code paths for one identity
-    red_full = np.concatenate(([honest_noise], reduced))
-    rmax, rmin = float(np.max(red_full)), float(np.min(red_full))
-    acc2 = (rmax - rmin) <= bound
-    mid2 = 0.5 * (rmax + rmin)
-
-    pmax, pmin = (h, n_abs) if h >= n_abs else (n_abs, h)
-    acc3 = (pmax - pmin) <= bound
-    mid3 = 0.5 * (pmax + pmin)
-
-    return ScenarioCheck(
-        skipped=False,
-        accept_full=bool(acc1),
-        accept_reduced=bool(acc2),
-        accept_pair=bool(acc3),
-        acceptance_match=bool(acc1 == acc2),
-        error_bound_ok=None if not acc1 else bool(abs(mid1) <= abs(mid2)),
-        pair_match=bool(acc2 == acc3 and (not acc2 or mid2 == mid3)),
-        midrange_full=mid1,
-        midrange_reduced=mid2,
-    )
-
 
 def run_scenario_suite(noise: HonestNoiseModel, eta: float, n_realizations: int,
                        n_adv: int, seed: int) -> dict:
@@ -475,8 +305,7 @@ def _utility_sigma(adv_utility, mse, pa, mse_sd, pa_sd) -> float:
     return math.sqrt((dm * mse_sd) ** 2 + (dp * pa_sd) ** 2)
 
 
-def dominance_check(cfg: GameConfig, spec, candidates, optimum,
-                    n_workers: int = 1) -> DominanceReport:
+def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceReport:
     """Monte Carlo test that no candidate beats the optimum's utility.
 
     All runs share the same seed, so candidate-vs-optimum comparisons use
@@ -485,7 +314,7 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum,
     Candidates with no accepted trials have undefined utility and cannot be
     flagged; they are recorded with a note.
     """
-    opt_res = run_monte_carlo(cfg, optimum, n_workers=n_workers)
+    opt_res = run_monte_carlo(cfg, optimum)
     if opt_res.mse_hat is None:
         raise NumericalError("optimum strategy produced no accepted trials")
     opt_util = float(spec.adversary.value(opt_res.mse_hat, opt_res.pa_hat))
@@ -497,7 +326,7 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum,
     entries = []
     violations = []
     for label, strat in candidates:
-        res = run_monte_carlo(cfg, strat, n_workers=n_workers)
+        res = run_monte_carlo(cfg, strat)
         if res.mse_hat is None:
             entries.append(DominanceEntry(label, res.pa_hat, None, None, None,
                                           False, note="no accepted trials"))

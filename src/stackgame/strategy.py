@@ -10,12 +10,11 @@ majorant touches the moment curve, four where it rides a chord.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import Chord, Envelope, Touch, build_envelope
+from .envelope import Envelope, Touch, build_envelope
 from .errors import DomainError, NumericalError
 from .kernel import KernelContext
 from .tradeoff import c_alpha
@@ -122,14 +121,6 @@ class UtilitySpec:
         if np.min(dcv(m, p + step) - dcv(m, p)) < 0.0:
             out.append("defender utility decreases in acceptance")
         return out
-
-
-def eval_adversary_utility(spec: UtilitySpec, mse: float, pa: float) -> float:
-    if not (math.isfinite(mse) and mse >= 0.0):
-        raise DomainError(f"conditional MSE must be finite and nonnegative, got {mse}")
-    if not 0.0 <= pa <= 1.0:
-        raise DomainError(f"acceptance probability must lie in [0, 1], got {pa}")
-    return float(spec.adversary.value(mse, pa))
 
 
 def best_alpha_set(env: Envelope, spec: UtilitySpec, alpha_grid,
@@ -304,11 +295,3 @@ def build_adversary(env: Envelope, ctx: KernelContext, alpha: float) -> AtomicAd
         raise NumericalError(
             f"constructed atoms achieve acceptance {achieved}, wanted {alpha}")
     return adv
-
-
-def replicate_gstar(fstar: AtomicAdversary, n_nodes: int):
-    """Joint strategy for n_nodes - 1 controlled nodes: one draw, replicated."""
-    if n_nodes < 2:
-        raise DomainError(f"need at least 2 nodes, got {n_nodes}")
-    from .simulator import ReplicatedStrategy
-    return ReplicatedStrategy.from_atomic(fstar)

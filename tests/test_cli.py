@@ -177,6 +177,31 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["tradeoff", "--eta", "1.5"], "--eta"),
+    (["tradeoff", "--eta", "nan"], "--eta"),
+    (["adversary", "--alpha", "0.5", "--eta", "1.9"], "--eta"),
+    (["adversary", "--alpha", "0"], "--alpha"),
+    (["adversary", "--alpha", "1.5"], "--alpha"),
+    (["tradeoff", "--alphas", ""], "--alphas"),
+    (["tradeoff", "--alphas", "0.5:0.9:0"], "--alphas"),
+    (["tradeoff", "--alphas", "0.5,1.5"], "--alphas"),
+    (["tradeoff", "--alphas", "0,0.5"], "--alphas"),
+    (["tradeoff", "--alphas", "0.1:0.9"], "--alphas"),
+    (["tradeoff", "--alphas", "0.1,x"], "--alphas"),
+    (["verify", "--realizations", "0"], "--realizations"),
+    (["verify", "--candidates", "-1"], "--candidates"),
+    (["verify", "--trials", "0"], "--trials"),
+])
+def test_bad_flags_fail_at_the_boundary(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    code = cli.main(argv + ["--config", str(write_config(tmp_path)), "--output", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith(flag + ":")
+    assert not out.exists()
+
+
 def test_validate_noise_artifact(tmp_path):
     code, out = run(["validate-noise"], tmp_path, config=write_config(tmp_path))
     assert code == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import stackgame as sg
 from stackgame import cli, envelope
-from stackgame.envelope import Chord, Touch, envelope_from_samples
+from stackgame.envelope import Chord, Envelope, Touch
 from stackgame.errors import DomainError, NumericalError
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -96,7 +96,7 @@ def test_chord_region_is_linear(uniform_env):
 
 def test_idempotent_rebuild(uniform_env):
     qs = uniform_env.source_qs
-    env2 = envelope_from_samples(qs, uniform_env.evaluate(qs))
+    env2 = Envelope(qs, uniform_env.evaluate(qs))
     probe = np.linspace(0.0, 1.0, 1111)
     np.testing.assert_allclose(env2.evaluate(probe), uniform_env.evaluate(probe),
                                rtol=0, atol=1e-12)
@@ -105,15 +105,15 @@ def test_idempotent_rebuild(uniform_env):
 def test_hull_of_explicit_samples():
     qs = np.linspace(0.0, 1.0, 101)
     vals = np.minimum(qs, 0.3)  # concave piecewise-linear: hull is itself
-    env = envelope_from_samples(qs, vals)
+    env = Envelope(qs, vals)
     np.testing.assert_allclose(env.evaluate(qs), vals, atol=1e-14)
 
     dip = 1.0 - np.abs(qs - 0.5)  # tent: already concave
-    env2 = envelope_from_samples(qs, dip)
+    env2 = Envelope(qs, dip)
     assert not env2.chords()
 
     wiggle = qs * (1.0 - qs) * np.where(qs < 0.5, 0.1, 1.0)  # jump -> chord
-    env3 = envelope_from_samples(qs, wiggle)
+    env3 = Envelope(qs, wiggle)
     assert env3.chords()
 
 
@@ -121,11 +121,11 @@ def test_domain_errors(uniform_env):
     with pytest.raises(DomainError):
         uniform_env.evaluate(1.5)
     with pytest.raises(DomainError):
-        envelope_from_samples([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        Envelope([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     with pytest.raises(DomainError):
         sg.build_envelope(sg.KernelContext(2.0, sg.uniform(1.0)), 2)
     with pytest.raises(NumericalError):
-        envelope_from_samples([0.0, 0.5, 1.0], [0.0, np.nan, 0.0])
+        Envelope([0.0, 0.5, 1.0], [0.0, np.nan, 0.0])
 
 
 @pytest.mark.parametrize("noise", [sg.truncated_normal(1.0, 0.5), sg.triangular(1.0)])
@@ -187,7 +187,7 @@ def test_hull_matches_the_plain_chain(data):
 @given(hull_inputs())
 def test_majorant_majorizes_with_nonincreasing_slopes(data):
     qs, vals = data
-    env = envelope_from_samples(qs, vals)
+    env = Envelope(qs, vals)
     scale = 1.0 + np.max(np.abs(vals))
     assert np.min(env.evaluate(qs) - vals) >= -1e-12 * scale
     slopes = np.diff(env.breakpoint_vals) / np.diff(env.breakpoint_qs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stackgame as sg
-from stackgame.errors import DomainError, UndefinedConditionalError
+from stackgame.errors import DomainError
 from stackgame.kernel import accept_prob_quad, error_moment_quad
 
 
@@ -76,13 +76,6 @@ def test_moment_at_level(uniform_ctx):
     # q=0.5 -> z=2 -> nu = 19/6
     assert abs(uniform_ctx.moment_at_level(0.5) - 19.0 / 6.0) < 1e-12
     assert abs(uniform_ctx.moment_at_level(1.0) - 4.0 / 3.0) < 1e-12
-
-
-def test_atom_mse_values(uniform_ctx):
-    assert abs(uniform_ctx.atom_mse(2.0) - 19.0 / 12.0) < 1e-12
-    assert abs(uniform_ctx.atom_mse(1.0) - 1.0 / 3.0) < 1e-12
-    with pytest.raises(UndefinedConditionalError):
-        uniform_ctx.atom_mse(3.0)
 
 
 def test_scale_invariance():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stackgame as sg
-from stackgame.errors import DomainError, NumericalError
+from stackgame.errors import DomainError
 
 
 @pytest.fixture(scope="module")
@@ -38,18 +38,6 @@ def test_monotonicity_probe_clean():
         "dc": {"family": "exp_penalty", "params": {"s": 2.0}},
     })
     assert spec2.monotonicity_violations(m_max=25.0) == []
-
-
-def test_eval_adversary_utility():
-    ws = sg.UtilitySpec.from_spec(
-        {"adversary": {"family": "weighted_sum", "params": {"a": 1.0, "b": 1.0}}})
-    assert abs(sg.eval_adversary_utility(ws, 19.0 / 12.0, 0.5) - 25.0 / 12.0) < 1e-15
-    sp = sg.UtilitySpec.from_spec({})
-    assert sg.eval_adversary_utility(sp, 0.0, 1.0) == 1.0
-    with pytest.raises(DomainError):
-        sg.eval_adversary_utility(sp, -0.5, 0.5)
-    with pytest.raises(DomainError):
-        sg.eval_adversary_utility(sp, 1.0, 1.5)
 
 
 def test_scaled_product_interior_optimum(uniform_env, alphas):
@@ -197,20 +185,3 @@ def test_atomic_adversary_validation():
         sg.AtomicAdversary(atoms=((-1.0, 0.5), (2.0, 0.5)), alpha=0.5,
                            eta=2.0, delta=1.0)  # not mirror-symmetric
 
-
-def test_replicate_gstar(uniform_env, uniform_ctx):
-    adv = sg.build_adversary(uniform_env, uniform_ctx, 0.5)
-    strat = sg.replicate_gstar(adv, 5)
-    rng = np.random.default_rng(0)
-    draws = strat.sample(rng, 1000, 4)
-    assert draws.shape == (4, 1000)
-    assert set(np.unique(draws)) <= {-2.0, 2.0}
-    # all adversarial rows identical: replication, not independence
-    assert np.all(draws == draws[0])
-    assert np.max(draws, axis=0) - np.min(draws, axis=0) == pytest.approx(0.0)
-
-    single = sg.replicate_gstar(adv, 2).sample(np.random.default_rng(0), 500, 1)
-    assert single.shape == (1, 500)
-    assert set(np.unique(single)) <= {-2.0, 2.0}
-    with pytest.raises(DomainError):
-        sg.replicate_gstar(adv, 1)

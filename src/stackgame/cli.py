@@ -29,8 +29,8 @@ from .kernel import KernelContext
 from .noise_model import DataModel
 from .simulator import (CustomJointStrategy, GameConfig, ReplicatedStrategy,
                         dominance_check, run_monte_carlo, run_scenario_suite)
-from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, AtomicAdversary, UtilitySpec,
-                       best_alpha_set, build_adversary, solve_equilibrium)
+from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY, AtomicAdversary,
+                       UtilitySpec, best_alpha_set, build_adversary, solve_equilibrium)
 from .tradeoff import (ALPHA_MIN, atom_accept_prob, atom_error_moment,
                        build_curve, build_oracle_table, c_alpha, oracle_c2)
 
@@ -57,10 +57,7 @@ DEFAULT_CONFIG = {
     "eta_grid": {"start": 2.0, "stop": 8.0, "step": 0.01},
     "alpha_grid": {"start": ALPHA_MIN, "stop": 1.0, "num": 1000},
     "report_alphas": {"start": 0.1, "stop": 1.0, "num": 10},
-    "utility": {
-        "adversary": {"family": "scaled_product", "params": {"c": 1.0}},
-        "dc": {"family": "linear_penalty", "params": {"gamma": 1.0}},
-    },
+    "utility": DEFAULT_UTILITY,
     "simulation": {"n_nodes": [2, 3, 5], "trials": 100000, "seed": 20260814,
                    "chunk_size": 65536},
     "envelope": {"grid_size": 4096},
@@ -68,21 +65,29 @@ DEFAULT_CONFIG = {
 }
 
 
-def _utility_schema(families: dict, default: str) -> dict:
-    """A utility's schema: the family's params must be numbers.
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+# a param's schema, where it is not a plain number
+_PARAM_SCHEMAS = {"sigma": {"type": "number", "exclusiveMinimum": 0}, "csv": {"type": "string"},
+                  "xs": _NUMBERS, "pdf": _NUMBERS}
 
-    An omitted family is the default one, so its case matches without it.
+
+def _choice_schema(key: str, params_of: dict, default: str, **properties) -> dict:
+    """An object whose `key` picks a row of params_of: it takes that row's params, typed.
+
+    An omitted key is the default choice, so its case matches without it.
     """
     cases = []
-    for family, names in families.items():
-        case = {"properties": {"family": {"const": family}}}
-        if family != default:
-            case["required"] = ["family"]
-        params = {"properties": {name: {"type": "number"} for name in names}}
+    for choice, names in params_of.items():
+        case = {"properties": {key: {"const": choice}}}
+        if choice != default:
+            case["required"] = [key]
+        params = {"properties": {n: _PARAM_SCHEMAS.get(n, {"type": "number"}) for n in names},
+                  "additionalProperties": False}
         cases.append({"if": case, "then": {"properties": {"params": params}}})
     return {
         "type": "object",
-        "properties": {"family": {"enum": list(families)}, "params": {"type": "object"}},
+        "properties": {key: {"enum": list(params_of)}, "params": {"type": "object"},
+                       **properties},
         "additionalProperties": False,
         "allOf": cases,
     }
@@ -92,15 +97,9 @@ CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "properties": {
-        "honest_noise": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": list(noise_model.KINDS)},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-                "params": {"type": "object"},
-            },
-            "additionalProperties": False,
-        },
+        "honest_noise": _choice_schema(
+            "kind", noise_model.KINDS, DEFAULT_CONFIG["honest_noise"]["kind"],
+            delta={"type": "number", "exclusiveMinimum": 0}),
         "data": {
             "type": "object",
             "properties": {"m": {"type": "number", "exclusiveMinimum": 0}},
@@ -112,9 +111,9 @@ CONFIG_SCHEMA = {
         "utility": {
             "type": "object",
             "properties": {
-                "adversary": _utility_schema(
-                    ADVERSARY_FAMILIES, DEFAULT_CONFIG["utility"]["adversary"]["family"]),
-                "dc": _utility_schema(DC_FAMILIES, DEFAULT_CONFIG["utility"]["dc"]["family"]),
+                role: _choice_schema("family", {f: names for f, (names, _) in families.items()},
+                                     DEFAULT_UTILITY[role]["family"])
+                for role, families in (("adversary", ADVERSARY_FAMILIES), ("dc", DC_FAMILIES))
             },
             "additionalProperties": False,
         },
@@ -221,10 +220,9 @@ class RunConfig:
             problems.append(
                 "/eta_grid: every threshold multiple must satisfy eta >= 2; the "
                 "acceptance window must cover the worst honest-only spread of 2*delta")
-        if self.alpha_grid[0] < ALPHA_MIN - 1e-15 or self.alpha_grid[-1] > 1.0:
-            problems.append(f"/alpha_grid: acceptance levels must lie in [{ALPHA_MIN}, 1]")
-        if self.report_alphas[0] < ALPHA_MIN - 1e-15 or self.report_alphas[-1] > 1.0:
-            problems.append(f"/report_alphas: acceptance levels must lie in [{ALPHA_MIN}, 1]")
+        for key, grid in (("alpha_grid", self.alpha_grid), ("report_alphas", self.report_alphas)):
+            if grid[0] < ALPHA_MIN - 1e-15 or grid[-1] > 1.0:
+                problems.append(f"/{key}: acceptance levels must lie in [{ALPHA_MIN}, 1]")
         if self.data.m < 100.0 * self.noise.delta:
             problems.append(
                 "/data/m: the value range must dominate the noise (m >= 100 * delta)")
@@ -330,14 +328,6 @@ def cmd_validate_noise(cfg: RunConfig, out: Path) -> int:
     return 0 if report.passed else 1
 
 
-def _hcurve_rows(env):
-    qs = env.source_qs
-    hs = env.source_vals
-    stars = env.evaluate(qs)
-    touch = env.is_touch(qs)
-    return zip(qs, hs, stars, touch)
-
-
 def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=None) -> int:
     eta = float(cfg.eta_grid[0]) if eta is None else eta
     ctx = KernelContext(eta, cfg.noise)
@@ -347,8 +337,10 @@ def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=Non
     oracle_vals = np.array([oracle_c2(ctx, a, table=table) for a in curve.alphas])
     diffs = np.abs(curve.values - oracle_vals)
 
+    env = curve.envelope
     _write_csv(out / "level_curve.csv", ["q", "h", "h_star", "is_touch"],
-               _hcurve_rows(curve.envelope))
+               zip(env.source_qs, env.source_vals, env.evaluate(env.source_qs),
+                   env.is_touch(env.source_qs)))
     _write_csv(out / "tradeoff.csv", ["alpha", "c_formula", "c_oracle", "abs_diff"],
                zip(curve.alphas, curve.values, oracle_vals, diffs))
     rel_scale = np.maximum(1.0, np.abs(curve.values))
@@ -405,14 +397,22 @@ def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = N
     return 0
 
 
-def _load_adversary(path) -> AtomicAdversary:
+def _load_adversary(path, delta: float) -> AtomicAdversary:
+    """The adversary file at path, which must be built for eta >= 2 and the configured delta."""
     try:
         raw = json.loads(Path(path).read_text())
         atoms = tuple((float(a["z"]), float(a["weight"])) for a in raw["atoms"])
-        return AtomicAdversary(atoms=atoms, alpha=float(raw["alpha"]),
-                               eta=float(raw["eta"]), delta=float(raw["delta"]))
+        adv = AtomicAdversary(atoms=atoms, alpha=float(raw["alpha"]),
+                              eta=float(raw["eta"]), delta=float(raw["delta"]))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load adversary file {path}: {exc}") from exc
+        raise ConfigError(f"--adversary: cannot load {path}: {exc}") from exc
+    accepts, need = _FLAG_DOMAINS["eta"]
+    if not accepts(adv.eta):
+        raise ConfigError(f"--adversary: eta must be {need}, got {adv.eta}")
+    if not abs(adv.delta - delta) <= 1e-9 * delta:
+        raise ConfigError(f"--adversary: built for delta {adv.delta}, "
+                          f"but the configured noise has delta {delta}")
+    return adv
 
 
 _SIM_HEADER = ["n_nodes", "eta", "alpha", "pa_hat", "mse_hat",
@@ -436,14 +436,12 @@ def _simulate_cells(cfg: RunConfig, cells):
     return rows, results
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, adversary_path=None) -> int:
-    if adversary_path is not None:
-        adv = _load_adversary(adversary_path)
-    else:
+def cmd_simulate(cfg: RunConfig, out: Path, adversary: AtomicAdversary | None = None) -> int:
+    adv = adversary
+    if adv is None:
         report = _solve(cfg)
-        ctx = KernelContext(report.eta_star, cfg.noise)
-        env = report.envelope
-        adv = build_adversary(env, ctx, report.equilibrium_pa)
+        adv = build_adversary(report.envelope, KernelContext(report.eta_star, cfg.noise),
+                              report.equilibrium_pa)
     rows, results = _simulate_cells(
         cfg, [(n, adv, cfg.seed + i) for i, n in enumerate(cfg.n_nodes)])
     _write_csv(out / "simulations.csv", _SIM_HEADER, rows, append=True)
@@ -618,7 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo runs of a replicated adversary")
     common(p)
-    p.add_argument("--adversary", dest="adversary_path",
+    p.add_argument("--adversary",
                    help="adversary JSON (default: the solved equilibrium optimum)")
 
     p = sub.add_parser("verify", help="scenario-reduction and dominance suites")
@@ -645,6 +643,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{flag}: must be {need}, got {options[flag]}")
         cfg = parse_config(config, output_override=output,
                            check_noise=command != "validate-noise")
+        if "adversary" in options:
+            options["adversary"] = _load_adversary(options["adversary"], cfg.noise.delta)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         _write_json(cfg.output_dir / "resolved_config.json", cfg.raw)
         return COMMANDS[command](cfg, cfg.output_dir, **options)

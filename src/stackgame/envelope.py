@@ -6,6 +6,10 @@ segments that bridge over strictly lower samples are recorded as chords. One
 refinement pass re-samples around each chord endpoint so the detected
 tangency points are sharp to roughly the square of the grid resolution.
 
+One chord rule serves every query: q is on a chord when it lies strictly
+inside a hull segment flagged as one. The touch tolerance is a constant rule:
+TOUCH_REL times the largest sample magnitude, or TOUCH_REL if that is below 1.
+
 The chain's cross products for all consecutive sample triples are computed as
 one array, so the runs of samples it keeps without popping are appended in
 bulk; the scalar pop loop runs only where the curve bends the other way. Every
@@ -24,8 +28,8 @@ from .errors import DomainError, NumericalError
 from .kernel import KernelContext
 
 DEFAULT_GRID_SIZE = 4096
-DEFAULT_TOUCH_REL = 1e-8
-REFINE_POINTS = 64
+TOUCH_REL = 1e-8
+REFINE_POINTS = 64  # extra samples around each chord endpoint
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
 class Envelope:
     """Piecewise-linear least concave majorant with chord classification."""
 
-    def __init__(self, source_qs, source_vals, curve=None, touch_tolerance=None):
+    def __init__(self, source_qs, source_vals, curve=None):
         qs = np.asarray(source_qs, dtype=float)
         vals = np.asarray(source_vals, dtype=float)
         if qs.ndim != 1 or qs.size < 2 or qs.shape != vals.shape:
@@ -92,9 +96,7 @@ class Envelope:
         self.source_qs = qs
         self.source_vals = vals
         self._curve = curve
-        if touch_tolerance is None:
-            touch_tolerance = DEFAULT_TOUCH_REL * max(1.0, float(np.max(np.abs(vals))))
-        self.touch_tolerance = float(touch_tolerance)
+        self.touch_tolerance = TOUCH_REL * max(1.0, float(np.max(np.abs(vals))))
 
         hull = _upper_hull_indices(qs, vals)
         self.breakpoint_qs = qs[hull]
@@ -132,57 +134,49 @@ class Envelope:
     def chords(self) -> list[Chord]:
         return list(self._chords)
 
-    def supporting_chord(self, q: float):
-        """Touch(q) where the majorant meets the curve, else the hull Chord.
-
-        Touch is decided on the chord structure rather than the pointwise
-        interpolation gap: between adjacent grid samples the piecewise-linear
-        majorant sits above a strictly concave curve by O(grid step^2), which
-        can exceed the touch tolerance without any true chord being present.
-        """
-        q = float(q)
-        if not 0.0 < q <= 1.0 + 1e-12:
-            raise DomainError("supporting_chord argument must lie in (0, 1]")
-        q = min(q, 1.0)
-        bq = self.breakpoint_qs
-        if q >= bq[-1]:
-            return Touch(float(bq[-1]))
-        i = int(np.searchsorted(bq, q, side="right")) - 1
-        i = max(i, 0)
-        if q == bq[i] or not self._chord_flags[i]:
-            return Touch(q)
-        gap = self.evaluate(q) - self.curve_value(q)
-        if gap <= self.touch_tolerance:
-            return Touch(q)
-        return Chord(float(bq[i]), float(bq[i + 1]))
-
-    def is_touch(self, q) -> np.ndarray:
-        """Vectorized touch/chord classification (True where Touch).
-
-        Applies supporting_chord's rules to every point at once, and q <= 0
-        counts as a touch; the curve is evaluated only strictly inside chords.
-        """
-        arr = np.atleast_1d(np.asarray(q, dtype=float))
-        if np.any(np.isnan(arr) | (arr > 1.0 + 1e-12)):
-            raise DomainError("supporting_chord argument must lie in (0, 1]")
-        arr = np.minimum(arr, 1.0)
+    def _segments(self, arr: np.ndarray):
+        """Hull segment of each q, and whether q lies strictly inside a chord."""
         bq = self.breakpoint_qs
         seg = np.clip(np.searchsorted(bq, arr, side="right") - 1, 0, bq.size - 2)
-        inside = ((arr > 0.0) & (arr < bq[-1]) & (arr != bq[seg])
-                  & self._chord_flags[seg])
+        return seg, (arr > bq[seg]) & (arr < bq[seg + 1]) & self._chord_flags[seg]
+
+    def _touches(self, arr: np.ndarray):
+        """Segment of each q in [0, 1], and True where the majorant meets the curve.
+
+        Only points strictly inside a chord are checked against the curve: off
+        chords the piecewise-linear majorant may sit O(grid step^2) above a
+        strictly concave curve, beyond the touch tolerance, with no true chord.
+        """
+        seg, inside = self._segments(arr)
         out = ~inside
         if np.any(inside):
             gap = self.evaluate(arr[inside]) - self.curve_value(arr[inside])
             out[inside] = gap <= self.touch_tolerance
-        return out
+        return seg, out
+
+    def supporting_chord(self, q: float):
+        """Touch(q) where the majorant meets the curve, else the hull Chord."""
+        q = float(q)
+        if not 0.0 < q <= 1.0 + 1e-12:
+            raise DomainError("supporting_chord argument must lie in (0, 1]")
+        q = min(q, 1.0)
+        (i,), (touch,) = self._touches(np.array([q]))
+        if touch:
+            return Touch(min(q, float(self.breakpoint_qs[-1])))
+        return Chord(float(self.breakpoint_qs[i]), float(self.breakpoint_qs[i + 1]))
+
+    def is_touch(self, q) -> np.ndarray:
+        """Vectorized supporting_chord: True where Touch; q <= 0 counts as a touch."""
+        arr = np.atleast_1d(np.asarray(q, dtype=float))
+        if np.any(np.isnan(arr) | (arr > 1.0 + 1e-12)):
+            raise DomainError("supporting_chord argument must lie in (0, 1]")
+        return self._touches(np.minimum(arr, 1.0))[1]
 
 
-def build_envelope(ctx: KernelContext, grid_size: int = DEFAULT_GRID_SIZE,
-                   touch_tolerance: float | None = None,
-                   refine_points: int = REFINE_POINTS) -> Envelope:
+def build_envelope(ctx: KernelContext, grid_size: int = DEFAULT_GRID_SIZE) -> Envelope:
     """Sample moment_at_level on [0, 1] and take its least concave majorant.
 
-    After the first hull, refine_points extra samples are inserted around each
+    After the first hull, REFINE_POINTS extra samples are inserted around each
     chord endpoint (within its neighboring grid cells) and the hull is rebuilt
     once, sharpening detected tangencies.
     """
@@ -190,10 +184,10 @@ def build_envelope(ctx: KernelContext, grid_size: int = DEFAULT_GRID_SIZE,
         raise DomainError(f"grid_size too small for a stable hull: {grid_size}")
     qs = np.linspace(0.0, 1.0, grid_size)
     vals = np.asarray(ctx.moment_at_level(qs), dtype=float)
-    env = Envelope(qs, vals, curve=ctx.moment_at_level, touch_tolerance=touch_tolerance)
+    env = Envelope(qs, vals, curve=ctx.moment_at_level)
 
     chords = env.chords()
-    if not chords or refine_points <= 0:
+    if not chords:
         return env
     step = qs[1] - qs[0]
     extra = []
@@ -201,12 +195,11 @@ def build_envelope(ctx: KernelContext, grid_size: int = DEFAULT_GRID_SIZE,
         for endpoint in (ch.q1, ch.q2):
             lo = max(0.0, endpoint - step)
             hi = min(1.0, endpoint + step)
-            extra.append(np.linspace(lo, hi, refine_points))
+            extra.append(np.linspace(lo, hi, REFINE_POINTS))
     all_qs = np.unique(np.concatenate([qs] + extra))
     new_mask = ~np.isin(all_qs, qs)
     all_vals = np.empty_like(all_qs)
     all_vals[~new_mask] = vals[np.searchsorted(qs, all_qs[~new_mask])]
     if np.any(new_mask):
         all_vals[new_mask] = np.asarray(ctx.moment_at_level(all_qs[new_mask]), dtype=float)
-    return Envelope(all_qs, all_vals, curve=ctx.moment_at_level,
-                    touch_tolerance=touch_tolerance)
+    return Envelope(all_qs, all_vals, curve=ctx.moment_at_level)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -29,7 +30,9 @@ from scipy import special
 
 from .errors import DomainError, NumericalError
 
-KINDS = ("uniform", "truncated-normal", "triangular", "tabulated")
+# noise kind -> the params it takes, an ordered mapping: kinds in their documented order
+KINDS = OrderedDict([("uniform", ()), ("truncated-normal", ("sigma",)), ("triangular", ()),
+                     ("tabulated", ("csv", "xs", "pdf"))])
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -228,7 +231,7 @@ class HonestNoiseModel:
     def __init__(self, kind: str, delta: float, params: dict,
                  table: tuple | None = None):
         if kind not in KINDS:
-            raise DomainError(f"unknown noise kind {kind!r}; expected one of {KINDS}")
+            raise DomainError(f"unknown noise kind {kind!r}; expected one of {tuple(KINDS)}")
         if not (math.isfinite(delta) and delta > 0):
             raise DomainError(f"delta must be positive and finite, got {delta}")
         self.kind = kind
@@ -363,21 +366,25 @@ def from_spec(spec: dict, base_dir=None) -> HonestNoiseModel:
         if "sigma" not in params:
             raise DomainError("truncated-normal noise requires params.sigma")
         return truncated_normal(delta, params["sigma"])
-    if kind == "tabulated":
-        if "csv" in params:
-            path = Path(params["csv"])
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
+    if kind != "tabulated":
+        raise DomainError(f"unknown noise kind {kind!r}; expected one of {tuple(KINDS)}")
+    if "csv" in params:
+        path = Path(params["csv"])
+        if base_dir is not None and not path.is_absolute():
+            path = Path(base_dir) / path
+        try:
             model = tabulated_from_csv(path)
-        elif "xs" in params and "pdf" in params:
-            model = tabulated(params["xs"], params["pdf"])
-        else:
-            raise DomainError("tabulated noise requires params.csv or params.xs/params.pdf")
-        if "delta" in spec and abs(model.delta - float(spec["delta"])) > 1e-9:
-            raise DomainError(
-                f"tabulated grid implies delta={model.delta}, config says {spec['delta']}")
-        return model
-    raise DomainError(f"unknown noise kind {kind!r}; expected one of {KINDS}")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise DomainError(f"/honest_noise/params/csv: cannot read {path}: {reason}") from exc
+    elif "xs" in params and "pdf" in params:
+        model = tabulated(params["xs"], params["pdf"])
+    else:
+        raise DomainError("tabulated noise requires params.csv or params.xs/params.pdf")
+    if "delta" in spec and abs(model.delta - float(spec["delta"])) > 1e-9:
+        raise DomainError(
+            f"tabulated grid implies delta={model.delta}, config says {spec['delta']}")
+    return model
 
 
 # --- validation ------------------------------------------------------------

@@ -14,73 +14,57 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import Envelope, Touch, build_envelope
+from .envelope import DEFAULT_GRID_SIZE, Envelope, Touch, build_envelope
 from .errors import DomainError, NumericalError
 from .kernel import KernelContext
 from .tradeoff import c_alpha
 
 TIE_TOL_REL = 1e-9
-# utility family -> its parameter names, all numbers
-ADVERSARY_FAMILIES = {"weighted_sum": ("a", "b"), "scaled_product": ("c",)}
-DC_FAMILIES = {"linear_penalty": ("gamma",), "exp_penalty": ("s",)}
+# utility family -> (its parameter names, all numbers > 0; its value(params, mse, pa))
+ADVERSARY_FAMILIES = {
+    "weighted_sum": (("a", "b"), lambda p, mse, pa: p["a"] * mse + p["b"] * pa),
+    "scaled_product": (("c",), lambda p, mse, pa: pa * (mse + p["c"])),
+}
+DC_FAMILIES = {
+    "linear_penalty": (("gamma",), lambda p, mse, pa: pa - p["gamma"] * mse),
+    "exp_penalty": (("s",),
+                    lambda p, mse, pa: pa * np.exp(-np.asarray(mse, dtype=float) / p["s"])),
+}
+DEFAULT_UTILITY = {
+    "adversary": {"family": "scaled_product", "params": {"c": 1.0}},
+    "dc": {"family": "linear_penalty", "params": {"gamma": 1.0}},
+}
 
 
 @dataclass(frozen=True)
-class AdversaryUtility:
-    """Strictly increasing in both conditional MSE and acceptance probability.
-
-    weighted_sum:   a * mse + b * pa          (a > 0, b > 0)
-    scaled_product: pa * (mse + c)            (c > 0)
-    """
+class _Utility:
+    """A utility family from a subclass's table, with every named param > 0."""
     family: str
     params: dict
 
     def __post_init__(self):
-        if self.family == "weighted_sum":
-            a, b = self.params.get("a"), self.params.get("b")
-            if not (a and b and a > 0 and b > 0):
-                raise DomainError(f"weighted_sum needs a > 0 and b > 0, got {self.params}")
-        elif self.family == "scaled_product":
-            c = self.params.get("c")
-            if not (c and c > 0):
-                raise DomainError(f"scaled_product needs c > 0, got {self.params}")
-        else:
-            raise DomainError(f"unknown adversary utility family {self.family!r}; "
-                              f"expected {tuple(ADVERSARY_FAMILIES)}")
+        if self.family not in self._families:
+            raise DomainError(f"unknown {self._role} utility family {self.family!r}; "
+                              f"expected {tuple(self._families)}")
+        names = self._families[self.family][0]
+        if not all(self.params.get(n) and self.params[n] > 0 for n in names):
+            need = " and ".join(f"{n} > 0" for n in names)
+            raise DomainError(f"{self.family} needs {need}, got {self.params}")
 
     def value(self, mse, pa):
-        if self.family == "weighted_sum":
-            return self.params["a"] * mse + self.params["b"] * pa
-        return pa * (mse + self.params["c"])
+        return self._families[self.family][1](self.params, mse, pa)
 
 
-@dataclass(frozen=True)
-class DCUtility:
-    """Nonincreasing in conditional MSE, nondecreasing in acceptance probability.
+class AdversaryUtility(_Utility):
+    """Strictly increasing in both conditional MSE and acceptance probability."""
+    _families = ADVERSARY_FAMILIES
+    _role = "adversary"
 
-    linear_penalty: pa - gamma * mse          (gamma > 0)
-    exp_penalty:    pa * exp(-mse / s)        (s > 0)
-    """
-    family: str
-    params: dict
 
-    def __post_init__(self):
-        if self.family == "linear_penalty":
-            gamma = self.params.get("gamma")
-            if not (gamma and gamma > 0):
-                raise DomainError(f"linear_penalty needs gamma > 0, got {self.params}")
-        elif self.family == "exp_penalty":
-            s = self.params.get("s")
-            if not (s and s > 0):
-                raise DomainError(f"exp_penalty needs s > 0, got {self.params}")
-        else:
-            raise DomainError(f"unknown defender utility family {self.family!r}; "
-                              f"expected {tuple(DC_FAMILIES)}")
-
-    def value(self, mse, pa):
-        if self.family == "linear_penalty":
-            return pa - self.params["gamma"] * mse
-        return pa * np.exp(-np.asarray(mse, dtype=float) / self.params["s"])
+class DCUtility(_Utility):
+    """Nonincreasing in conditional MSE, nondecreasing in acceptance probability."""
+    _families = DC_FAMILIES
+    _role = "defender"
 
 
 @dataclass(frozen=True)
@@ -90,12 +74,11 @@ class UtilitySpec:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "UtilitySpec":
-        adv = spec.get("adversary", {})
-        dc = spec.get("dc", {})
-        return cls(AdversaryUtility(adv.get("family", "scaled_product"),
-                                    dict(adv.get("params", {"c": 1.0}))),
-                   DCUtility(dc.get("family", "linear_penalty"),
-                             dict(dc.get("params", {"gamma": 1.0}))))
+        def build(role, utility):
+            given, default = spec.get(role, {}), DEFAULT_UTILITY[role]
+            return utility(given.get("family", default["family"]),
+                           dict(given.get("params", default["params"])))
+        return cls(build("adversary", AdversaryUtility), build("dc", DCUtility))
 
     def monotonicity_violations(self, m_max: float, n_pairs: int = 10_000,
                                 step: float = 1e-3, strict_tol: float = 1e-12,
@@ -150,10 +133,6 @@ class EquilibriumReport:
     eta_on_grid_boundary: bool
     envelope: Envelope = field(repr=False)  # the envelope at eta_star
 
-    @property
-    def equilibrium_pair(self) -> tuple[float, float]:
-        return (self.equilibrium_mse, self.equilibrium_pa)
-
     def to_json_dict(self) -> dict:
         etas = sorted(self.best_alpha_sets)
         return {
@@ -173,7 +152,7 @@ class EquilibriumReport:
 
 
 def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
-                      grid_size: int | None = None,
+                      grid_size: int = DEFAULT_GRID_SIZE,
                       tie_tol: float = TIE_TOL_REL) -> EquilibriumReport:
     """Leader optimization over a threshold grid against best-responding noise.
 
@@ -189,22 +168,23 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
 
     best_sets: dict = {}
     guarantees: dict = {}
-    best = None  # (guarantee, eta, env, alpha_set)
+    best = None  # (guarantee, eta, env, alpha_set, its c_alpha, its dc values)
     for ctx in ctxs:
-        env = build_envelope(ctx) if grid_size is None else build_envelope(ctx, grid_size)
+        env = build_envelope(ctx, grid_size)
         aset = best_alpha_set(env, spec, alphas, tie_tol)
-        dc_vals = np.asarray(spec.dc.value(c_alpha(env, aset), aset), dtype=float)
+        cs = c_alpha(env, aset)
+        dc_vals = np.asarray(spec.dc.value(cs, aset), dtype=float)
         guarantee = float(np.min(dc_vals))
         best_sets[ctx.eta] = aset
         guarantees[ctx.eta] = guarantee
         if best is None or guarantee > best[0]:
-            best = (guarantee, ctx.eta, env, aset)
+            best = (guarantee, ctx.eta, env, aset, cs, dc_vals)
 
-    _, eta_star, env_star, aset_star = best
-    dc_star = np.asarray(spec.dc.value(c_alpha(env_star, aset_star), aset_star), dtype=float)
-    alpha_eq = float(aset_star[int(np.argmin(dc_star))])
-    mse_eq = c_alpha(env_star, alpha_eq)
-    adv_util = float(np.max(spec.adversary.value(c_alpha(env_star, aset_star), aset_star)))
+    _, eta_star, env_star, aset_star, cs_star, dc_star = best
+    i_eq = int(np.argmin(dc_star))
+    alpha_eq = float(aset_star[i_eq])
+    mse_eq = cs_star[i_eq]
+    adv_util = float(np.max(spec.adversary.value(cs_star, aset_star)))
     etas = [c.eta for c in ctxs]
     on_boundary = eta_star in (min(etas), max(etas))
 

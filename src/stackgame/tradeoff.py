@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import Envelope, build_envelope
+from .envelope import DEFAULT_GRID_SIZE, Envelope, build_envelope
 from .errors import DomainError
 from .kernel import KernelContext
 from .numerics import adaptive_simpson
@@ -37,9 +37,7 @@ def c_alpha(env: Envelope, alpha):
         raise DomainError("acceptance level must lie in (0, 1]")
     flat = np.atleast_1d(arr)
     vals = np.atleast_1d(np.asarray(env.evaluate(flat), dtype=float))
-    on_chord = np.zeros(flat.shape, dtype=bool)
-    for ch in env.chords():
-        on_chord |= (flat > ch.q1) & (flat < ch.q2)
+    _, on_chord = env._segments(flat)
     if np.any(~on_chord):
         vals[~on_chord] = np.asarray(env.curve_value(flat[~on_chord]), dtype=float)
     out = vals.reshape(arr.shape) / (4.0 * arr)
@@ -186,7 +184,7 @@ class TradeoffCurve:
 
 
 def build_curve(ctx: KernelContext, alpha_grid,
-                grid_size: int | None = None) -> TradeoffCurve:
+                grid_size: int = DEFAULT_GRID_SIZE) -> TradeoffCurve:
     """Evaluate the formula-side curve on an acceptance grid.
 
     Levels below ALPHA_MIN are rejected: the curve is only reported where the
@@ -197,7 +195,7 @@ def build_curve(ctx: KernelContext, alpha_grid,
         raise DomainError("alpha grid is empty")
     if np.any(alphas < ALPHA_MIN - 1e-15) or np.any(alphas > 1.0):
         raise DomainError(f"alpha grid must lie within [{ALPHA_MIN}, 1]")
-    env = build_envelope(ctx) if grid_size is None else build_envelope(ctx, grid_size)
+    env = build_envelope(ctx, grid_size)
     values = c_alpha(env, alphas)
     if not np.all(np.isfinite(values)):
         raise DomainError("trade-off curve evaluated to non-finite values")

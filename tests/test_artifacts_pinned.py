@@ -1,0 +1,131 @@
+"""Every `sweep` artifact pinned to the byte for each noise family.
+
+A change to the program that keeps its numbers keeps these hashes. A change
+that alters artifacts on purpose updates the pins and names the changed
+artifacts in CHANGES.md. Each sweep runs from its own directory with the
+relative output `out`, so `config_hash` does not depend on where the tests run.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from stackgame import cli
+
+_XS = np.linspace(-1.0, 1.0, 4096)
+NOISES = {
+    "uniform": {"kind": "uniform", "delta": 1.0},
+    # sigma = 3 puts a chord on the truncated normal's level curve
+    "truncated-normal": {"kind": "truncated-normal", "delta": 1.0, "params": {"sigma": 3.0}},
+    "triangular": {"kind": "triangular", "delta": 1.0},
+    "tabulated": {"kind": "tabulated", "delta": 1.0, "params": {
+        "xs": _XS.tolist(),
+        "pdf": (1.0 - 0.6 * np.abs(_XS) + 0.3 * np.cos(9.0 * np.pi * _XS)).tolist()}},
+}
+
+# SHA-256 of each artifact, recorded from the parent of the change that added this file
+PINS = {
+    "uniform": {
+        "adversary.json":
+            "a2f3565f92f7153dab9b012cd5769a4c0f226c10c9841e4983ab66dca143520b",
+        "equilibrium.json":
+            "cabeb0a22154cda011923b3c717d6999f3a9b03543042f945d9fa040570127c3",
+        "eta_utility.csv":
+            "00ff96c927f6664a00d2279db030ee057483bf97833e18315643432df25f2aac",
+        "level_curve.csv":
+            "c3ee3565b45010b08b6ff057d27e47e36511e633cd90da3777581a4bf5d6d3b2",
+        "resolved_config.json":
+            "cf7a932273a9e7e11909b9c34090e4aecad00bede6f0621885640b7e4fa19f47",
+        "sweep_report.json":
+            "a9f4837e32e085013ab8e0137e57c0a1b5445dd37a7ef764b09113951454425b",
+        "sweep_simulations.csv":
+            "efee4c1b719667f4cdf07010f40b6b4c818d810b453147d5e935e1c3d7f9a2f6",
+        "tradeoff.csv":
+            "49adfd48a04ee4917fc87cc4df35e300ff10999844a0792117ed59570e87aa90",
+        "tradeoff_summary.json":
+            "c972d7c3148fa3f930e23967c0a0d39bebbf9f692b2e157e5e5da66ef35fe951",
+    },
+    "truncated-normal": {
+        "adversary.json":
+            "17d73c987c66f6af5958b71d2e4fe8bbbbba81df2d6fc5ea36d54745bea2a6a8",
+        "equilibrium.json":
+            "78937a3cc159079251ab17e2a3b7af9f0d6767e270cb3575a4bb5f8fac39b3dc",
+        "eta_utility.csv":
+            "2b144658e03d8d5c7971088f55ab85b310aebad697b6da6894c92cd0de3a2848",
+        "level_curve.csv":
+            "8f82b3a41affdcc7e7ec41134cce586209e35cc338073fb56d548612e00a575e",
+        "resolved_config.json":
+            "d01758f4a08576a402a3f970382550dcf31b6793374286a2c409849a44cb7fcd",
+        "sweep_report.json":
+            "dd8a5bf4101e6d166b388b6f769e25a73f0f0285a5656dec0ff4dee0dec2a0bf",
+        "sweep_simulations.csv":
+            "3e1020fa9bb7dbdd048e8c047d15127be439697e2df2208156ab8c9c36b9974e",
+        "tradeoff.csv":
+            "c762d0bb75b18c341fce34346c41f0c5311c22198b244d9a53bdd701c7c95538",
+        "tradeoff_summary.json":
+            "f589168fade607826f5dffea4ab8906f0a3467f207d8d7b3bb9380546b8447e9",
+    },
+    "triangular": {
+        "adversary.json":
+            "be3227b81182ac32deac06858db6a2b21626a0e08becf751f3b34d29fde25f61",
+        "equilibrium.json":
+            "106999d4bcb2fb1f6e68dd90c2833d1b408487fb80c367e4b8affcc7bdaa3a43",
+        "eta_utility.csv":
+            "ee574e8c69516285f8d56111b3b68661f465dedcbea863a756073826058b9176",
+        "level_curve.csv":
+            "e4c5c6d0c416cfea9f4b7c41e0dd39729e72e244ec57ce98138f7851449ea2a2",
+        "resolved_config.json":
+            "088ab8b5c25745ecb24f52560ed738b39c4c92898dbca55f91b70d86cab9f377",
+        "sweep_report.json":
+            "42c814c3c9aa94eef9ac3c2c4dda33c1b2e0b52a95e93818029c56fe73426cce",
+        "sweep_simulations.csv":
+            "cd09f60e2ea0b465b2adabee3e83633e908ad31eba6e65c16499efd29ccee9cd",
+        "tradeoff.csv":
+            "df974fa0a769114473d604a5564665e44f15c965ac5efabcc249609b9d35d188",
+        "tradeoff_summary.json":
+            "63ff7a540e559048bbd31f3415a57172163ea6980c27243fdd40be6c9565af7d",
+    },
+    "tabulated": {
+        "adversary.json":
+            "f92581e0d5b90318aae5c6e114e98a1e37e124bee0c9939a2dab5db72410d8f4",
+        "equilibrium.json":
+            "8f18ff5f676e07450eca4059bb3705ac3916197b65ca58dcd03ada8705555708",
+        "eta_utility.csv":
+            "3b0f230169921ac6a93aaf5a5da903105f2872f749dcc9b59ac59027f3c902a7",
+        "level_curve.csv":
+            "4861a4e1733e425b92f4091408b2e50ab7c6f68abbdfcc2a941bda8d2a1da669",
+        "resolved_config.json":
+            "50d814260c2b4284344d1dea2043579a6c5b7adaf6e19e7aaab098c6afa70f14",
+        "sweep_report.json":
+            "350e38079a16862c1a0478a77f58708b73d5f93ae442b341e500ab42f0031cb6",
+        "sweep_simulations.csv":
+            "9c35f6ba92dc279cd620712a3f24b886c8c7821d187272f0ed8b8ab1ccb254f7",
+        "tradeoff.csv":
+            "0f5ac092e978f243ac64e0c52214d23068fd1f8018024f72bc2e63b0e68f0be9",
+        "tradeoff_summary.json":
+            "dccecb9164a23afe52268ce60d685fcd48dd440f09accde94093c8e80c2dc799",
+    },
+}
+
+
+def sweep_hashes(workdir, noise) -> dict:
+    """Run `sweep` in workdir on a small config; SHA-256 of each artifact by name."""
+    (workdir / "config.json").write_text(json.dumps({
+        "honest_noise": noise,
+        "eta_grid": {"start": 2.0, "stop": 3.0, "step": 0.25},
+        "simulation": {"n_nodes": [2, 3], "trials": 20_000, "seed": 17},
+        "envelope": {"grid_size": 512},
+        "oracle": {"grid_size": 256},
+    }))
+    assert cli.main(["sweep", "--config", "config.json", "--output", "out"]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((workdir / "out").iterdir())}
+
+
+@pytest.mark.parametrize("name", list(NOISES))
+def test_sweep_artifacts_are_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert sweep_hashes(tmp_path, NOISES[name]) == PINS[name]

@@ -300,3 +300,83 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                            "--output", str(out)], env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((out / "noise_validation.json").read_text())["passed"] is True
+
+
+def _noise(kind, **params):
+    return {"honest_noise": {"kind": kind, "params": params}}
+
+
+# each kind or family takes only its own params, each of its own type
+@pytest.mark.parametrize("config, pointer", [
+    (_noise("truncated-normal", sigma="1"), "/honest_noise/params/sigma"),
+    (_noise("truncated-normal", sigma=True), "/honest_noise/params/sigma"),
+    (_noise("tabulated", xs="abc", pdf=[0.5] * 3), "/honest_noise/params/xs"),
+    (_noise("tabulated", xs=[-1.0, 0.0, 1.0], pdf=[0.5, "x", 0.5]), "/honest_noise/params/pdf"),
+    (_noise("tabulated", csv=5), "/honest_noise/params/csv"),
+    (_noise("uniform", sigma=0.5), "/honest_noise/params"),
+    ({"utility": {"adversary": {"params": {"a": 1, "b": 2}}}}, "/utility/adversary/params"),
+])
+def test_typed_params_fail_at_the_boundary(tmp_path, capsys, config, pointer):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code = cli.main(["solve", "--config", str(bad), "--output", str(tmp_path / "o")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith(pointer)
+
+
+@pytest.mark.parametrize("csv", ["missing.csv", "."])
+def test_unreadable_noise_table_is_a_config_error(tmp_path, capsys, csv):
+    config = write_config(tmp_path, {"honest_noise": {"kind": "tabulated",
+                                                      "params": {"csv": csv}}})
+    code, out = run(["tradeoff"], tmp_path, config=config)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("/honest_noise/params/csv: cannot read")
+
+
+def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
+    # the default config, and the benchmark workloads' configs at seed 11
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    assert cli.parse_config(None).config_hash == (
+        "6856adb9fe1e5764446533fcbf1ae5a172cf387736fad5b287cc2db61221c16e")
+    uniform = {"kind": "uniform", "delta": 1.0}
+    workloads = [
+        ({"honest_noise": uniform,
+          "utility": {"dc": {"family": "linear_penalty", "params": {"gamma": 0.02}}},
+          "simulation": {"seed": 11}},
+         "5e6ce1be77c184b948bee3619eee3ca5f9cd1cf2765b30db158ef9228a539a0b"),
+        ({"honest_noise": {"kind": "truncated-normal", "delta": 1.0, "params": {"sigma": 0.5}},
+          "eta_grid": {"start": 2.0, "stop": 3.0, "step": 0.25},
+          "simulation": {"n_nodes": [2, 5], "trials": 100_000, "seed": 11}},
+         "5731c102484b21552b44d9725bf36c152b8c58578125d560065f3af375eef189"),
+        ({"honest_noise": uniform,
+          "simulation": {"n_nodes": [2, 5], "trials": 200_000, "seed": 11}},
+         "b0d27dba9a97a37306081a406e89047bca63bba9dadff51f1362361ab3996e21"),
+    ]
+    path = tmp_path / "config.json"
+    for config, digest in workloads:
+        path.write_text(json.dumps(config))
+        assert cli.parse_config(path).config_hash == digest
+
+
+@pytest.mark.parametrize("field, value, config", [
+    ("delta", 1.0, {"honest_noise": {"kind": "uniform", "delta": 2.0}, "data": {"m": 1000.0}}),
+    ("eta", 1.5, {}),
+    ("eta", float("nan"), {}),
+])
+def test_simulate_rejects_an_adversary_built_for_another_game(tmp_path, capsys, field, value,
+                                                                config):
+    adversary = {"eta": 2.0, "delta": 1.0, "alpha": 0.9,
+                 "atoms": [{"z": -1.0, "weight": 0.5}, {"z": 1.0, "weight": 0.5}]}
+    adversary[field] = value
+    path = tmp_path / "adversary.json"
+    path.write_text(json.dumps(adversary))
+    out = tmp_path / "sim"
+    code = cli.main(["simulate", "--adversary", str(path), "--output", str(out),
+                     "--config", str(write_config(tmp_path, config))])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith("--adversary:")
+    assert not out.exists()

@@ -241,6 +241,29 @@ def test_is_touch_matches_supporting_chord(noise):
             env.is_touch(np.array([0.5, bad]))
 
 
+def reference_c_alpha(env, alphas):
+    """c_alpha with its former chord rule: a loop of q1 < alpha < q2 over the chords."""
+    vals = np.asarray(env.evaluate(alphas), dtype=float)
+    on_chord = np.zeros(alphas.shape, dtype=bool)
+    for ch in env.chords():
+        on_chord |= (alphas > ch.q1) & (alphas < ch.q2)
+    vals[~on_chord] = np.asarray(env.curve_value(alphas[~on_chord]), dtype=float)
+    return vals / (4.0 * alphas)
+
+
+@pytest.mark.parametrize("noise", [sg.uniform(1.0), sg.truncated_normal(1.0, 3.0), wavy_table()],
+                         ids=["uniform", "truncated-normal", "tabulated"])
+def test_c_alpha_chord_rule_matches_the_chord_loop(noise):
+    env = sg.build_envelope(sg.KernelContext(2.0, noise), 4096)
+    ends = np.array([q for ch in env.chords() for q in (ch.q1, ch.q2)])
+    assert ends.size
+    # every chord endpoint and its floating-point neighbors on both sides
+    near = np.concatenate([ends, np.nextafter(ends, -1.0), np.nextafter(ends, 2.0)])
+    alphas = np.concatenate([np.linspace(1e-3, 1.0, 1000), near])
+    alphas = alphas[(alphas > 0.0) & (alphas <= 1.0)]
+    assert np.array_equal(sg.c_alpha(env, alphas), reference_c_alpha(env, alphas))
+
+
 def test_solve_artifacts_do_not_depend_on_the_hull(tmp_path, monkeypatch):
     # 31 etas; eta < 2.8 carries a chord on uniform noise, the rest do not
     config = tmp_path / "config.json"

@@ -147,7 +147,7 @@ def test_report_serializes(uniform_noise, alphas):
     assert set(d) == {"eta_star", "equilibrium", "adversary_utility_at_eq",
                       "eta_on_grid_boundary", "per_eta"}
     assert len(d["per_eta"]) == 2
-    mse, pa = rep.equilibrium_pair
+    mse, pa = rep.equilibrium_mse, rep.equilibrium_pa
     assert mse == d["equilibrium"]["mse"] and pa == d["equilibrium"]["pa"]
 
 

@@ -45,6 +45,28 @@ class Chord:
     q2: float
 
 
+def _cross(qa, va, qb, vb, qi, vi):
+    """Positive when b lies strictly below the a->i chord; scalars or arrays."""
+    return (qb - qa) * (vi - va) - (qi - qa) * (vb - va)
+
+
+def _triples_cross(qs, vals):
+    """_cross of every consecutive sample triple, along the last axis of vals."""
+    return _cross(qs[:-2], vals[..., :-2], qs[1:-1], vals[..., 1:-1], qs[2:], vals[..., 2:])
+
+
+def _check_finite(qs, vals):
+    if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(vals))):
+        raise NumericalError("envelope samples contain non-finite values")
+
+
+def has_reflex_sample(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per row of vals: would the hull chain pop a sample? A row with no
+    reflex sample is its own hull, with no chord."""
+    _check_finite(qs, vals)
+    return np.any(_triples_cross(qs, vals) > 0.0, axis=-1)
+
+
 def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Indices of the upper concave hull; collinear points are kept.
 
@@ -54,9 +76,7 @@ def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     run up to the next reflex index (positive cross) is kept without popping.
     """
     n = qs.size
-    cross = ((qs[1:-1] - qs[:-2]) * (vals[2:] - vals[:-2])
-             - (qs[2:] - qs[:-2]) * (vals[1:-1] - vals[:-2]))
-    reflex = np.flatnonzero(cross > 0.0) + 2
+    reflex = np.flatnonzero(_triples_cross(qs, vals) > 0.0) + 2
     if reflex.size == 0:  # concave throughout: every sample is kept
         return np.arange(n)
     reflex = reflex.tolist() + [n]
@@ -72,7 +92,7 @@ def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
                 break
         while len(kept) >= 2:
             a, b = kept[-2], kept[-1]
-            if (q[b] - q[a]) * (v[i] - v[a]) - (q[i] - q[a]) * (v[b] - v[a]) > 0.0:
+            if _cross(q[a], v[a], q[b], v[b], q[i], v[i]) > 0.0:
                 kept.pop()
             else:
                 break
@@ -91,8 +111,7 @@ class Envelope:
             raise DomainError("envelope needs matching 1-d sample arrays, >= 2 points")
         if np.any(np.diff(qs) <= 0):
             raise DomainError("envelope sample grid must be strictly increasing")
-        if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(vals))):
-            raise NumericalError("envelope samples contain non-finite values")
+        _check_finite(qs, vals)
         self.source_qs = qs
         self.source_vals = vals
         self._curve = curve
@@ -173,17 +192,26 @@ class Envelope:
         return self._touches(np.minimum(arr, 1.0))[1]
 
 
+def level_grid(grid_size: int) -> np.ndarray:
+    """The grid_size evenly spaced acceptance levels an envelope samples on [0, 1]."""
+    if grid_size < 33:
+        raise DomainError(f"grid_size too small for a stable hull: {grid_size}")
+    return np.linspace(0.0, 1.0, grid_size)
+
+
 def build_envelope(ctx: KernelContext, grid_size: int = DEFAULT_GRID_SIZE) -> Envelope:
-    """Sample moment_at_level on [0, 1] and take its least concave majorant.
+    """Sample moment_at_level on [0, 1] and take its least concave majorant."""
+    qs = level_grid(grid_size)
+    return envelope_of_samples(ctx, qs, np.asarray(ctx.moment_at_level(qs), dtype=float))
+
+
+def envelope_of_samples(ctx: KernelContext, qs: np.ndarray, vals: np.ndarray) -> Envelope:
+    """The majorant of ctx's curve, sampled as vals at the levels qs.
 
     After the first hull, REFINE_POINTS extra samples are inserted around each
     chord endpoint (within its neighboring grid cells) and the hull is rebuilt
     once, sharpening detected tangencies.
     """
-    if grid_size < 33:
-        raise DomainError(f"grid_size too small for a stable hull: {grid_size}")
-    qs = np.linspace(0.0, 1.0, grid_size)
-    vals = np.asarray(ctx.moment_at_level(qs), dtype=float)
     env = Envelope(qs, vals, curve=ctx.moment_at_level)
 
     chords = env.chords()

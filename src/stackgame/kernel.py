@@ -17,7 +17,6 @@ model: its CDF, its inverse CDF and its partial moments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +31,17 @@ _EDGE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class KernelContext:
-    """A (threshold multiple, honest noise, quadrature tolerance) bundle."""
+    """A (threshold multiple, honest noise, quadrature tolerance) bundle.
+
+    eta may also be a column of etas: each method then broadcasts it against
+    its argument, and each row is that eta's own result to the bit.
+    """
     eta: float
     noise: HonestNoiseModel
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta >= 2.0):
+        if not (np.all(np.isfinite(self.eta)) and np.all(np.asarray(self.eta) >= 2.0)):
             raise DomainError(f"threshold multiple eta must be >= 2, got {self.eta}")
         if self.quad_tol <= 0:
             raise DomainError(f"quad_tol must be positive, got {self.quad_tol}")
@@ -59,7 +62,7 @@ class KernelContext:
         arr = np.asarray(z, dtype=float)
         lo, hi = self.z_lo, self.z_hi
         slack = _EDGE_SLACK * self.delta
-        if arr.size and (arr.min() < lo - slack or arr.max() > hi + slack):
+        if np.any(arr < lo - slack) or np.any(arr > hi + slack):
             raise DomainError(
                 f"offset outside [{lo}, {hi}] for eta={self.eta}, delta={self.delta}")
         return np.clip(arr, lo, hi)

@@ -21,12 +21,11 @@ from __future__ import annotations
 import csv
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericalError
 
@@ -112,6 +111,8 @@ class _Triangular:
 
 class _TruncatedNormal:
     def __init__(self, delta: float, sigma: float):
+        from scipy import special  # only this law needs scipy, so only it loads it
+        self._erf, self._erfcinv = special.erf, special.erfcinv
         d, s = delta, sigma
         self.support = (-d, d)
         self._d = d
@@ -132,12 +133,12 @@ class _TruncatedNormal:
         return math.exp(-0.5 * (x / self._s) ** 2) / self._norm
 
     def cdf(self, x):
-        return (special.erf(x / self._scale) + self._mass) / (2.0 * self._mass)
+        return (self._erf(x / self._scale) + self._mass) / (2.0 * self._mass)
 
     def inv_cdf(self, p):
         # the tail mass beyond |x| is (erfc(|x|/(s sqrt 2)) - erfc(d/(s sqrt 2))) / (2 mass)
         q = np.minimum(p, 1.0 - p)
-        t = self._scale * special.erfcinv(2.0 * self._mass * q + self._tail)
+        t = self._scale * self._erfcinv(2.0 * self._mass * q + self._tail)
         return np.copysign(np.minimum(t, self._d), p - 0.5)
 
     def partial_moments(self, L):
@@ -148,7 +149,7 @@ class _TruncatedNormal:
         s = self._s
         a = L / s
         phi_a = np.exp(-0.5 * a * a) / (_SQRT2PI * self._mass)
-        m0 = 0.5 - special.erf(L / self._scale) / (2.0 * self._mass)
+        m0 = 0.5 - self._erf(L / self._scale) / (2.0 * self._mass)
         m1 = s * (phi_a - self._phi_d)
         m2 = s * s * m0 + s * (L * phi_a - self._d * self._phi_d)
         return m0, m1, m2
@@ -332,20 +333,20 @@ def tabulated(xs, pdf_vals) -> HonestNoiseModel:
 
 
 def tabulated_from_csv(path) -> HonestNoiseModel:
-    """Load a two-column (x, pdf) CSV; a non-numeric first row is a header."""
+    """Load a two-column (x, pdf) CSV; the first nonblank row may be a header."""
     xs, ps = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                x, p = float(row[0]), float(row[1])
-            except ValueError:
-                if not xs:
-                    continue  # header row
-                raise DomainError(f"non-numeric row {row!r} in {path}")
-            xs.append(x)
-            ps.append(p)
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row and row[0].strip()]
+    for k, (line, row) in enumerate(rows):
+        try:
+            x, p = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if k == 0:
+                continue  # header row
+            raise DomainError(f"row {line} of {path} is not two numbers x, pdf: {row!r}")
+        xs.append(x)
+        ps.append(p)
     if len(xs) < 3:
         raise DomainError(f"tabulated CSV {path} needs at least 3 rows")
     model = tabulated(xs, ps)
@@ -377,6 +378,8 @@ def from_spec(spec: dict, base_dir=None) -> HonestNoiseModel:
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise DomainError(f"/honest_noise/params/csv: cannot read {path}: {reason}") from exc
+        except DomainError as exc:
+            raise DomainError(f"/honest_noise/params/csv: {exc}") from exc
     elif "xs" in params and "pdf" in params:
         model = tabulated(params["xs"], params["pdf"])
     else:
@@ -409,11 +412,7 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
-        }
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
 def validate(model: HonestNoiseModel, grid_points: int = 1025) -> ValidationReport:

@@ -19,7 +19,7 @@ noise streams do not depend on the debug flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -133,14 +133,7 @@ class SimulationResult:
     mse_stderr: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "accepted_count": self.accepted_count,
-            "pa_hat": self.pa_hat,
-            "pa_stderr": self.pa_stderr,
-            "mse_hat": self.mse_hat,
-            "mse_stderr": self.mse_stderr,
-        }
+        return asdict(self)
 
 
 def _chunk_stats(cfg: GameConfig, strategy, chunk_index: int, count: int):
@@ -286,13 +279,9 @@ class DominanceReport:
         return len(self.violation_labels) == 0
 
     def to_json_dict(self) -> dict:
-        def entry(e):
-            return {"label": e.label, "pa_hat": e.pa_hat, "mse_hat": e.mse_hat,
-                    "utility": e.utility, "utility_stderr": e.utility_stderr,
-                    "violation": e.violation, "note": e.note}
         return {"passed": self.passed,
-                "optimum": entry(self.optimum),
-                "candidates": [entry(e) for e in self.entries],
+                "optimum": asdict(self.optimum),
+                "candidates": [asdict(e) for e in self.entries],
                 "violations": list(self.violation_labels)}
 
 

@@ -10,16 +10,19 @@ majorant touches the moment curve, four where it rides a chord.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import DEFAULT_GRID_SIZE, Envelope, Touch, build_envelope
+from .envelope import (DEFAULT_GRID_SIZE, Envelope, Touch, build_envelope, envelope_of_samples,
+                       has_reflex_sample, level_grid)
 from .errors import DomainError, NumericalError
 from .kernel import KernelContext
-from .tradeoff import c_alpha
+from .tradeoff import c_alpha, check_levels
 
 TIE_TOL_REL = 1e-9
+BLOCK_ETAS = 8  # etas solved together: 4 to 16 run equally fast, 32 or more spill the cache
 # utility family -> (its parameter names, all numbers > 0; its value(params, mse, pa))
 ADVERSARY_FAMILIES = {
     "weighted_sum": (("a", "b"), lambda p, mse, pa: p["a"] * mse + p["b"] * pa),
@@ -76,8 +79,10 @@ class UtilitySpec:
     def from_spec(cls, spec: dict) -> "UtilitySpec":
         def build(role, utility):
             given, default = spec.get(role, {}), DEFAULT_UTILITY[role]
-            return utility(given.get("family", default["family"]),
-                           dict(given.get("params", default["params"])))
+            family = given.get("family", default["family"])
+            # the default params belong to the default family only
+            params = default["params"] if family == default["family"] else {}
+            return utility(family, dict(given.get("params", params)))
         return cls(build("adversary", AdversaryUtility), build("dc", DCUtility))
 
     def monotonicity_violations(self, m_max: float, n_pairs: int = 10_000,
@@ -106,6 +111,21 @@ class UtilitySpec:
         return out
 
 
+def _alpha_levels(alpha_grid) -> np.ndarray:
+    alphas = np.unique(np.asarray(alpha_grid, dtype=float))
+    if alphas.size == 0:
+        raise DomainError("alpha grid is empty")
+    return alphas
+
+
+def _best_alphas(spec: UtilitySpec, alphas, cs, tie_tol: float):
+    """Mask of the levels within a relative tie tolerance of the best adversary
+    utility, and that utility; per row when cs holds one c_alpha row per eta."""
+    utils = spec.adversary.value(cs, alphas)
+    top = np.max(utils, axis=-1, keepdims=True)
+    return utils >= top - tie_tol * np.maximum(1.0, np.abs(top)), top
+
+
 def best_alpha_set(env: Envelope, spec: UtilitySpec, alpha_grid,
                    tie_tol: float = TIE_TOL_REL) -> np.ndarray:
     """Acceptance levels maximizing the adversary utility on the grid.
@@ -113,13 +133,8 @@ def best_alpha_set(env: Envelope, spec: UtilitySpec, alpha_grid,
     All grid points within a relative tie tolerance of the maximum are kept,
     so downstream code can see genuinely flat optima.
     """
-    alphas = np.unique(np.asarray(alpha_grid, dtype=float))
-    if alphas.size == 0:
-        raise DomainError("alpha grid is empty")
-    utils = spec.adversary.value(c_alpha(env, alphas), alphas)
-    top = float(np.max(utils))
-    keep = utils >= top - tie_tol * max(1.0, abs(top))
-    return alphas[keep]
+    alphas = _alpha_levels(alpha_grid)
+    return alphas[_best_alphas(spec, alphas, c_alpha(env, alphas), tie_tol)[0]]
 
 
 @dataclass(frozen=True)
@@ -160,43 +175,49 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
     defender is credited with the worst utility over that set, and the
     threshold with the best guarantee wins. Exact ties go to the smaller eta,
     which is also why iteration runs in ascending eta order.
+
+    Etas sharing a noise model are solved in blocks of BLOCK_ETAS, a constant
+    that keeps the arrays in cache: a context with a column of etas samples
+    their curves at the levels and at the alphas, each row to the bit. A row
+    with no reflex sample is its own hull, with no chord, so its c_alpha is
+    the curve over 4 alpha. A row with a reflex sample may have chords, which
+    the curve misses, so it keeps the monotone chain and its refine pass.
     """
     ctxs = sorted(ctxs, key=lambda c: c.eta)
     if not ctxs:
         raise DomainError("need at least one kernel context")
-    alphas = np.unique(np.asarray(alpha_grid, dtype=float))
+    alphas = check_levels(_alpha_levels(alpha_grid))
+    qs = level_grid(grid_size)
+    runs = [list(run) for _, run in itertools.groupby(ctxs, key=lambda c: c.noise)]
 
-    best_sets: dict = {}
-    guarantees: dict = {}
-    best = None  # (guarantee, eta, env, alpha_set, its c_alpha, its dc values)
-    for ctx in ctxs:
-        env = build_envelope(ctx, grid_size)
-        aset = best_alpha_set(env, spec, alphas, tie_tol)
-        cs = c_alpha(env, aset)
-        dc_vals = np.asarray(spec.dc.value(cs, aset), dtype=float)
-        guarantee = float(np.min(dc_vals))
-        best_sets[ctx.eta] = aset
-        guarantees[ctx.eta] = guarantee
-        if best is None or guarantee > best[0]:
-            best = (guarantee, ctx.eta, env, aset, cs, dc_vals)
+    best_sets, guarantees = {}, {}
+    best = None  # (guarantee, ctx, alpha and c_alpha where it is attained, top utility)
+    for block in (run[i:i + BLOCK_ETAS] for run in runs for i in range(0, len(run), BLOCK_ETAS)):
+        block_ctx = KernelContext(np.array([[ctx.eta] for ctx in block]), block[0].noise)
+        rows = block_ctx.moment_at_level(qs)
+        cs = block_ctx.moment_at_level(alphas) / (4.0 * alphas)
+        for i in np.flatnonzero(has_reflex_sample(qs, rows)).tolist():
+            cs[i] = c_alpha(envelope_of_samples(block[i], qs, rows[i]), alphas)
+        keep, top = _best_alphas(spec, alphas, cs, tie_tol)
+        dc_vals = np.where(keep, spec.dc.value(cs, alphas), np.inf)
+        worst = np.argmin(dc_vals, axis=1)
+        for i, ctx in enumerate(block):
+            guarantee = float(dc_vals[i, worst[i]])
+            best_sets[ctx.eta] = alphas[keep[i]]
+            guarantees[ctx.eta] = guarantee
+            if best is None or guarantee > best[0]:
+                best = (guarantee, ctx, alphas[worst[i]], cs[i, worst[i]], top[i, 0])
 
-    _, eta_star, env_star, aset_star, cs_star, dc_star = best
-    i_eq = int(np.argmin(dc_star))
-    alpha_eq = float(aset_star[i_eq])
-    mse_eq = cs_star[i_eq]
-    adv_util = float(np.max(spec.adversary.value(cs_star, aset_star)))
-    etas = [c.eta for c in ctxs]
-    on_boundary = eta_star in (min(etas), max(etas))
-
+    _, ctx_star, alpha_eq, mse_eq, adv_util = best
     return EquilibriumReport(
-        eta_star=float(eta_star),
+        eta_star=float(ctx_star.eta),
         best_alpha_sets=best_sets,
         dc_guaranteed_utility=guarantees,
-        adversary_utility_at_eq=adv_util,
+        adversary_utility_at_eq=float(adv_util),
         equilibrium_mse=float(mse_eq),
-        equilibrium_pa=alpha_eq,
-        eta_on_grid_boundary=bool(on_boundary),
-        envelope=env_star,
+        equilibrium_pa=float(alpha_eq),
+        eta_on_grid_boundary=ctx_star.eta in (ctxs[0].eta, ctxs[-1].eta),
+        envelope=build_envelope(ctx_star, grid_size),
     )
 
 

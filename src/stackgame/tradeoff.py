@@ -25,6 +25,14 @@ ALPHA_MIN = 1e-3
 DEFAULT_ORACLE_GRID = 2048
 
 
+def check_levels(alpha) -> np.ndarray:
+    """alpha as an array of acceptance levels, each in (0, 1]."""
+    arr = np.asarray(alpha, dtype=float)
+    if np.any((arr <= 0.0) | (arr > 1.0)) or not np.all(np.isfinite(arr)):
+        raise DomainError("acceptance level must lie in (0, 1]")
+    return arr
+
+
 def c_alpha(env: Envelope, alpha):
     """Worst-case conditional MSE at acceptance level alpha: envelope/(4 alpha).
 
@@ -32,9 +40,7 @@ def c_alpha(env: Envelope, alpha):
     the exact curve is evaluated there instead of the piecewise-linear hull,
     which would sit O(grid step^2) low on strictly concave stretches.
     """
-    arr = np.asarray(alpha, dtype=float)
-    if np.any((arr <= 0.0) | (arr > 1.0)) or not np.all(np.isfinite(arr)):
-        raise DomainError("acceptance level must lie in (0, 1]")
+    arr = check_levels(alpha)
     flat = np.atleast_1d(arr)
     vals = np.atleast_1d(np.asarray(env.evaluate(flat), dtype=float))
     _, on_chord = env._segments(flat)

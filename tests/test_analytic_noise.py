@@ -1,7 +1,9 @@
-"""Property tests: the closed-form noise layer against adaptive quadrature.
+"""Property tests: the closed-form noise layer against adaptive quadrature,
+and the kernel and adversary built on it.
 
-Random family, parameters, lower limits L and levels p; hypothesis runs
-derandomized so the suite stays deterministic and fast.
+Random family, parameters, lower limits L, levels p, thresholds eta and
+acceptance levels alpha; hypothesis runs derandomized so the suite stays
+deterministic and fast.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import stackgame as sg
 from stackgame.errors import NumericalError
+from stackgame.envelope import build_envelope
 from stackgame.kernel import error_moment_quad
 from stackgame.noise_model import KINDS
 from stackgame.numerics import adaptive_simpson
@@ -19,7 +22,8 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 @st.composite
-def noise_models(draw):
+def noise_models(draw, min_sigma=0.05, min_pdf=0.0):
+    """A random model of each family; sigma and table densities are relative to delta."""
     kind = draw(st.sampled_from(KINDS))
     delta = draw(st.floats(0.25, 3.0))
     if kind == "uniform":
@@ -27,9 +31,9 @@ def noise_models(draw):
     if kind == "triangular":
         return sg.triangular(delta)
     if kind == "truncated-normal":
-        return sg.truncated_normal(delta, delta * draw(st.floats(0.05, 3.0)))
+        return sg.truncated_normal(delta, delta * draw(st.floats(min_sigma, 3.0)))
     # symmetric table; zero density inside is allowed, the center keeps mass
-    half = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12))
+    half = draw(st.lists(st.floats(min_pdf, 2.0), min_size=1, max_size=12))
     center = draw(st.floats(0.1, 2.0))
     pdf = half[::-1] + [center] + half
     return sg.tabulated(np.linspace(-delta, delta, len(pdf)), pdf)
@@ -116,3 +120,26 @@ def test_tabulated_matches_the_family_it_tabulates():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     ps = np.linspace(0.0, 1.0, 101)
     np.testing.assert_allclose(tab.inv_cdf(ps), tri.inv_cdf(ps), rtol=0, atol=1e-15)
+
+
+# Where the density is not negligible, so that a step of 1e-3 of the kernel
+# domain moves the CDF by more than its rounding: sigma >= delta / 4 and
+# table densities >= 0.05.
+@PROPERTY
+@given(noise_models(min_sigma=0.25, min_pdf=0.05), st.floats(2.0, 6.0),
+       st.floats(0.0, 0.999), st.floats(1e-3, 1.0))
+def test_accept_prob_strictly_decreases_on_the_kernel_domain(model, eta, frac, gap):
+    ctx = sg.KernelContext(eta, model)
+    width = ctx.z_hi - ctx.z_lo
+    z1 = ctx.z_lo + frac * width
+    z2 = min(z1 + gap * width, ctx.z_hi)
+    assert ctx.accept_prob(z1) > ctx.accept_prob(z2), (model, eta, z1, z2)
+
+
+@PROPERTY
+@given(noise_models(), st.floats(2.0, 6.0), st.floats(1e-3, 1.0))
+def test_build_adversary_achieves_alpha(model, eta, alpha):
+    ctx = sg.KernelContext(eta, model)
+    adv = sg.build_adversary(build_envelope(ctx, 512), ctx, alpha)
+    achieved = sum(w * sg.atom_accept_prob(ctx, z) for z, w in adv.atoms)
+    assert abs(achieved - alpha) <= 1e-12, (model, eta, alpha, adv.atoms)

@@ -336,6 +336,41 @@ def test_unreadable_noise_table_is_a_config_error(tmp_path, capsys, csv):
     assert error["message"].startswith("/honest_noise/params/csv: cannot read")
 
 
+def test_malformed_noise_table_row_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "table.csv").write_text("x\n-1\n0\n1\n")
+    config = write_config(tmp_path, {"honest_noise": {"kind": "tabulated",
+                                                      "params": {"csv": "table.csv"}}})
+    code, _ = run(["solve"], tmp_path, config=config)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("/honest_noise/params/csv: row 2 of ")
+
+
+_LOADED_SCIPY = """
+import json, sys
+from stackgame import cli
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+@pytest.mark.parametrize("noise, loads_scipy", [
+    ({"kind": "uniform"}, False), ({"kind": "triangular"}, False),
+    ({"kind": "truncated-normal", "params": {"sigma": 0.5}}, True),
+])
+def test_only_the_truncated_normal_loads_scipy(tmp_path, noise, loads_scipy):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    config = write_config(tmp_path, {"honest_noise": noise})
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, "solve", "--config",
+                           str(config), "--output", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert bool(json.loads(proc.stdout)) is loads_scipy
+
+
 def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
     # the default config, and the benchmark workloads' configs at seed 11
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)

@@ -113,6 +113,19 @@ def test_tabulated_from_csv(tmp_path):
     assert sg.validate(m).passed
 
 
+# only the first nonblank row may be a header; any later bad row is named
+@pytest.mark.parametrize("text, line", [
+    ("x\n-1\n0\n1\n", 2),
+    ("np.float64(-1.0),0.5\nnp.float64(0.0),0.5\nnp.float64(1.0),0.5\n", 2),
+    ("x,pdf\n-1,0.5\n\n0,0.5\nabc,0.5\n1,0.5\n", 5),
+], ids=["one-column", "all-malformed", "late-bad-row"])
+def test_malformed_csv_rows_are_named(tmp_path, text, line):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=f"^row {line} of .*table.csv is not two numbers"):
+        sg.tabulated_from_csv(path)
+
+
 def test_from_spec_dispatch():
     m = sg.from_spec({"kind": "truncated-normal", "delta": 2.0,
                       "params": {"sigma": 1.0}})

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import stackgame as sg
+from stackgame.envelope import DEFAULT_GRID_SIZE, has_reflex_sample, level_grid
 from stackgame.errors import DomainError
+from stackgame.strategy import BLOCK_ETAS, TIE_TOL_REL, EquilibriumReport
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +187,95 @@ def test_atomic_adversary_validation():
         sg.AtomicAdversary(atoms=((-1.0, 0.5), (2.0, 0.5)), alpha=0.5,
                            eta=2.0, delta=1.0)  # not mirror-symmetric
 
+
+def reference_solve_equilibrium(ctxs, spec, alpha_grid, grid_size=DEFAULT_GRID_SIZE,
+                                tie_tol=TIE_TOL_REL):
+    """The per-eta solver the block solver replaced: one envelope per eta."""
+    ctxs = sorted(ctxs, key=lambda c: c.eta)
+    alphas = np.unique(np.asarray(alpha_grid, dtype=float))
+    best_sets, guarantees, best = {}, {}, None
+    for ctx in ctxs:
+        env = sg.build_envelope(ctx, grid_size)
+        utils = spec.adversary.value(sg.c_alpha(env, alphas), alphas)
+        top = float(np.max(utils))
+        aset = alphas[utils >= top - tie_tol * max(1.0, abs(top))]
+        cs = sg.c_alpha(env, aset)
+        dc_vals = np.asarray(spec.dc.value(cs, aset), dtype=float)
+        guarantee = float(np.min(dc_vals))
+        best_sets[ctx.eta] = aset
+        guarantees[ctx.eta] = guarantee
+        if best is None or guarantee > best[0]:
+            best = (guarantee, ctx.eta, env, aset, cs, dc_vals)
+    _, eta_star, env_star, aset_star, cs_star, dc_star = best
+    i_eq = int(np.argmin(dc_star))
+    etas = [c.eta for c in ctxs]
+    return EquilibriumReport(
+        eta_star=float(eta_star), best_alpha_sets=best_sets, dc_guaranteed_utility=guarantees,
+        adversary_utility_at_eq=float(np.max(spec.adversary.value(cs_star, aset_star))),
+        equilibrium_mse=float(cs_star[i_eq]), equilibrium_pa=float(aset_star[i_eq]),
+        eta_on_grid_boundary=bool(eta_star in (min(etas), max(etas))), envelope=env_star)
+
+
+def _wavy_table():
+    xs = np.linspace(-1.0, 1.0, 4096)
+    return sg.tabulated(xs, 1.0 - 0.6 * np.abs(xs) + 0.3 * np.cos(25.0 * np.pi * xs))
+
+
+_GAMMA_002 = {"dc": {"family": "linear_penalty", "params": {"gamma": 0.02}}}
+_WS_EXP = {"adversary": {"family": "weighted_sum", "params": {"a": 1.0, "b": 4.0}},
+           "dc": {"family": "exp_penalty", "params": {"s": 2.0}}}
+_FULL, _SHORT = np.linspace(2.0, 8.0, 601), np.linspace(2.0, 3.0, 101)
+# (noise, etas, utility spec, envelope grid size)
+BLOCK_CASES = {
+    # 67 etas with a reflex sample (2.00-2.66), 534 without; eta_star 6.0 has none
+    "uniform-gamma-0.02": (sg.uniform(1.0), _FULL, _GAMMA_002, DEFAULT_GRID_SIZE),
+    # eta_star 2.0 has a reflex sample and a chord
+    "uniform": (sg.uniform(1.0), _SHORT, {}, DEFAULT_GRID_SIZE),
+    "truncated-normal-sigma-3": (sg.truncated_normal(1.0, 3.0), _SHORT, {}, DEFAULT_GRID_SIZE),
+    "truncated-normal-sigma-0.5": (sg.truncated_normal(1.0, 0.5), _FULL[::5], {},
+                                   DEFAULT_GRID_SIZE),
+    "triangular": (sg.triangular(1.0), _FULL[::5], _GAMMA_002, DEFAULT_GRID_SIZE),
+    "wavy-table": (_wavy_table(), _FULL[:5], {}, DEFAULT_GRID_SIZE),
+    "weighted-sum-exp-penalty": (sg.uniform(1.0), _SHORT, _WS_EXP, DEFAULT_GRID_SIZE),
+    "one-reflex-eta": (sg.uniform(1.0), [2.0], {}, DEFAULT_GRID_SIZE),
+    "one-concave-eta": (sg.uniform(1.0), [6.0], {}, DEFAULT_GRID_SIZE),
+    "ragged-last-block": (sg.uniform(1.0), np.linspace(2.3, 3.5, 2 * BLOCK_ETAS + 3),
+                          _GAMMA_002, 1024),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_solver_matches_the_per_eta_solver(case, alphas):
+    noise, etas, utility, grid_size = BLOCK_CASES[case]
+    ctxs = [sg.KernelContext(float(e), noise) for e in etas]
+    spec = sg.UtilitySpec.from_spec(utility)
+    got = sg.solve_equilibrium(ctxs, spec, alphas, grid_size=grid_size)
+    want = reference_solve_equilibrium(ctxs, spec, alphas, grid_size=grid_size)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert np.array_equal(got.envelope.breakpoint_qs, want.envelope.breakpoint_qs)
+    assert np.array_equal(got.envelope.breakpoint_vals, want.envelope.breakpoint_vals)
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_rows_are_the_per_eta_curves(case, alphas):
+    noise, etas, _, grid_size = BLOCK_CASES[case]
+    for levels in (level_grid(grid_size), alphas):
+        rows = sg.KernelContext(np.asarray(etas)[:, None], noise).moment_at_level(levels)
+        for eta, row in zip(etas, rows):
+            assert np.array_equal(row, sg.KernelContext(eta, noise).moment_at_level(levels))
+
+
+def test_block_cases_take_both_paths():
+    noise, etas, _, grid_size = BLOCK_CASES["uniform-gamma-0.02"]
+    qs = level_grid(grid_size)
+    rows = sg.KernelContext(np.asarray(etas)[:, None], noise).moment_at_level(qs)
+    assert np.flatnonzero(has_reflex_sample(qs, rows)).tolist() == list(range(67))
+
+
+def test_other_adversary_family_does_not_take_the_default_params():
+    with pytest.raises(DomainError, match=r"weighted_sum needs a > 0 and b > 0, got \{\}$"):
+        sg.UtilitySpec.from_spec({"adversary": {"family": "weighted_sum"}})
+    with pytest.raises(DomainError, match=r"exp_penalty needs s > 0, got \{\}$"):
+        sg.UtilitySpec.from_spec({"dc": {"family": "exp_penalty"}})
+    default = sg.UtilitySpec.from_spec({"adversary": {"family": "scaled_product"}})
+    assert default.adversary.params == {"c": 1.0}

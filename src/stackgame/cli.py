@@ -20,36 +20,22 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import noise_model
-from .envelope import build_envelope
+from .envelope import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, build_envelope
 from .errors import ConfigError, DomainError
 from .kernel import KernelContext
 from .noise_model import DataModel
-from .simulator import (CustomJointStrategy, GameConfig, ReplicatedStrategy,
+from .simulator import (DEFAULT_CHUNK_SIZE, CustomJointStrategy, GameConfig, ReplicatedStrategy,
                         dominance_check, run_monte_carlo, run_scenario_suite)
 from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY, AtomicAdversary,
                        UtilitySpec, best_alpha_set, build_adversary, solve_equilibrium)
-from .tradeoff import (ALPHA_MIN, atom_accept_prob, atom_error_moment,
-                       build_curve, build_oracle_table, c_alpha, oracle_c2)
+from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, atom_accept_prob,
+                       atom_error_moment, build_curve, build_oracle_table, c_alpha, oracle_c2)
 
 OUTPUT_DIR_ENV = "STACKGAME_OUTPUT_DIR"
 # a start/stop/step grid must span a whole number of steps, up to fp rounding
 _STEP_SLACK = 1e-9
-
-_GRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "start": {"type": "number"},
-        "stop": {"type": "number"},
-        "step": {"type": "number", "exclusiveMinimum": 0},
-        "num": {"type": "integer", "minimum": 1},
-    },
-    "additionalProperties": False,
-}
-
 
 DEFAULT_CONFIG = {
     "honest_noise": {"kind": "uniform", "delta": 1.0, "params": {}},
@@ -59,89 +45,87 @@ DEFAULT_CONFIG = {
     "report_alphas": {"start": 0.1, "stop": 1.0, "num": 10},
     "utility": DEFAULT_UTILITY,
     "simulation": {"n_nodes": [2, 3, 5], "trials": 100000, "seed": 20260814,
-                   "chunk_size": 65536},
-    "envelope": {"grid_size": 4096},
-    "oracle": {"grid_size": 2048},
+                   "chunk_size": DEFAULT_CHUNK_SIZE},
+    "envelope": {"grid_size": DEFAULT_GRID_SIZE},
+    "oracle": {"grid_size": DEFAULT_ORACLE_GRID},
 }
 
 
-_NUMBERS = {"type": "array", "items": {"type": "number"}}
-# a param's schema, where it is not a plain number
-_PARAM_SCHEMAS = {"sigma": {"type": "number", "exclusiveMinimum": 0}, "csv": {"type": "string"},
-                  "xs": _NUMBERS, "pdf": _NUMBERS}
+# What each config key must be. A dict is an object that takes only its keys.
+# A (type, bound) pair is a leaf: a finite float > bound, an int >= bound, a
+# str among bound, or any dict; a None bound is no bound. (list, n, rule) is
+# an array of at least n items that each meet rule. A function maps an object
+# to the rule it must meet.
+_NUMBER, _POSITIVE = (float, None), (float, 0)
+_GRID = {"values": (list, 1, _NUMBER), "start": _NUMBER, "stop": _NUMBER, "step": _POSITIVE,
+         "num": (int, 1)}
+_PARAMS = {"sigma": _POSITIVE, "csv": (str, None), "xs": (list, 0, _NUMBER),
+           "pdf": (list, 0, _NUMBER)}
 
 
-def _choice_schema(key: str, params_of: dict, default: str, **properties) -> dict:
-    """An object whose `key` picks a row of params_of: it takes that row's params, typed.
+def _choice(key: str, params_of: dict, default: str, **rules):
+    """An object whose `key` (default: default) picks a row of params_of, and takes its params.
 
-    An omitted key is the default choice, so its case matches without it.
+    The params of an unknown choice are left untyped: only the choice is reported.
     """
-    cases = []
-    for choice, names in params_of.items():
-        case = {"properties": {key: {"const": choice}}}
-        if choice != default:
-            case["required"] = [key]
-        params = {"properties": {n: _PARAM_SCHEMAS.get(n, {"type": "number"}) for n in names},
-                  "additionalProperties": False}
-        cases.append({"if": case, "then": {"properties": {"params": params}}})
-    return {
-        "type": "object",
-        "properties": {key: {"enum": list(params_of)}, "params": {"type": "object"},
-                       **properties},
-        "additionalProperties": False,
-        "allOf": cases,
-    }
+    def rule(obj: dict) -> dict:
+        choice = obj.get(key, default)
+        names = params_of.get(choice) if isinstance(choice, str) else None
+        params = (dict, None) if names is None else {n: _PARAMS.get(n, _NUMBER) for n in names}
+        return {key: (str, tuple(params_of)), "params": params, **rules}
+    return rule
 
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "honest_noise": _choice_schema(
-            "kind", noise_model.KINDS, DEFAULT_CONFIG["honest_noise"]["kind"],
-            delta={"type": "number", "exclusiveMinimum": 0}),
-        "data": {
-            "type": "object",
-            "properties": {"m": {"type": "number", "exclusiveMinimum": 0}},
-            "additionalProperties": False,
-        },
-        "eta_grid": _GRID_SCHEMA,
-        "alpha_grid": _GRID_SCHEMA,
-        "report_alphas": _GRID_SCHEMA,
-        "utility": {
-            "type": "object",
-            "properties": {
-                role: _choice_schema("family", {f: names for f, (names, _) in families.items()},
-                                     DEFAULT_UTILITY[role]["family"])
-                for role, families in (("adversary", ADVERSARY_FAMILIES), ("dc", DC_FAMILIES))
-            },
-            "additionalProperties": False,
-        },
-        "simulation": {
-            "type": "object",
-            "properties": {
-                "n_nodes": {"type": "array", "items": {"type": "integer", "minimum": 2},
-                            "minItems": 1},
-                "trials": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "chunk_size": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "envelope": {
-            "type": "object",
-            "properties": {"grid_size": {"type": "integer", "minimum": 33}},
-            "additionalProperties": False,
-        },
-        "oracle": {
-            "type": "object",
-            "properties": {"grid_size": {"type": "integer", "minimum": 64}},
-            "additionalProperties": False,
-        },
-        "output_dir": {"type": "string"},
-    },
-    "additionalProperties": False,
+_RULES = {
+    "honest_noise": _choice("kind", noise_model.KINDS, DEFAULT_CONFIG["honest_noise"]["kind"],
+                            delta=_POSITIVE),
+    "data": {"m": _POSITIVE},
+    "eta_grid": _GRID,
+    "alpha_grid": _GRID,
+    "report_alphas": _GRID,
+    "utility": {role: _choice("family", {f: names for f, (names, _) in families.items()},
+                              DEFAULT_UTILITY[role]["family"])
+                for role, families in (("adversary", ADVERSARY_FAMILIES), ("dc", DC_FAMILIES))},
+    "simulation": {"n_nodes": (list, 1, (int, 2)), "trials": (int, 1), "seed": (int, 0),
+                   "chunk_size": (int, 1)},
+    "envelope": {"grid_size": (int, MIN_GRID_SIZE)},
+    "oracle": {"grid_size": (int, MIN_ORACLE_GRID)},
+    "output_dir": (str, None),
 }
+
+
+def _problems(value, rule=_RULES, path=()) -> list:
+    """(path, message) for each way value breaks rule, a rule as in _RULES."""
+    if callable(rule):
+        rule = rule(value) if isinstance(value, dict) else {}
+    if isinstance(rule, dict):
+        if not isinstance(value, dict):
+            return [(path, f"must be an object, got {value!r}")]
+        unknown = sorted(value.keys() - rule.keys())
+        found = [(path, f"unknown keys {unknown}")] if unknown else []
+        for key in value.keys() & rule.keys():
+            found += _problems(value[key], rule[key], path + (key,))
+        return found
+    kind, bound, *item = rule
+    if kind is list:
+        if not isinstance(value, list) or len(value) < bound:
+            return [(path, f"must be {'a nonempty' if bound else 'an'} array, got {value!r}")]
+        return [p for i, v in enumerate(value) for p in _problems(v, item[0], path + (i,))]
+    # finite as a float: this excludes NaN, the infinities and ints too large to convert
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+    if kind is float:
+        ok = number and (bound is None or value > bound)
+        need = "a finite number" + ("" if bound is None else f" > {bound}")
+    elif kind is int:
+        ok = number and (isinstance(value, int) or value.is_integer()) and value >= bound
+        need = f"an integer >= {bound}"
+    elif kind is str:
+        ok = isinstance(value, str) and (bound is None or value in bound)
+        need = "a string" if bound is None else f"one of {bound}"
+    else:
+        ok, need = isinstance(value, dict), "an object"
+    return [] if ok else [(path, f"must be {need}, got {value!r}")]
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -236,7 +220,7 @@ class RunConfig:
 def parse_config(path=None, output_override=None, check_noise: bool = True) -> RunConfig:
     """Load, validate, and resolve a JSON run configuration.
 
-    Schema violations are collected with JSON-pointer paths; a missing path
+    Breaks of _RULES are all reported, each at its JSON pointer; a missing path
     means an empty configuration (all defaults). A tabulated noise model that
     fails noise_model.validate is a config error unless check_noise is false,
     which is how `validate-noise` reports on it instead.
@@ -252,16 +236,10 @@ def parse_config(path=None, output_override=None, check_noise: bool = True) -> R
             user = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(user), key=lambda e: list(e.absolute_path))
-    if errors:
-        msgs = []
-        for err in errors:
-            pointer = "/" + "/".join(str(part) for part in err.absolute_path)
-            msgs.append(f"{pointer}: {err.message}")
-        raise ConfigError("; ".join(msgs))
+    problems = sorted(_problems(user))
+    if problems:
+        raise ConfigError("; ".join("/" + "/".join(map(str, keys)) + f": {message}"
+                                    for keys, message in problems))
     resolved = _merge(DEFAULT_CONFIG, user)
     # a family other than the default one takes only its own params
     for role, spec in user.get("utility", {}).items():

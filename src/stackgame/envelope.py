@@ -28,6 +28,7 @@ from .errors import DomainError, NumericalError
 from .kernel import KernelContext
 
 DEFAULT_GRID_SIZE = 4096
+MIN_GRID_SIZE = 33  # the fewest samples that give a stable hull
 TOUCH_REL = 1e-8
 REFINE_POINTS = 64  # extra samples around each chord endpoint
 
@@ -194,7 +195,7 @@ class Envelope:
 
 def level_grid(grid_size: int) -> np.ndarray:
     """The grid_size evenly spaced acceptance levels an envelope samples on [0, 1]."""
-    if grid_size < 33:
+    if grid_size < MIN_GRID_SIZE:
         raise DomainError(f"grid_size too small for a stable hull: {grid_size}")
     return np.linspace(0.0, 1.0, grid_size)
 

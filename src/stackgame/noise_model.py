@@ -230,7 +230,7 @@ class HonestNoiseModel:
     """
 
     def __init__(self, kind: str, delta: float, params: dict,
-                 table: tuple | None = None):
+                 table: _Tabulated | None = None):
         if kind not in KINDS:
             raise DomainError(f"unknown noise kind {kind!r}; expected one of {tuple(KINDS)}")
         if not (math.isfinite(delta) and delta > 0):
@@ -250,7 +250,7 @@ class HonestNoiseModel:
         else:
             if table is None:
                 raise DomainError("tabulated models need an (x, pdf) grid")
-            self.law = _Tabulated(*table)
+            self.law = table
         self.support = self.law.support
         self._inv_cdf_tol = _INV_CDF_XTOL * self.law.pdf_max + _CDF_ROUNDING
 
@@ -327,9 +327,8 @@ def triangular(delta: float) -> HonestNoiseModel:
 
 
 def tabulated(xs, pdf_vals) -> HonestNoiseModel:
-    xs = np.asarray(xs, dtype=float)
-    delta = float(np.max(np.abs(xs[[0, -1]])))
-    return HonestNoiseModel("tabulated", delta, {}, table=(xs, pdf_vals))
+    table = _Tabulated(xs, pdf_vals)
+    return HonestNoiseModel("tabulated", max(map(abs, table.support)), {}, table=table)
 
 
 def tabulated_from_csv(path) -> HonestNoiseModel:
@@ -339,9 +338,9 @@ def tabulated_from_csv(path) -> HonestNoiseModel:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row and row[0].strip()]
     for k, (line, row) in enumerate(rows):
-        try:
-            x, p = float(row[0]), float(row[1])
-        except (ValueError, IndexError):
+        try:  # x and pdf; any later field must be blank
+            x, p = map(float, row[:2] + [f for f in row[2:] if f.strip()])
+        except ValueError:
             if k == 0:
                 continue  # header row
             raise DomainError(f"row {line} of {path} is not two numbers x, pdf: {row!r}")
@@ -365,7 +364,7 @@ def from_spec(spec: dict, base_dir=None) -> HonestNoiseModel:
         return triangular(delta)
     if kind == "truncated-normal":
         if "sigma" not in params:
-            raise DomainError("truncated-normal noise requires params.sigma")
+            raise DomainError("/honest_noise/params: truncated-normal noise requires sigma")
         return truncated_normal(delta, params["sigma"])
     if kind != "tabulated":
         raise DomainError(f"unknown noise kind {kind!r}; expected one of {tuple(KINDS)}")
@@ -381,12 +380,15 @@ def from_spec(spec: dict, base_dir=None) -> HonestNoiseModel:
         except DomainError as exc:
             raise DomainError(f"/honest_noise/params/csv: {exc}") from exc
     elif "xs" in params and "pdf" in params:
-        model = tabulated(params["xs"], params["pdf"])
+        try:
+            model = tabulated(params["xs"], params["pdf"])
+        except DomainError as exc:
+            raise DomainError(f"/honest_noise/params: {exc}") from exc
     else:
-        raise DomainError("tabulated noise requires params.csv or params.xs/params.pdf")
+        raise DomainError("/honest_noise/params: tabulated noise requires csv or xs and pdf")
     if "delta" in spec and abs(model.delta - float(spec["delta"])) > 1e-9:
-        raise DomainError(
-            f"tabulated grid implies delta={model.delta}, config says {spec['delta']}")
+        raise DomainError(f"/honest_noise/delta: tabulated grid implies delta={model.delta}, "
+                          f"config says {spec['delta']}")
     return model
 
 

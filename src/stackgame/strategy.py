@@ -41,7 +41,7 @@ DEFAULT_UTILITY = {
 
 @dataclass(frozen=True)
 class _Utility:
-    """A utility family from a subclass's table, with every named param > 0."""
+    """A utility family from a subclass's table, with every named param finite and > 0."""
     family: str
     params: dict
 
@@ -50,7 +50,7 @@ class _Utility:
             raise DomainError(f"unknown {self._role} utility family {self.family!r}; "
                               f"expected {tuple(self._families)}")
         names = self._families[self.family][0]
-        if not all(self.params.get(n) and self.params[n] > 0 for n in names):
+        if not all(self.params.get(n) and 0 < self.params[n] < np.inf for n in names):
             need = " and ".join(f"{n} > 0" for n in names)
             raise DomainError(f"{self.family} needs {need}, got {self.params}")
 

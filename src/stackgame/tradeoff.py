@@ -23,6 +23,7 @@ from .numerics import adaptive_simpson
 
 ALPHA_MIN = 1e-3
 DEFAULT_ORACLE_GRID = 2048
+MIN_ORACLE_GRID = 64
 
 
 def check_levels(alpha) -> np.ndarray:
@@ -98,7 +99,7 @@ def build_oracle_table(ctx: KernelContext, grid_size: int = DEFAULT_ORACLE_GRID)
     the boundary between always-accepted and partially-accepted offsets is
     represented exactly (it carries the full-acceptance optimum).
     """
-    if grid_size < 64:
+    if grid_size < MIN_ORACLE_GRID:
         raise DomainError(f"oracle grid too small: {grid_size}")
     zs = np.unique(np.append(np.linspace(0.0, ctx.z_hi, grid_size), ctx.z_lo))
     accept = np.empty_like(zs)

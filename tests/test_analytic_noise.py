@@ -143,3 +143,15 @@ def test_build_adversary_achieves_alpha(model, eta, alpha):
     adv = sg.build_adversary(build_envelope(ctx, 512), ctx, alpha)
     achieved = sum(w * sg.atom_accept_prob(ctx, z) for z, w in adv.atoms)
     assert abs(achieved - alpha) <= 1e-12, (model, eta, alpha, adv.atoms)
+
+
+# The envelope's c_alpha is the supremum over all distributions; the oracle
+# searches one- and two-atom ones on a finite grid, so it cannot exceed it
+# beyond criterion 3's tolerance.
+@PROPERTY
+@given(noise_models(), st.floats(2.0, 6.0), st.floats(1e-3, 1.0))
+def test_c_alpha_bounds_the_oracle(model, eta, alpha):
+    ctx = sg.KernelContext(eta, model)
+    c = float(sg.c_alpha(build_envelope(ctx, 512), alpha))
+    assert c >= sg.oracle_c2(ctx, alpha, grid_size=256) - 5e-3 * max(1.0, abs(c)), \
+        (model, eta, alpha)

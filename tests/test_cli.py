@@ -70,6 +70,9 @@ def test_config_error_paths(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         cli.parse_config(bad)
+    bad.write_text("[1]")
+    with pytest.raises(ConfigError, match=r"^/: must be an object, got \[1\]$"):
+        cli.parse_config(bad)
 
 
 def test_incomplete_utility_spec_names_required_params(tmp_path):
@@ -325,6 +328,66 @@ def test_typed_params_fail_at_the_boundary(tmp_path, capsys, config, pointer):
     assert error["type"] == "ConfigError" and error["message"].startswith(pointer)
 
 
+# NaN, Infinity and integers too large for a float parse as numbers; no config number may be one
+@pytest.mark.parametrize("text, pointer", [
+    ('{"eta_grid": {"start": 2, "stop": 3, "step": NaN}}', "/eta_grid/step"),
+    ('{"eta_grid": {"start": 2, "stop": 3, "step": Infinity}}', "/eta_grid/step"),
+    ('{"eta_grid": {"values": [2, -Infinity]}}', "/eta_grid/values/1"),
+    ('{"utility": {"adversary": {"params": {"c": Infinity}}}}', "/utility/adversary/params/c"),
+    ('{"data": {"m": NaN}}', "/data/m"),
+    ('{"honest_noise": {"delta": NaN}}', "/honest_noise/delta"),
+    ('{"honest_noise": {"delta": 1%s}}' % ("0" * 400), "/honest_noise/delta"),
+    ('{"honest_noise": {"kind": "tabulated", "params": {"xs": [-1, 0, 1], "pdf": [1, NaN, 1]}}}',
+     "/honest_noise/params/pdf/1"),
+])
+def test_non_finite_numbers_fail_at_their_pointer(tmp_path, capsys, text, pointer):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "o"
+    code = cli.main(["solve", "--config", str(bad), "--output", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith(pointer + ": ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, start", [
+    (_noise("truncated-normal"), "/honest_noise/params: truncated-normal noise requires sigma"),
+    (_noise("tabulated", xs=[], pdf=[]), "/honest_noise/params: tabulated grid needs"),
+    (_noise("tabulated", xs=[-1, 0, 1], pdf=[1, 1]), "/honest_noise/params: tabulated grid needs"),
+    (_noise("tabulated", xs=[-1, 1, 0], pdf=[1, 1, 1]), "/honest_noise/params: tabulated x grid"),
+    (_noise("tabulated", xs=[-1, 0, 1]), "/honest_noise/params: tabulated noise requires"),
+    ({"honest_noise": {"kind": "tabulated", "delta": 2.0,
+                       "params": {"xs": [-1, 0, 1], "pdf": [1, 1, 1]}}},
+     "/honest_noise/delta: tabulated grid implies delta=1.0"),
+])
+def test_noise_spec_errors_name_their_pointer(tmp_path, capsys, config, start):
+    code, _ = run(["solve"], tmp_path, config=write_config(tmp_path, config))
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith(start)
+
+
+def test_every_problem_is_reported_in_pointer_order(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "z": 1, "simulation": {"n_nodes": [2, 1.5], "seed": -1},
+        "eta_grid": {"values": [2, "a", True], "q": 2}, "honest_noise": 5,
+        "utility": {"dc": {"family": "nope", "params": {"x": 1}}}}))
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(bad)
+    assert str(exc.value).split("; ") == [
+        "/: unknown keys ['z']",
+        "/eta_grid: unknown keys ['q']",
+        "/eta_grid/values/1: must be a finite number, got 'a'",
+        "/eta_grid/values/2: must be a finite number, got True",
+        "/honest_noise: must be an object, got 5",
+        "/simulation/n_nodes/1: must be an integer >= 2, got 1.5",
+        "/simulation/seed: must be an integer >= 0, got -1",
+        "/utility/dc/family: must be one of ('linear_penalty', 'exp_penalty'), got 'nope'",
+    ]
+
+
 @pytest.mark.parametrize("csv", ["missing.csv", "."])
 def test_unreadable_noise_table_is_a_config_error(tmp_path, capsys, csv):
     config = write_config(tmp_path, {"honest_noise": {"kind": "tabulated",
@@ -347,28 +410,32 @@ def test_malformed_noise_table_row_is_a_config_error(tmp_path, capsys):
     assert error["message"].startswith("/honest_noise/params/csv: row 2 of ")
 
 
-_LOADED_SCIPY = """
+_LOADED_MODULES = """
 import json, sys
 from stackgame import cli
 assert cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))))
 """
 
 
 @pytest.mark.parametrize("noise, loads_scipy", [
     ({"kind": "uniform"}, False), ({"kind": "triangular"}, False),
     ({"kind": "truncated-normal", "params": {"sigma": 0.5}}, True),
+    ({"kind": "tabulated", "params": {"xs": [-1.0, 0.0, 1.0], "pdf": [0.5, 1.0, 0.5]}}, False),
 ])
 def test_only_the_truncated_normal_loads_scipy(tmp_path, noise, loads_scipy):
+    # and no command loads jsonschema, which only the tests use
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     config = write_config(tmp_path, {"honest_noise": noise})
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, "solve", "--config",
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, "solve", "--config",
                            str(config), "--output", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert bool(json.loads(proc.stdout)) is loads_scipy
+    loaded = json.loads(proc.stdout)
+    assert not any(m.startswith("jsonschema") for m in loaded), loaded
+    assert bool(loaded) is loads_scipy
 
 
 def test_config_hashes_are_unchanged(tmp_path, monkeypatch):

@@ -118,7 +118,9 @@ def test_tabulated_from_csv(tmp_path):
     ("x\n-1\n0\n1\n", 2),
     ("np.float64(-1.0),0.5\nnp.float64(0.0),0.5\nnp.float64(1.0),0.5\n", 2),
     ("x,pdf\n-1,0.5\n\n0,0.5\nabc,0.5\n1,0.5\n", 5),
-], ids=["one-column", "all-malformed", "late-bad-row"])
+    ("-1,0.5,0\n0,0.5,0.5\n1,0.5,1\n", 2),
+    ("x,pdf\n-1,0.5\n0,0.5,\n1,0.5, 1\n", 4),
+], ids=["one-column", "all-malformed", "late-bad-row", "three-columns", "third-field"])
 def test_malformed_csv_rows_are_named(tmp_path, text, line):
     path = tmp_path / "table.csv"
     path.write_text(text)

@@ -32,6 +32,16 @@ def test_utility_param_validation():
         sg.DCUtility("nope", {})
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"adversary": {"params": {"c": np.inf}}}, "scaled_product needs c > 0, got {'c': inf}"),
+    ({"dc": {"params": {"gamma": np.nan}}}, "linear_penalty needs gamma > 0, got {'gamma': nan}"),
+])
+def test_utility_params_must_be_finite(spec, message):
+    with pytest.raises(DomainError) as exc:
+        sg.UtilitySpec.from_spec(spec)
+    assert str(exc.value) == message
+
+
 def test_monotonicity_probe_clean():
     spec = sg.UtilitySpec.from_spec({})
     assert spec.monotonicity_violations(m_max=25.0) == []

@@ -15,14 +15,12 @@ from .noise_model import (DataModel, HonestNoiseModel, ValidationReport, from_sp
                           tabulated, tabulated_from_csv, triangular,
                           truncated_normal, uniform, validate)
 from .simulator import (CustomJointStrategy, DominanceReport, GameConfig,
-                        ReplicatedStrategy, SimulationResult, accept,
-                        dominance_check, estimate, run_monte_carlo,
-                        run_scenario_suite)
+                        ReplicatedStrategy, SimulationResult, dominance_check,
+                        run_monte_carlo, run_scenario_suite)
 from .strategy import (AdversaryUtility, AtomicAdversary, DCUtility,
                        EquilibriumReport, UtilitySpec, best_alpha_set,
                        build_adversary, solve_equilibrium)
-from .tradeoff import (TradeoffCurve, atom_accept_prob, atom_error_moment,
-                       build_curve, build_oracle_table, c_alpha, oracle_c2,
-                       oracle_c2_witness, zero_limit)
+from .tradeoff import (atom_accept_prob, atom_error_moment, build_oracle_table,
+                       c_alpha, oracle_c2, oracle_c2_witness, zero_limit)
 
 __version__ = "0.1.0"

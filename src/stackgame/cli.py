@@ -31,7 +31,7 @@ from .simulator import (DEFAULT_CHUNK_SIZE, CustomJointStrategy, GameConfig, Rep
 from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY, AtomicAdversary,
                        UtilitySpec, best_alpha_set, build_adversary, solve_equilibrium)
 from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, atom_accept_prob,
-                       atom_error_moment, build_curve, build_oracle_table, c_alpha, oracle_c2)
+                       atom_error_moment, build_oracle_table, c_alpha, oracle_c2, zero_limit)
 
 OUTPUT_DIR_ENV = "STACKGAME_OUTPUT_DIR"
 # a start/stop/step grid must span a whole number of steps, up to fp rounding
@@ -59,6 +59,7 @@ DEFAULT_CONFIG = {
 _NUMBER, _POSITIVE = (float, None), (float, 0)
 _GRID = {"values": (list, 1, _NUMBER), "start": _NUMBER, "stop": _NUMBER, "step": _POSITIVE,
          "num": (int, 1)}
+_GRID_SHAPES = {"values", "step", "num"}  # the keys that pick a grid's shape
 _PARAMS = {"sigma": _POSITIVE, "csv": (str, None), "xs": (list, 0, _NUMBER),
            "pdf": (list, 0, _NUMBER)}
 
@@ -241,6 +242,12 @@ def parse_config(path=None, output_override=None, check_noise: bool = True) -> R
         raise ConfigError("; ".join("/" + "/".join(map(str, keys)) + f": {message}"
                                     for keys, message in problems))
     resolved = _merge(DEFAULT_CONFIG, user)
+    # a grid naming its shape takes no other shape key from the default
+    for key in (key for key, rule in _RULES.items() if rule is _GRID):
+        named = user.get(key, {}).keys() & _GRID_SHAPES
+        if named:
+            resolved[key] = {k: v for k, v in resolved[key].items()
+                             if k in named or k not in _GRID_SHAPES}
     # a family other than the default one takes only its own params
     for role, spec in user.get("utility", {}).items():
         if spec.get("family") not in (None, DEFAULT_CONFIG["utility"][role]["family"]):
@@ -309,26 +316,26 @@ def cmd_validate_noise(cfg: RunConfig, out: Path) -> int:
 def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=None) -> int:
     eta = float(cfg.eta_grid[0]) if eta is None else eta
     ctx = KernelContext(eta, cfg.noise)
-    grid = cfg.report_alphas if alphas is None else np.asarray(alphas, dtype=float)
-    curve = build_curve(ctx, grid, grid_size=cfg.envelope_grid)
+    levels = np.unique(cfg.report_alphas if alphas is None else alphas)  # sorted, distinct
+    env = build_envelope(ctx, cfg.envelope_grid)
+    values = c_alpha(env, levels)
     table = build_oracle_table(ctx, cfg.oracle_grid)
-    oracle_vals = np.array([oracle_c2(ctx, a, table=table) for a in curve.alphas])
-    diffs = np.abs(curve.values - oracle_vals)
+    oracle_vals = np.array([oracle_c2(ctx, a, table=table) for a in levels])
+    diffs = np.abs(values - oracle_vals)
 
-    env = curve.envelope
     _write_csv(out / "level_curve.csv", ["q", "h", "h_star", "is_touch"],
                zip(env.source_qs, env.source_vals, env.evaluate(env.source_qs),
                    env.is_touch(env.source_qs)))
     _write_csv(out / "tradeoff.csv", ["alpha", "c_formula", "c_oracle", "abs_diff"],
-               zip(curve.alphas, curve.values, oracle_vals, diffs))
-    rel_scale = np.maximum(1.0, np.abs(curve.values))
+               zip(levels, values, oracle_vals, diffs))
+    rel_scale = np.maximum(1.0, np.abs(values))
     summary = {
         "eta": float(eta),
-        "n_alphas": int(curve.alphas.size),
+        "n_alphas": int(levels.size),
         "max_abs_diff": float(np.max(diffs)),
         "max_rel_diff": float(np.max(diffs / rel_scale)),
-        "zero_limit": curve.zero_limit,
-        "chords": [[c.q1, c.q2] for c in curve.envelope.chords()],
+        "zero_limit": zero_limit(env),
+        "chords": [[c.q1, c.q2] for c in env.chords()],
         **_stamp(cfg),
     }
     _write_json(out / "tradeoff_summary.json", summary)

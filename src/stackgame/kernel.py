@@ -27,24 +27,23 @@ from .numerics import adaptive_simpson
 
 # fp slack when checking offsets against the closed domain
 _EDGE_SLACK = 1e-9
+# absolute tolerance of every adaptive_simpson quadrature of the noise density
+QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class KernelContext:
-    """A (threshold multiple, honest noise, quadrature tolerance) bundle.
+    """A (threshold multiple, honest noise) pair.
 
     eta may also be a column of etas: each method then broadcasts it against
     its argument, and each row is that eta's own result to the bit.
     """
     eta: float
     noise: HonestNoiseModel
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.eta)) and np.all(np.asarray(self.eta) >= 2.0)):
             raise DomainError(f"threshold multiple eta must be >= 2, got {self.eta}")
-        if self.quad_tol <= 0:
-            raise DomainError(f"quad_tol must be positive, got {self.quad_tol}")
 
     @property
     def delta(self) -> float:
@@ -107,7 +106,7 @@ def accept_prob_quad(ctx: KernelContext, z: float) -> float:
     """accept_prob by adaptive Simpson on the density itself."""
     ctx._check_z(z)
     return adaptive_simpson(ctx.noise.pdf_scalar, z - ctx.eta * ctx.delta,
-                            ctx.delta, ctx.quad_tol)
+                            ctx.delta, QUAD_TOL)
 
 
 def error_moment_quad(ctx: KernelContext, z: float) -> float:
@@ -115,4 +114,4 @@ def error_moment_quad(ctx: KernelContext, z: float) -> float:
     ctx._check_z(z)
     pdf = ctx.noise.pdf_scalar
     return adaptive_simpson(lambda x: (x + z) ** 2 * pdf(x),
-                            z - ctx.eta * ctx.delta, ctx.delta, ctx.quad_tol)
+                            z - ctx.eta * ctx.delta, ctx.delta, QUAD_TOL)

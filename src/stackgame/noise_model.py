@@ -39,6 +39,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # times the steepest density, plus the rounding of the CDF itself
 _INV_CDF_XTOL = 1e-12
 _CDF_ROUNDING = 1e-15
+# points of the grid on which validate checks symmetry and strict CDF increase
+_VALIDATE_GRID = 1025
 
 
 # --- per-family laws --------------------------------------------------------
@@ -417,7 +419,7 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
-def validate(model: HonestNoiseModel, grid_points: int = 1025) -> ValidationReport:
+def validate(model: HonestNoiseModel) -> ValidationReport:
     """Check the distributional assumptions and report violations.
 
     Checks: zero density outside the support, nonnegativity, symmetry of the
@@ -427,7 +429,7 @@ def validate(model: HonestNoiseModel, grid_points: int = 1025) -> ValidationRepo
     """
     d = model.delta
     lo, hi = model.support
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _VALIDATE_GRID)
     pdf_grid = model.pdf(grid)
     checks = []
 
@@ -456,7 +458,7 @@ def validate(model: HonestNoiseModel, grid_points: int = 1025) -> ValidationRepo
     steps = np.diff(model.cdf(grid))
     min_step = float(np.min(steps))
     checks.append(CheckResult("cdf_strictly_increasing", min_step > 1e-12,
-                              f"min CDF increment on {grid_points}-point grid = {min_step}"))
+                              f"min CDF increment on {_VALIDATE_GRID}-point grid = {min_step}"))
 
     return ValidationReport(tuple(checks))
 

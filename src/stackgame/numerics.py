@@ -15,10 +15,11 @@ from .errors import NumericalError
 # Subdivision stops once an interval is this small relative to the whole
 # integration range; prevents infinite descent on non-smooth integrands.
 _MIN_REL_WIDTH = 1e-14
+# uniform panels the range is cut into before any subdivision
+_INITIAL_PANELS = 8
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
-                     initial_panels: int = 8) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Integrate f over [a, b] with adaptive Simpson subdivision.
 
     The local acceptance test is the classic |S2 - S1| <= 15*tol with the
@@ -38,14 +39,13 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
         sign = -1.0
 
     min_width = (b - a) * _MIN_REL_WIDTH
-    panels = max(1, int(initial_panels))
-    edges = [a + (b - a) * i / panels for i in range(panels + 1)]
+    edges = [a + (b - a) * i / _INITIAL_PANELS for i in range(_INITIAL_PANELS + 1)]
     edges[-1] = b
 
     total = 0.0
     # Each stack entry: (a, b, fa, fm, fb, simpson_estimate, local_tol)
     stack = []
-    panel_tol = tol / panels
+    panel_tol = tol / _INITIAL_PANELS
     for xa, xb in zip(edges[:-1], edges[1:]):
         fa = f(xa)
         fb = f(xb)

@@ -19,9 +19,14 @@ from .envelope import (DEFAULT_GRID_SIZE, Envelope, Touch, build_envelope, envel
                        has_reflex_sample, level_grid)
 from .errors import DomainError, NumericalError
 from .kernel import KernelContext
-from .tradeoff import c_alpha, check_levels
+from .tradeoff import atom_accept_prob, c_alpha, check_levels
 
 TIE_TOL_REL = 1e-9
+# monotonicity probe: random (mse, pa) pairs, each moved by one step per argument
+_PROBE_PAIRS = 10_000
+_PROBE_STEP = 1e-3
+_PROBE_SEED = 7
+_STRICT_TOL = 1e-12  # least increase that counts as strict
 BLOCK_ETAS = 8  # etas solved together: 4 to 16 run equally fast, 32 or more spill the cache
 # utility family -> (its parameter names, all numbers > 0; its value(params, mse, pa))
 ADVERSARY_FAMILIES = {
@@ -85,28 +90,26 @@ class UtilitySpec:
             return utility(family, dict(given.get("params", params)))
         return cls(build("adversary", AdversaryUtility), build("dc", DCUtility))
 
-    def monotonicity_violations(self, m_max: float, n_pairs: int = 10_000,
-                                step: float = 1e-3, strict_tol: float = 1e-12,
-                                seed: int = 7) -> list[str]:
-        """Probe the monotonicity contract on random (mse, pa) pairs.
+    def monotonicity_violations(self, m_max: float) -> list[str]:
+        """Probe the monotonicity contract on random (mse, pa) pairs, mse up to m_max.
 
         The adversary utility must strictly increase in each argument; the
         defender utility must be nonincreasing in MSE and nondecreasing in
         acceptance. Returns human-readable violation messages (empty = ok).
         """
-        rng = np.random.default_rng(seed)
-        m = rng.uniform(0.0, m_max, n_pairs)
-        p = rng.uniform(0.0, 1.0 - step, n_pairs)
+        rng = np.random.default_rng(_PROBE_SEED)
+        m = rng.uniform(0.0, m_max, _PROBE_PAIRS)
+        p = rng.uniform(0.0, 1.0 - _PROBE_STEP, _PROBE_PAIRS)
         out = []
         adv = self.adversary.value
-        if np.min(adv(m + step, p) - adv(m, p)) <= strict_tol:
+        if np.min(adv(m + _PROBE_STEP, p) - adv(m, p)) <= _STRICT_TOL:
             out.append("adversary utility not strictly increasing in MSE")
-        if np.min(adv(m, p + step) - adv(m, p)) <= strict_tol:
+        if np.min(adv(m, p + _PROBE_STEP) - adv(m, p)) <= _STRICT_TOL:
             out.append("adversary utility not strictly increasing in acceptance")
         dcv = self.dc.value
-        if np.max(dcv(m + step, p) - dcv(m, p)) > 0.0:
+        if np.max(dcv(m + _PROBE_STEP, p) - dcv(m, p)) > 0.0:
             out.append("defender utility increases in MSE")
-        if np.min(dcv(m, p + step) - dcv(m, p)) < 0.0:
+        if np.min(dcv(m, p + _PROBE_STEP) - dcv(m, p)) < 0.0:
             out.append("defender utility decreases in acceptance")
         return out
 
@@ -118,23 +121,22 @@ def _alpha_levels(alpha_grid) -> np.ndarray:
     return alphas
 
 
-def _best_alphas(spec: UtilitySpec, alphas, cs, tie_tol: float):
-    """Mask of the levels within a relative tie tolerance of the best adversary
+def _best_alphas(spec: UtilitySpec, alphas, cs):
+    """Mask of the levels within TIE_TOL_REL (relative) of the best adversary
     utility, and that utility; per row when cs holds one c_alpha row per eta."""
     utils = spec.adversary.value(cs, alphas)
     top = np.max(utils, axis=-1, keepdims=True)
-    return utils >= top - tie_tol * np.maximum(1.0, np.abs(top)), top
+    return utils >= top - TIE_TOL_REL * np.maximum(1.0, np.abs(top)), top
 
 
-def best_alpha_set(env: Envelope, spec: UtilitySpec, alpha_grid,
-                   tie_tol: float = TIE_TOL_REL) -> np.ndarray:
+def best_alpha_set(env: Envelope, spec: UtilitySpec, alpha_grid) -> np.ndarray:
     """Acceptance levels maximizing the adversary utility on the grid.
 
     All grid points within a relative tie tolerance of the maximum are kept,
     so downstream code can see genuinely flat optima.
     """
     alphas = _alpha_levels(alpha_grid)
-    return alphas[_best_alphas(spec, alphas, c_alpha(env, alphas), tie_tol)[0]]
+    return alphas[_best_alphas(spec, alphas, c_alpha(env, alphas))[0]]
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,7 @@ class EquilibriumReport:
 
 
 def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
-                      grid_size: int = DEFAULT_GRID_SIZE,
-                      tie_tol: float = TIE_TOL_REL) -> EquilibriumReport:
+                      grid_size: int = DEFAULT_GRID_SIZE) -> EquilibriumReport:
     """Leader optimization over a threshold grid against best-responding noise.
 
     For each context the adversary's best acceptance set is computed; the
@@ -198,7 +199,7 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
         cs = block_ctx.moment_at_level(alphas) / (4.0 * alphas)
         for i in np.flatnonzero(has_reflex_sample(qs, rows)).tolist():
             cs[i] = c_alpha(envelope_of_samples(block[i], qs, rows[i]), alphas)
-        keep, top = _best_alphas(spec, alphas, cs, tie_tol)
+        keep, top = _best_alphas(spec, alphas, cs)
         dc_vals = np.where(keep, spec.dc.value(cs, alphas), np.inf)
         worst = np.argmin(dc_vals, axis=1)
         for i, ctx in enumerate(block):
@@ -290,8 +291,7 @@ def build_adversary(env: Envelope, ctx: KernelContext, alpha: float) -> AtomicAd
         pairs = sorted([(-z1, b1), (-z2, b2), (z2, b2), (z1, b1)])
         atoms = tuple(pairs)
     adv = AtomicAdversary(atoms=atoms, alpha=alpha, eta=ctx.eta, delta=ctx.delta)
-    achieved = float(sum(w * ctx.accept_prob(min(max(abs(z), ctx.z_lo), ctx.z_hi))
-                         for z, w in adv.atoms))
+    achieved = float(sum(w * atom_accept_prob(ctx, z) for z, w in adv.atoms))
     if abs(achieved - alpha) > 1e-8:
         raise NumericalError(
             f"constructed atoms achieve acceptance {achieved}, wanted {alpha}")

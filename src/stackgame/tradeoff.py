@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import DEFAULT_GRID_SIZE, Envelope, build_envelope
+from .envelope import Envelope
 from .errors import DomainError
-from .kernel import KernelContext
+from .kernel import QUAD_TOL, KernelContext
 from .numerics import adaptive_simpson
 
-ALPHA_MIN = 1e-3
+ALPHA_MIN = 1e-3  # lowest reported level: below it the conditional MSE means little
 DEFAULT_ORACLE_GRID = 2048
 MIN_ORACLE_GRID = 64
 
@@ -109,12 +109,12 @@ def build_oracle_table(ctx: KernelContext, grid_size: int = DEFAULT_ORACLE_GRID)
         # expand (x+z)^2 once: full-support partial moments do not depend on z
         lo, hi = ctx.noise.support
         pdf = ctx.noise.pdf_scalar
-        m0 = (adaptive_simpson(pdf, lo, 0.0, ctx.quad_tol)
-              + adaptive_simpson(pdf, 0.0, hi, ctx.quad_tol))
-        m1 = (adaptive_simpson(lambda x: x * pdf(x), lo, 0.0, ctx.quad_tol)
-              + adaptive_simpson(lambda x: x * pdf(x), 0.0, hi, ctx.quad_tol))
-        m2 = (adaptive_simpson(lambda x: x * x * pdf(x), lo, 0.0, ctx.quad_tol)
-              + adaptive_simpson(lambda x: x * x * pdf(x), 0.0, hi, ctx.quad_tol))
+        m0 = (adaptive_simpson(pdf, lo, 0.0, QUAD_TOL)
+              + adaptive_simpson(pdf, 0.0, hi, QUAD_TOL))
+        m1 = (adaptive_simpson(lambda x: x * pdf(x), lo, 0.0, QUAD_TOL)
+              + adaptive_simpson(lambda x: x * pdf(x), 0.0, hi, QUAD_TOL))
+        m2 = (adaptive_simpson(lambda x: x * x * pdf(x), lo, 0.0, QUAD_TOL)
+              + adaptive_simpson(lambda x: x * x * pdf(x), 0.0, hi, QUAD_TOL))
         zi = zs[inner]
         accept[inner] = 1.0
         moment[inner] = m2 + 2.0 * zi * m1 + zi * zi * m0
@@ -175,35 +175,3 @@ def oracle_c2_witness(ctx: KernelContext, alpha: float,
         raise DomainError(f"no feasible atom reaches acceptance {alpha}")
     return best, witness
 
-
-# --- the curve ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TradeoffCurve:
-    eta: float
-    alphas: np.ndarray
-    values: np.ndarray
-    envelope: Envelope
-
-    @property
-    def zero_limit(self) -> float:
-        return zero_limit(self.envelope)
-
-
-def build_curve(ctx: KernelContext, alpha_grid,
-                grid_size: int = DEFAULT_GRID_SIZE) -> TradeoffCurve:
-    """Evaluate the formula-side curve on an acceptance grid.
-
-    Levels below ALPHA_MIN are rejected: the curve is only reported where the
-    acceptance floor keeps the conditional MSE statistically meaningful.
-    """
-    alphas = np.unique(np.asarray(alpha_grid, dtype=float))
-    if alphas.size == 0:
-        raise DomainError("alpha grid is empty")
-    if np.any(alphas < ALPHA_MIN - 1e-15) or np.any(alphas > 1.0):
-        raise DomainError(f"alpha grid must lie within [{ALPHA_MIN}, 1]")
-    env = build_envelope(ctx, grid_size)
-    values = c_alpha(env, alphas)
-    if not np.all(np.isfinite(values)):
-        raise DomainError("trade-off curve evaluated to non-finite values")
-    return TradeoffCurve(eta=ctx.eta, alphas=alphas, values=values, envelope=env)

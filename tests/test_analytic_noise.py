@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import stackgame as sg
 from stackgame.errors import NumericalError
 from stackgame.envelope import build_envelope
-from stackgame.kernel import error_moment_quad
 from stackgame.noise_model import KINDS
 from stackgame.numerics import adaptive_simpson
 
@@ -62,9 +61,10 @@ def test_partial_moments_match_quadrature(model, frac):
 @PROPERTY
 @given(noise_models(), st.floats(2.0, 4.0), st.floats(0.0, 1.0))
 def test_error_moment_matches_quadrature(model, eta, frac):
-    ctx = sg.KernelContext(eta, model, quad_tol=1e-12)
+    ctx = sg.KernelContext(eta, model)
     z = ctx.z_lo + frac * (ctx.z_hi - ctx.z_lo)
-    want = error_moment_quad(ctx, z)
+    want = adaptive_simpson(lambda x: (x + z) ** 2 * model.pdf_scalar(x),
+                            z - eta * model.delta, model.delta, 1e-12)
     assert abs(ctx.error_moment(z) - want) <= 1e-9 * max(1.0, want), (model, eta, z)
 
 

@@ -121,6 +121,27 @@ def test_grid_step_must_divide_the_range(tmp_path):
         cli.parse_config(bad)
 
 
+@pytest.mark.parametrize("grid, key, resolved, size", [
+    ({"start": 2, "stop": 3, "num": 5}, "eta_grid", {"start": 2, "stop": 3, "num": 5}, 5),
+    ({"num": 61}, "eta_grid", {"start": 2.0, "stop": 8.0, "num": 61}, 61),
+    ({"values": [0.4]}, "report_alphas", {"start": 0.1, "stop": 1.0, "values": [0.4]}, 1),
+    ({"start": 0.5, "step": 0.25}, "alpha_grid", {"start": 0.5, "stop": 1.0, "step": 0.25}, 3),
+])
+def test_a_grid_naming_its_shape_takes_no_other_shape_from_the_default(tmp_path, grid, key,
+                                                                      resolved, size):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: grid}))
+    cfg = cli.parse_config(path)
+    assert cfg.raw[key] == resolved
+    assert getattr(cfg, key).size == size
+
+
+def test_a_grid_naming_the_default_shape_keeps_the_default_hash(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"eta_grid": {"step": 0.01}, "report_alphas": {"num": 10}}))
+    assert cli.parse_config(path).config_hash == cli.parse_config(None).config_hash
+
+
 @pytest.mark.parametrize("utility, pointer", [
     ({"adversary": {"family": "scaled_product", "params": {"c": "1"}}},
      "/utility/adversary/params/c"),
@@ -235,6 +256,16 @@ def test_tradeoff_artifacts(tmp_path):
     assert summary["max_abs_diff"] <= 5e-3
     level = (out / "level_curve.csv").read_text().splitlines()
     assert level[0] == "q,h,h_star,is_touch"
+
+
+@pytest.mark.parametrize("spec, alphas", [("0.9,0.2,0.5,0.2", [0.2, 0.5, 0.9]),
+                                           ("1.0", [1.0])])
+def test_tradeoff_reports_each_level_once_in_ascending_order(tmp_path, spec, alphas):
+    code, out = run(["tradeoff", "--alphas", spec], tmp_path, config=write_config(tmp_path))
+    assert code == 0
+    rows = (out / "tradeoff.csv").read_text().strip().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == alphas
+    assert json.loads((out / "tradeoff_summary.json").read_text())["n_alphas"] == len(alphas)
 
 
 def test_adversary_and_simulate_roundtrip(tmp_path):

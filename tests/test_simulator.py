@@ -11,27 +11,6 @@ def base_cfg():
                          noise=sg.uniform(1.0), trials=50_000, seed=123)
 
 
-def test_accept_boundary_inclusive():
-    assert sg.accept([0.0, 2.0], 2.0, 1.0)       # spread == eta*delta
-    assert not sg.accept([0.0, 2.0 + 1e-9], 2.0, 1.0)
-    assert sg.accept([0.0, 0.0, 0.0], 5.0, 1.0)
-    assert sg.estimate([1.0, 3.0]) == 2.0
-    with pytest.raises(DomainError):
-        sg.accept([1.0], 2.0, 1.0)
-
-
-def test_estimate_error_identity(rng):
-    assert sg.estimate([-1.0, 1.0]) == 0.0
-    assert sg.estimate([0.0, 1.0, 4.0]) == 2.0
-    # the midrange error never depends on the collected value
-    for _ in range(1000):
-        u = rng.uniform(-1000.0, 1000.0)
-        n = rng.uniform(-3.0, 3.0, rng.integers(2, 6))
-        err = sg.estimate(u + n) - u
-        expected = 0.5 * (np.min(n) + np.max(n))
-        assert abs(err - expected) <= 1e-9 * max(1.0, abs(u))
-
-
 def test_replicated_strategy_shape(rng):
     strat = sg.ReplicatedStrategy([-2.0, 2.0], [0.5, 0.5])
     out = strat.sample(rng, 100, 3)
@@ -79,12 +58,43 @@ def test_monte_carlo_stream_is_pinned():
         assert (res.accepted_count, res.mse_hat) == (accepted, mse)
 
 
-def test_debug_mode_identities(base_cfg):
-    cfg = sg.GameConfig(n_nodes=3, eta=2.0, data=base_cfg.data, noise=base_cfg.noise,
-                        trials=4096, seed=5, debug=True)
-    strat = sg.ReplicatedStrategy([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
-    res = sg.run_monte_carlo(cfg, strat)
-    assert res.trials == 4096
+def accept(y, eta: float, delta: float) -> bool:
+    """Collector's rule: accept when max(y) - min(y) <= eta * delta."""
+    return max(y) - min(y) <= eta * delta
+
+
+def estimate(y) -> float:
+    """Midrange estimator: (max(y) + min(y)) / 2."""
+    return 0.5 * (max(y) + min(y))
+
+
+@pytest.mark.parametrize("iid", [False, True])
+def test_monte_carlo_matches_a_per_trial_reference(iid):
+    """Every trial replayed from the same substreams in the same draw order,
+    accepted and estimated one report vector at a time in value space."""
+    locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]  # +/-1.5: accepted 3/4
+    strategy = (sg.CustomJointStrategy(
+        lambda r, count, n_adv: locs[r.choice(3, size=(n_adv, count), p=weights)], n_adv=2)
+        if iid else sg.ReplicatedStrategy(locs, weights))
+    cfg = sg.GameConfig(n_nodes=3, eta=2.0, data=sg.DataModel(1000.0),
+                        noise=sg.uniform(1.0), trials=2500, seed=31, chunk_size=1000)
+    accepted, s2 = 0, 0.0
+    for index, start in enumerate(range(0, cfg.trials, cfg.chunk_size)):
+        count = min(cfg.chunk_size, cfg.trials - start)
+        bitgen = np.random.Philox(key=cfg.seed)
+        rng = np.random.Generator(bitgen.jumped(index) if index else bitgen)
+        u = cfg.data.sample(rng, count)
+        honest = cfg.noise.sample(rng, count)
+        adv = strategy.sample(rng, count, cfg.n_nodes - 1)
+        for i in range(count):
+            noise = [float(honest[i])] + [float(a) for a in adv[:, i]]
+            if accept(noise, cfg.eta, cfg.noise.delta):
+                accepted += 1
+                s2 += (estimate([float(u[i]) + n for n in noise]) - float(u[i])) ** 2
+    res = sg.run_monte_carlo(cfg, strategy)
+    assert 0 < res.accepted_count < res.trials
+    assert res.accepted_count == accepted
+    assert abs(res.mse_hat - s2 / accepted) <= 1e-12 * (s2 / accepted)
 
 
 def test_monte_carlo_matches_kernel_prediction(base_cfg, uniform_ctx, uniform_env):

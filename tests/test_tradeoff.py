@@ -3,7 +3,7 @@ import pytest
 
 import stackgame as sg
 from stackgame.errors import DomainError
-from stackgame.tradeoff import ALPHA_MIN, build_oracle_table, oracle_c2_witness
+from stackgame.tradeoff import ALPHA_MIN, MIN_ORACLE_GRID, build_oracle_table, oracle_c2_witness
 
 
 def test_known_values(uniform_env):
@@ -16,6 +16,7 @@ def test_known_values(uniform_env):
 def test_vectorized_and_domain(uniform_env):
     arr = sg.c_alpha(uniform_env, np.array([0.25, 0.5, 1.0]))
     assert arr.shape == (3,)
+    assert np.all(np.diff(arr) < 0)  # c is strictly decreasing here
     with pytest.raises(DomainError):
         sg.c_alpha(uniform_env, 0.0)
     with pytest.raises(DomainError):
@@ -48,6 +49,10 @@ def test_oracle_matches_formula(uniform_ctx, uniform_env):
 def test_oracle_alpha1_exact(uniform_ctx):
     # full acceptance forces |z| <= 1; best atom is z = 1 with mse 1/3
     assert abs(sg.oracle_c2(uniform_ctx, 1.0) - 1.0 / 3.0) < 1e-12
+    with pytest.raises(DomainError):
+        sg.oracle_c2(uniform_ctx, 1.5)
+    with pytest.raises(DomainError):
+        build_oracle_table(uniform_ctx, MIN_ORACLE_GRID - 1)
 
 
 def test_oracle_witness_feasible(uniform_ctx):
@@ -109,30 +114,6 @@ def test_random_mixtures_never_beat_oracle(uniform_ctx, rng):
             # the oracle's own offset grid is ~1e-5 coarse, so allow that much
             val = (w @ nus[idx]) / (4.0 * pa)
             assert val <= best + 1e-4
-
-
-def test_build_curve(uniform_ctx):
-    curve = sg.build_curve(uniform_ctx, np.linspace(0.1, 1.0, 10), grid_size=1024)
-    assert curve.alphas.size == 10
-    assert np.all(np.isfinite(curve.values))
-    assert np.all(np.diff(curve.values) < 0)  # c is strictly decreasing here
-    assert abs(curve.values[-1] - 1.0 / 3.0) < 1e-12
-    # one-sided slope at 0 carries an O(step) bias: |h''(0)| * step / 8 ~ 6e-3
-    assert abs(curve.zero_limit - 4.0) < 2e-2
-    with pytest.raises(DomainError):
-        sg.build_curve(uniform_ctx, [ALPHA_MIN / 10.0])
-
-
-def test_build_curve_degenerate_grids(uniform_ctx):
-    single = sg.build_curve(uniform_ctx, [1.0], grid_size=1024)
-    assert single.values.shape == (1,)
-    assert abs(single.values[0] - 1.0 / 3.0) < 1e-12
-    with pytest.raises(DomainError):
-        sg.build_curve(uniform_ctx, [])
-    with pytest.raises(DomainError):
-        build_oracle_table(uniform_ctx, 32)
-    with pytest.raises(DomainError):
-        sg.oracle_c2(uniform_ctx, 1.5)
 
 
 @pytest.mark.parametrize("noise", [sg.truncated_normal(1.0, 0.5), sg.triangular(1.0)])

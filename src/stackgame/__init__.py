@@ -14,7 +14,7 @@ from .kernel import KernelContext
 from .noise_model import (DataModel, HonestNoiseModel, ValidationReport, from_spec,
                           tabulated, tabulated_from_csv, triangular,
                           truncated_normal, uniform, validate)
-from .simulator import (CustomJointStrategy, DominanceReport, GameConfig,
+from .simulator import (CustomJointStrategy, DominanceReport, GameConfig, IidStrategy,
                         ReplicatedStrategy, SimulationResult, dominance_check,
                         run_monte_carlo, run_scenario_suite)
 from .strategy import (AdversaryUtility, AtomicAdversary, DCUtility,

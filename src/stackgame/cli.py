@@ -26,7 +26,7 @@ from .envelope import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, build_envelope
 from .errors import ConfigError, DomainError
 from .kernel import KernelContext
 from .noise_model import DataModel
-from .simulator import (DEFAULT_CHUNK_SIZE, CustomJointStrategy, GameConfig, ReplicatedStrategy,
+from .simulator import (DEFAULT_CHUNK_SIZE, GameConfig, IidStrategy, ReplicatedStrategy,
                         dominance_check, run_monte_carlo, run_scenario_suite)
 from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY, AtomicAdversary,
                        UtilitySpec, best_alpha_set, build_adversary, solve_equilibrium)
@@ -448,25 +448,16 @@ def _symmetric_atoms(rng, z_hi: float):
 
 
 def _random_candidates(ctx, rng, n_replicated: int, n_iid: int):
-    """Random symmetric atomic strategies: replicated and independent draws."""
-    cands = [(f"replicated_{i}", ReplicatedStrategy(*_symmetric_atoms(rng, ctx.z_hi)))
-             for i in range(n_replicated)]
-
-    def make_sampler(locs, w):
-        def sampler(rng_, count, n_adv):
-            idx = rng_.choice(locs.size, size=(n_adv, count), p=w)
-            return locs[idx]
-        return sampler
-
-    iid = [(f"iid_{i}", make_sampler(*_symmetric_atoms(rng, ctx.z_hi)))
-           for i in range(n_iid)]
-    return cands, iid
+    """Random symmetric atomic strategies: replicated, then independent draws."""
+    return [(f"{kind}_{i}", strategy(*_symmetric_atoms(rng, ctx.z_hi)))
+            for kind, strategy, n in (("replicated", ReplicatedStrategy, n_replicated),
+                                      ("iid", IidStrategy, n_iid))
+            for i in range(n)]
 
 
 def cmd_verify(cfg: RunConfig, out: Path, realizations: int = 100_000,
                candidates: int = 20, trials: int | None = None) -> int:
     eta = float(cfg.eta_grid[0])
-    n_nodes = cfg.n_nodes[0]
     scenario = run_scenario_suite(cfg.noise, eta, realizations,
                                   max(cfg.n_nodes) - 1, cfg.seed)
 
@@ -476,10 +467,8 @@ def cmd_verify(cfg: RunConfig, out: Path, realizations: int = 100_000,
     alpha_star = float(aset[0])
     optimum = ReplicatedStrategy.from_atomic(build_adversary(env, ctx, alpha_star))
     rng = np.random.default_rng(cfg.seed)
-    replicated, iid_specs = _random_candidates(ctx, rng, candidates, max(2, candidates // 10))
-    cands = replicated + [(label, CustomJointStrategy(s, n_nodes - 1))
-                          for label, s in iid_specs]
-    game = GameConfig(n_nodes=n_nodes, eta=eta, data=cfg.data, noise=cfg.noise,
+    cands = _random_candidates(ctx, rng, candidates, max(2, candidates // 10))
+    game = GameConfig(n_nodes=cfg.n_nodes[0], eta=eta, data=cfg.data, noise=cfg.noise,
                       trials=cfg.trials if trials is None else trials, seed=cfg.seed,
                       chunk_size=cfg.chunk_size)
     dom = dominance_check(game, cfg.utility, cands, optimum)

@@ -277,8 +277,9 @@ class HonestNoiseModel:
         """Cumulative distribution, clamped to [0, 1] outside the support."""
         arr = np.asarray(x, dtype=float)
         lo, hi = self.support
-        inside = np.clip(self.law.cdf(arr), 0.0, 1.0)
-        out = np.where(arr <= lo, 0.0, np.where(arr >= hi, 1.0, inside))
+        out = np.asarray(np.clip(self.law.cdf(arr), 0.0, 1.0))  # a fresh array, 0-d too
+        out[arr <= lo] = 0.0
+        out[arr >= hi] = 1.0
         return float(out) if arr.ndim == 0 else out
 
     def inv_cdf(self, p):

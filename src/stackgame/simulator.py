@@ -15,6 +15,12 @@ draw order is fixed: collected values, honest noise, adversary noise. No
 statistic reads the collected values, but they are still drawn first: the
 draw is part of the pinned stream, and dropping it would move every noise
 draw after it.
+
+The collected values and the honest noise are common to every strategy run
+on one config. The dominance check draws them once per chunk, keeps the
+honest noise (8 bytes per trial) and the generator state after it, and
+replays each strategy's adversary draw from that state, so each of its runs
+equals a standalone run of the same strategy to the bit.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ DEFAULT_CHUNK_SIZE = 65536
 class ReplicatedStrategy:
     """One draw from an atom mixture, copied to every controlled node.
 
-    Any atom list is allowed here (including a point mass at zero); the
-    strategies constructed from the trade-off optimum restrict offsets to the
-    replicated-atom domain, but the simulator itself does not care.
+    Any finite atom list is allowed here (including a point mass at zero);
+    the strategies constructed from the trade-off optimum restrict offsets to
+    the replicated-atom domain, but the simulator itself does not care.
     """
 
     n_adv = None  # works for any number of controlled nodes
@@ -48,16 +54,34 @@ class ReplicatedStrategy:
         self.weights = np.asarray(weights, dtype=float)
         if self.locations.ndim != 1 or self.locations.shape != self.weights.shape:
             raise DomainError("locations and weights must be matching 1-d arrays")
-        if np.any(self.weights <= 0) or abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
-            raise DomainError("weights must be positive and sum to 1")
+        if not (np.all(np.isfinite(self.locations)) and np.all(self.weights > 0)
+                and abs(float(np.sum(self.weights)) - 1.0) <= 1e-9):
+            raise DomainError("offsets must be finite, weights positive and summing to 1")
+        cdf = np.cumsum(self.weights)
+        self._cuts = (cdf / cdf[-1])[:-1]
 
     @classmethod
     def from_atomic(cls, adv: AtomicAdversary) -> "ReplicatedStrategy":
         return cls(adv.locations(), adv.weights())
 
+    def _atoms(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """The atoms rng.choice(K, shape, p=weights) picks from the same draws, by its own
+        rule (normalized-CDF cuts at or below rng.random(shape)), at a quarter of its cost."""
+        u = rng.random(shape)
+        idx = np.zeros(u.shape, dtype=np.intp)
+        for cut in self._cuts:
+            idx += u >= cut
+        return self.locations[idx]
+
     def sample(self, rng: np.random.Generator, count: int, n_adv: int) -> np.ndarray:
-        idx = rng.choice(self.locations.size, size=count, p=self.weights)
-        return np.broadcast_to(self.locations[idx], (n_adv, count))
+        return np.broadcast_to(self._atoms(rng, count), (n_adv, count))
+
+
+class IidStrategy(ReplicatedStrategy):
+    """An independent draw from an atom mixture for each controlled node."""
+
+    def sample(self, rng: np.random.Generator, count: int, n_adv: int) -> np.ndarray:
+        return self._atoms(rng, (n_adv, count))
 
 
 class CustomJointStrategy:
@@ -117,31 +141,37 @@ class SimulationResult:
         return asdict(self)
 
 
-def _chunk_stats(cfg: GameConfig, strategy, chunk_index: int, count: int):
-    bitgen = np.random.Philox(key=cfg.seed)
-    if chunk_index:
-        bitgen = bitgen.jumped(chunk_index)
-    rng = np.random.Generator(bitgen)
-    # fixed draw order (values, honest noise, adversary noise) is part of the
-    # reproducibility contract; the values themselves are never read
-    cfg.data.sample(rng, count)
-    honest = cfg.noise.sample(rng, count)
-    adv = strategy.sample(rng, count, cfg.n_nodes - 1)
+def _common_draws(cfg: GameConfig):
+    """Per chunk, in order: its generator, the state after the common draws, the honest noise.
+
+    The common draws, collected values (never read) then honest noise, precede the adversary's.
+    """
+    for index, offset in enumerate(range(0, cfg.trials, cfg.chunk_size)):
+        count = min(cfg.chunk_size, cfg.trials - offset)
+        bitgen = np.random.Philox(key=cfg.seed)
+        rng = np.random.Generator(bitgen.jumped(index) if index else bitgen)
+        cfg.data.sample(rng, count)
+        honest = cfg.noise.sample(rng, count)
+        yield rng, rng.bit_generator.state, honest
+
+
+def _chunk_stats(cfg: GameConfig, honest: np.ndarray, adv: np.ndarray):
     nmax = np.maximum(honest, adv.max(axis=0))
     nmin = np.minimum(honest, adv.min(axis=0))
     mask = (nmax - nmin) <= cfg.eta * cfg.noise.delta
-    err = 0.5 * (nmax[mask] + nmin[mask])
+    err = 0.5 * (nmax + nmin)[mask]
     e2 = err * err
     return int(np.count_nonzero(mask)), float(np.sum(e2)), float(np.sum(e2 * e2))
 
 
-def run_monte_carlo(cfg: GameConfig, strategy) -> SimulationResult:
+def run_monte_carlo(cfg: GameConfig, strategy, common=None) -> SimulationResult:
     """Estimate acceptance probability and conditional MSE for a strategy.
 
     When no trial is accepted the conditional MSE is reported as absent
     (None) rather than zero. pa_stderr is the binomial standard error;
     mse_stderr is the sample standard error of the squared errors among
-    accepted trials.
+    accepted trials. common, which only dominance_check passes, is the list
+    of _common_draws(cfg) already drawn; without it each chunk draws its own.
     """
     fixed_arity = getattr(strategy, "n_adv", None)
     if fixed_arity is not None and fixed_arity != cfg.n_nodes - 1:
@@ -150,9 +180,10 @@ def run_monte_carlo(cfg: GameConfig, strategy) -> SimulationResult:
     accepted = 0
     s2 = 0.0
     s4 = 0.0
-    for index, offset in enumerate(range(0, cfg.trials, cfg.chunk_size)):
-        count = min(cfg.chunk_size, cfg.trials - offset)
-        acc, p2, p4 = _chunk_stats(cfg, strategy, index, count)  # merged in chunk order
+    for rng, state, honest in _common_draws(cfg) if common is None else common:
+        rng.bit_generator.state = state  # replay the adversary's draw from the common state
+        adv = strategy.sample(rng, honest.size, cfg.n_nodes - 1)
+        acc, p2, p4 = _chunk_stats(cfg, honest, adv)  # merged in chunk order
         accepted += acc
         s2 += p2
         s4 += p4
@@ -265,12 +296,17 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceRepo
     """Monte Carlo test that no candidate beats the optimum's utility.
 
     All runs share the same seed, so candidate-vs-optimum comparisons use
-    common random numbers. A candidate is flagged only when its estimated
-    utility exceeds the optimum's by more than 4 combined standard errors.
-    Candidates with no accepted trials have undefined utility and cannot be
-    flagged; they are recorded with a note.
+    common random numbers. The common part of each chunk (collected values,
+    honest noise) is drawn once and held, 8 bytes per trial; each strategy
+    replays its adversary draw from the generator state saved after it, so
+    every entry equals a standalone run_monte_carlo of its strategy. A
+    candidate is flagged only when its estimated utility exceeds the
+    optimum's by more than 4 combined standard errors. Candidates with no
+    accepted trials have undefined utility and cannot be flagged; they are
+    recorded with a note.
     """
-    opt_res = run_monte_carlo(cfg, optimum)
+    common = list(_common_draws(cfg))
+    opt_res = run_monte_carlo(cfg, optimum, common)
     if opt_res.mse_hat is None:
         raise NumericalError("optimum strategy produced no accepted trials")
     opt_util = float(spec.adversary.value(opt_res.mse_hat, opt_res.pa_hat))
@@ -282,7 +318,7 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceRepo
     entries = []
     violations = []
     for label, strat in candidates:
-        res = run_monte_carlo(cfg, strat)
+        res = run_monte_carlo(cfg, strat, common)
         if res.mse_hat is None:
             entries.append(DominanceEntry(label, res.pa_hat, None, None, None,
                                           False, note="no accepted trials"))

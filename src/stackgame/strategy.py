@@ -237,8 +237,8 @@ class AtomicAdversary:
             raise DomainError(f"expected 2 or 4 atoms, got {len(self.atoms)}")
         weights = np.array([w for _, w in self.atoms], dtype=float)
         locs = np.array([z for z, _ in self.atoms], dtype=float)
-        if np.any(weights <= 0.0):
-            raise DomainError("atom weights must be positive")
+        if not (np.all(np.isfinite(locs)) and np.all(weights > 0.0)):
+            raise DomainError("atom offsets must be finite and weights positive")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise DomainError(f"atom weights sum to {np.sum(weights)}, expected 1")
         slack = 1e-9 * self.delta

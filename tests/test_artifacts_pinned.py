@@ -1,8 +1,8 @@
-"""Every `sweep` artifact pinned to the byte for each noise family.
+"""Every `sweep` artifact pinned to the byte for each noise family, and `verify`'s for three.
 
 A change to the program that keeps its numbers keeps these hashes. A change
 that alters artifacts on purpose updates the pins and names the changed
-artifacts in CHANGES.md. Each sweep runs from its own directory with the
+artifacts in CHANGES.md. Each command runs from its own directory with the
 relative output `out`, so `config_hash` does not depend on where the tests run.
 """
 
@@ -129,3 +129,51 @@ def test_sweep_artifacts_are_pinned(name, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     assert sweep_hashes(tmp_path, NOISES[name]) == PINS[name]
+
+
+# SHA-256 of each `verify` artifact, recorded before the dominance check drew its
+# common random numbers once per chunk
+VERIFY_PINS = {
+    "uniform": {
+        "resolved_config.json":
+            "9a4c7c08d9a82bcaf7934f1eba0f8bd7ffcfc6e93371bfb7c722a3a9561602df",
+        "verify_report.json":
+            "48a505d3fb1dab4e3340b68eab5120a9fdea8a539d1c1c24ce35bdd57a37fc0e",
+    },
+    "truncated-normal": {
+        "resolved_config.json":
+            "88b216b5240ecf5fd4f17a52ae4b9502460497bf5e80854e225c0cccab06ebba",
+        "verify_report.json":
+            "dfb550b03a2aeeb3bfc9ebfb45d96feae77dac354c707fd18fbf1ef2ac485592",
+    },
+    "tabulated": {
+        "resolved_config.json":
+            "a2871621e6a90408513d72c5d3faf71c02cb2257c2408e79229aa92771d40e69",
+        "verify_report.json":
+            "e3e86620354d5661563af6d86f482434afc44de7f69cf06561eafe9a30921fcf",
+    },
+}
+
+
+def verify_hashes(workdir, noise) -> dict:
+    """Run `verify` in workdir on a small config; SHA-256 of each artifact by name.
+
+    Three controlled nodes and four chunks exercise the replicated and iid
+    candidates on every chunk's shared draws.
+    """
+    (workdir / "config.json").write_text(json.dumps({
+        "honest_noise": noise,
+        "simulation": {"n_nodes": [4], "trials": 20_000, "seed": 29, "chunk_size": 6000},
+        "envelope": {"grid_size": 512},
+    }))
+    assert cli.main(["verify", "--config", "config.json", "--output", "out",
+                     "--realizations", "5000", "--candidates", "8"]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((workdir / "out").iterdir())}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_PINS))
+def test_verify_artifacts_are_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert verify_hashes(tmp_path, NOISES[name]) == VERIFY_PINS[name]

@@ -513,3 +513,23 @@ def test_simulate_rejects_an_adversary_built_for_another_game(tmp_path, capsys, 
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError" and error["message"].startswith("--adversary:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("atom, field, value", [
+    (0, "weight", float("nan")),
+    (0, "z", float("nan")),
+    (1, "z", float("inf")),
+    (1, "weight", float("inf")),
+])
+def test_simulate_rejects_non_finite_atoms(tmp_path, capsys, atom, field, value):
+    adversary = {"eta": 2.0, "delta": 1.0, "alpha": 0.9,
+                 "atoms": [{"z": -1.5, "weight": 0.5}, {"z": 1.5, "weight": 0.5}]}
+    adversary["atoms"][atom][field] = value
+    path = tmp_path / "adversary.json"
+    path.write_text(json.dumps(adversary))  # NaN and Infinity are JSON extensions Python reads
+    out = tmp_path / "sim"
+    code = cli.main(["simulate", "--adversary", str(path), "--output", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith("--adversary:")
+    assert not out.exists()

@@ -1,4 +1,7 @@
-"""The package exports no name, and defines no public one, that only tests would read."""
+"""The package exports no name, and defines no public one, that only tests would read.
+
+The exceptions are listed, each with the reason it is kept.
+"""
 
 import ast
 from pathlib import Path
@@ -7,12 +10,13 @@ import stackgame
 
 PACKAGE = Path(stackgame.__file__).resolve().parent
 
-# public functions no package module reads, each kept for a stated reason
+# public names no package module reads, each kept for a stated reason
 UNREAD_BY_DESIGN = {
     "accept_prob_quad": "quadrature oracle the acceptance criteria compare the kernel against",
     "error_moment_quad": "quadrature oracle the acceptance criteria compare the kernel against",
     "bisect_scalar": "root-finding oracle imported by the acceptance criteria",
     "bisect_monotone_vec": "bound by the benchmark tracer until the benchmark stops tracing it",
+    "CustomJointStrategy": "the arbitrary joint sampler criterion 8 draws its iid candidates with",
 }
 
 
@@ -45,7 +49,7 @@ def test_every_export_is_read_by_a_package_module():
     for stmt in _module_statements():
         read |= _names_read(stmt)
     assert _exports(), "no exports parsed"
-    assert sorted(_exports() - read) == []
+    assert sorted(_exports() - read) == sorted(_exports() & UNREAD_BY_DESIGN.keys())
 
 
 def test_every_public_definition_is_read_outside_itself():

@@ -143,3 +143,26 @@ def test_data_model():
     assert np.all(np.abs(u) <= 1000.0)
     with pytest.raises(DomainError):
         sg.DataModel(-1.0)
+
+
+def _nested_where_cdf(model, x):
+    """The CDF clamp as it was first written: the law's CDF clipped, then two nested wheres."""
+    arr = np.asarray(x, dtype=float)
+    lo, hi = model.support
+    inside = np.clip(model.law.cdf(arr), 0.0, 1.0)
+    return np.where(arr <= lo, 0.0, np.where(arr >= hi, 1.0, inside))
+
+
+def test_cdf_clamp_is_pinned(all_models):
+    for model in all_models:
+        lo, hi = model.support
+        d = model.delta
+        assert type(model.cdf(0.25 * d)) is float and type(model.cdf(np.float64(lo))) is float
+        edges = [lo, np.nextafter(lo, -np.inf), lo - d, -np.inf,
+                 hi, np.nextafter(hi, np.inf), hi + d, np.inf]
+        assert [model.cdf(x) for x in edges] == [0.0] * 4 + [1.0] * 4
+        for grid in (np.linspace(-3.0 * d, 3.0 * d, 6001),
+                     np.linspace(-3.0 * d, 3.0 * d, 3000).reshape(3, 1000)):
+            got, ref = model.cdf(grid), _nested_where_cdf(model, grid)
+            assert got.shape == grid.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), model.kind

@@ -20,6 +20,41 @@ def test_replicated_strategy_shape(rng):
         sg.ReplicatedStrategy([1.0, 2.0], [0.7, 0.7])
 
 
+@pytest.mark.parametrize("locations, weights", [
+    ([np.nan, 1.0], [0.5, 0.5]),
+    ([-np.inf, 1.0], [0.5, 0.5]),
+    ([-1.0, 1.0], [np.nan, 0.5]),
+    ([-1.0, 1.0], [np.inf, 0.5]),
+])
+def test_atom_strategies_reject_non_finite_atoms(locations, weights):
+    for strategy in (sg.ReplicatedStrategy, sg.IidStrategy):
+        with pytest.raises(DomainError):
+            strategy(locations, weights)
+
+
+def _rng():
+    return np.random.Generator(np.random.Philox(key=77))
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.3, 0.7], [0.2, 0.5, 0.3], [0.1, 0.2, 0.3, 0.4],
+                                     [0.4, 0.1, 0.1, 0.3, 0.1], [1 / 6] * 6, [0.1] * 10])
+def test_atom_picks_match_rng_choice(weights):
+    """Each strategy picks the atoms rng.choice(K, shape, p=weights) picks, from the
+    same draws: the next draw after the pick matches too."""
+    k = len(weights)
+    locations = np.arange(k, dtype=float)
+    replicated, iid = sg.ReplicatedStrategy(locations, weights), sg.IidStrategy(locations, weights)
+    for count in (0, 1, 1000):
+        for n_adv in (1, 3):
+            for strategy, shape in ((replicated, count), (iid, (n_adv, count))):
+                ref_rng, rng = _rng(), _rng()
+                ref = ref_rng.choice(k, size=shape, p=weights).astype(float)
+                got = strategy.sample(rng, count, n_adv)
+                assert got.shape == (n_adv, count)
+                assert np.array_equal(got, np.broadcast_to(ref, (n_adv, count)))
+                assert rng.random() == ref_rng.random()
+
+
 def test_zero_noise_adversary_mse(base_cfg):
     """A do-nothing adversary always gets accepted; the error is then half the
     honest noise, so the mse is m2/4 = 1/12 for uniform delta=1."""
@@ -156,3 +191,30 @@ def test_dominance_smoke(uniform_ctx, uniform_env):
     assert self_entry.utility == rep.optimum.utility and not self_entry.violation
     d = rep.to_json_dict()
     assert d["passed"] and len(d["candidates"]) == 4
+
+
+def test_dominance_entries_equal_standalone_runs():
+    """The dominance check draws each chunk's common part once; every entry still
+    equals a standalone run of its strategy, to the bit."""
+    spec = sg.UtilitySpec.from_spec({})
+    cfg = sg.GameConfig(n_nodes=3, eta=2.0, data=sg.DataModel(1000.0),
+                        noise=sg.truncated_normal(1.0, 0.5), trials=7000, seed=5,
+                        chunk_size=2000)
+    locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]
+    optimum = sg.ReplicatedStrategy([-1.2, 1.2], [0.5, 0.5])
+    candidates = [
+        ("replicated", sg.ReplicatedStrategy(locs, weights)),
+        ("iid", sg.IidStrategy(locs, weights)),
+        ("joint", sg.CustomJointStrategy(
+            lambda r, count, n_adv: r.normal(0.0, 0.8, (n_adv, count)), n_adv=2)),
+        ("never", sg.ReplicatedStrategy([50.0], [1.0])),
+    ]
+    report = sg.dominance_check(cfg, spec, candidates, optimum)
+    entries = [report.optimum, *report.entries]
+    assert [e.label for e in entries] == ["optimum", "replicated", "iid", "joint", "never"]
+    assert entries[-1].note == "no accepted trials" and entries[-1].mse_hat is None
+    for entry, strategy in zip(entries, [optimum] + [s for _, s in candidates]):
+        res = sg.run_monte_carlo(cfg, strategy)
+        assert (entry.pa_hat, entry.mse_hat) == (res.pa_hat, res.mse_hat), entry.label
+        if res.mse_hat is not None:
+            assert entry.utility == float(spec.adversary.value(res.mse_hat, res.pa_hat))

@@ -2,9 +2,10 @@
 
 The curve q -> moment_at_level(q) on [0, 1] is sampled on a dense grid, its
 upper concave hull is taken with a monotone chain (Andrew 1979), and hull
-segments that bridge over strictly lower samples are recorded as chords. One
-refinement pass re-samples around each chord endpoint so the detected
-tangency points are sharp to roughly the square of the grid resolution.
+segments that bridge over strictly lower samples are recorded as chords. The
+ends of each chord are then moved to where the curve's tangent passes through
+the other end, with the curve's closed-form slope (tangent_chords), so the
+chords are exact tangencies rather than grid points.
 
 One chord rule serves every query: q is on a chord when it lies strictly
 inside a hull segment flagged as one. The touch tolerance is a constant rule:
@@ -26,11 +27,13 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .kernel import KernelContext
+from .numerics import bisect_monotone_vec
 
 DEFAULT_GRID_SIZE = 4096
 MIN_GRID_SIZE = 33  # the fewest samples that give a stable hull
 TOUCH_REL = 1e-8
-REFINE_POINTS = 64  # extra samples around each chord endpoint
+TANGENCY_XTOL = 1e-14  # width of the bracket a chord end is solved to
+TANGENCY_PASSES = 2  # alternations of the two ends' solves
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,15 @@ def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 class Envelope:
-    """Piecewise-linear least concave majorant with chord classification."""
+    """Piecewise-linear least concave majorant with chord classification.
 
-    def __init__(self, source_qs, source_vals, curve=None):
+    Built from raw samples alone, the majorant is their upper hull. With the
+    kernel context ctx whose curve was sampled, each chord of that hull is
+    moved to the exact tangency points of the curve (tangent_chords), so the
+    chords, and the majorant over them, are the curve's own.
+    """
+
+    def __init__(self, source_qs, source_vals, ctx: KernelContext | None = None):
         qs = np.asarray(source_qs, dtype=float)
         vals = np.asarray(source_vals, dtype=float)
         if qs.ndim != 1 or qs.size < 2 or qs.shape != vals.shape:
@@ -115,12 +124,11 @@ class Envelope:
         _check_finite(qs, vals)
         self.source_qs = qs
         self.source_vals = vals
-        self._curve = curve
+        self._ctx = ctx
         self.touch_tolerance = TOUCH_REL * max(1.0, float(np.max(np.abs(vals))))
 
         hull = _upper_hull_indices(qs, vals)
-        self.breakpoint_qs = qs[hull]
-        self.breakpoint_vals = vals[hull]
+        bq, bv = qs[hull], vals[hull]
         # A segment is a chord when it bridges over samples that sit strictly
         # below it; single-cell segments follow the curve by construction.
         flags = np.zeros(len(hull) - 1, dtype=bool)
@@ -129,8 +137,18 @@ class Envelope:
             t = (qs[a + 1:b] - qs[a]) / (qs[b] - qs[a])
             line = vals[a] + t * (vals[b] - vals[a])
             flags[s] = np.max(line - vals[a + 1:b]) > self.touch_tolerance
+        if ctx is not None and np.any(flags):
+            s = np.flatnonzero(flags)
+            ends = tangent_chords(ctx, qs, np.column_stack((hull[s], hull[s + 1]))).ravel()
+            # hull samples strictly inside an exact chord give way to its ends
+            keep = ~chord_segments(ends, bq)[1]
+            bq, first = np.unique(np.concatenate((bq[keep], ends)), return_index=True)
+            bv = np.concatenate((bv[keep], ctx.moment_at_level(ends)))[first]
+            flags = chord_segments(ends, 0.5 * (bq[:-1] + bq[1:]))[1]
+        self.breakpoint_qs = bq
+        self.breakpoint_vals = bv
         self._chord_flags = flags
-        self._chords = [Chord(float(self.breakpoint_qs[s]), float(self.breakpoint_qs[s + 1]))
+        self._chords = [Chord(float(bq[s]), float(bq[s + 1]))
                         for s in np.flatnonzero(flags).tolist()]
 
     # --- queries -----------------------------------------------------------
@@ -145,9 +163,9 @@ class Envelope:
         return float(out) if np.ndim(q) == 0 else out
 
     def curve_value(self, q):
-        """Underlying sampled curve at q: exact when a curve callable is known."""
-        if self._curve is not None:
-            return self._curve(q)
+        """Underlying sampled curve at q: exact when the kernel context is known."""
+        if self._ctx is not None:
+            return self._ctx.moment_at_level(q)
         out = np.interp(q, self.source_qs, self.source_vals)
         return float(out) if np.ndim(q) == 0 else out
 
@@ -156,9 +174,7 @@ class Envelope:
 
     def _segments(self, arr: np.ndarray):
         """Hull segment of each q, and whether q lies strictly inside a chord."""
-        bq = self.breakpoint_qs
-        seg = np.clip(np.searchsorted(bq, arr, side="right") - 1, 0, bq.size - 2)
-        return seg, (arr > bq[seg]) & (arr < bq[seg + 1]) & self._chord_flags[seg]
+        return _on_chord(self.breakpoint_qs, self._chord_flags, arr)
 
     def _touches(self, arr: np.ndarray):
         """Segment of each q in [0, 1], and True where the majorant meets the curve.
@@ -203,32 +219,62 @@ def level_grid(grid_size: int) -> np.ndarray:
 def build_envelope(ctx: KernelContext, grid_size: int = DEFAULT_GRID_SIZE) -> Envelope:
     """Sample moment_at_level on [0, 1] and take its least concave majorant."""
     qs = level_grid(grid_size)
-    return envelope_of_samples(ctx, qs, np.asarray(ctx.moment_at_level(qs), dtype=float))
+    return Envelope(qs, np.asarray(ctx.moment_at_level(qs), dtype=float), ctx)
 
 
-def envelope_of_samples(ctx: KernelContext, qs: np.ndarray, vals: np.ndarray) -> Envelope:
-    """The majorant of ctx's curve, sampled as vals at the levels qs.
+def _on_chord(bq: np.ndarray, flags: np.ndarray, arr: np.ndarray):
+    """The chord rule: the segment of breakpoints bq holding each q, and
+    whether q lies strictly inside a segment flagged as a chord."""
+    seg = np.clip(np.searchsorted(bq, arr, side="right") - 1, 0, bq.size - 2)
+    return seg, (arr > bq[seg]) & (arr < bq[seg + 1]) & flags[seg]
 
-    After the first hull, REFINE_POINTS extra samples are inserted around each
-    chord endpoint (within its neighboring grid cells) and the hull is rebuilt
-    once, sharpening detected tangencies.
+
+def chord_segments(ends: np.ndarray, arr: np.ndarray):
+    """_on_chord for chords given by their ends alone, [q1, q2, q1', q2', ...]."""
+    return _on_chord(ends, np.arange(ends.size - 1) % 2 == 0, arr)
+
+
+def tangent_chords(ctx: KernelContext, qs: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Exact ends of the curve's chords, from the sample indices of the hull's.
+
+    ends is an (m, 2) array of sample indices [k1, k2] into the grid qs, one
+    row per chord; ctx.eta is one eta or one per chord. A chord end at the
+    first or last sample is an end of the domain and stays. Every other end q
+    of a chord whose other end is p is where the curve's tangent passes
+    through (p, h(p)):
+
+      g(q) = h'(q)(p - q) - (h(p) - h(q)) = 0,
+
+    a root bracketed by the sample's two neighbouring cells; g times the sign
+    of p - q decreases through it where the curve is concave. Where the curve
+    has a kink (a density near zero inside the support), g changes sign across
+    it and the end lands on the kink, the majorant's vertex there. The two
+    ends are solved in turn, left first, TANGENCY_PASSES times: an error e in
+    p moves the tangency by O(e^2), so each pass squares the error.
     """
-    env = Envelope(qs, vals, curve=ctx.moment_at_level)
+    last = qs.size - 1
+    q = qs[ends]
+    lo, hi = qs[np.maximum(ends - 1, 0)], qs[np.minimum(ends + 1, last)]
+    free = (ends > 0) & (ends < last)
+    etas = np.broadcast_to(np.asarray(ctx.eta, dtype=float), ends.shape[:1])
+    for sweep in range(TANGENCY_PASSES):
+        for side, sign in ((0, 1.0), (1, -1.0)):
+            # an end whose other end is a domain end is final after one solve
+            solve = free[:, side] & (free[:, 1 - side] | (sweep == 0))
+            if not np.any(solve):
+                continue
+            sub = KernelContext(etas[solve], ctx.noise)
+            p = q[solve, 1 - side]
+            hp = sub.moment_at_level(p)
 
-    chords = env.chords()
-    if not chords:
-        return env
-    step = qs[1] - qs[0]
-    extra = []
-    for ch in chords:
-        for endpoint in (ch.q1, ch.q2):
-            lo = max(0.0, endpoint - step)
-            hi = min(1.0, endpoint + step)
-            extra.append(np.linspace(lo, hi, REFINE_POINTS))
-    all_qs = np.unique(np.concatenate([qs] + extra))
-    new_mask = ~np.isin(all_qs, qs)
-    all_vals = np.empty_like(all_qs)
-    all_vals[~new_mask] = vals[np.searchsorted(qs, all_qs[~new_mask])]
-    if np.any(new_mask):
-        all_vals[new_mask] = np.asarray(ctx.moment_at_level(all_qs[new_mask]), dtype=float)
-    return Envelope(all_qs, all_vals, curve=ctx.moment_at_level)
+            def g(x):
+                return sign * (sub.slope_at_level(x) * (p - x) - (hp - sub.moment_at_level(x)))
+
+            q[solve, side] = bisect_monotone_vec(g, lo[solve, side], hi[solve, side],
+                                                 np.zeros(p.size), increasing=False,
+                                                 xtol=TANGENCY_XTOL)
+    pinned = free & ((q - lo <= TANGENCY_XTOL) | (hi - q <= TANGENCY_XTOL))
+    if np.any(pinned) or np.any(q[:, 0] >= q[:, 1]):
+        raise NumericalError("a chord tangency lies outside the grid cells next to its "
+                             "sampled end; a finer envelope grid resolves it")
+    return q

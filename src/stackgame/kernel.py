@@ -9,10 +9,12 @@ range [(eta-1)*delta, (eta+1)*delta] this defines:
                       note (x + z)/2 is the midrange estimation error, so
                       error_moment(z)/4 is the unnormalized conditional MSE
   moment_at_level(q) -- error_moment at the offset whose acceptance is q
+  slope_at_level(q)  -- its derivative in q
 
 moment_at_level is the curve whose least concave majorant drives the whole
-trade-off analysis downstream. All three are closed forms of the noise
-model: its CDF, its inverse CDF and its partial moments.
+trade-off analysis downstream; its slope places the majorant's chords. All
+are closed forms of the noise model: its density, CDF, inverse CDF and
+partial moments.
 """
 
 from __future__ import annotations
@@ -98,6 +100,26 @@ class KernelContext:
     def moment_at_level(self, q):
         """error_moment at the offset whose acceptance probability is q."""
         return self.error_moment(self.accept_prob_inv(q))
+
+    def slope_at_level(self, q):
+        """Derivative of moment_at_level in q, in closed form.
+
+        With z = accept_prob_inv(q) and L = z - eta*delta, error_moment has
+        z-derivative 2(z M0(L) + M1(L)) - f(L)(z + L)^2 and dz/dq = -1/f(L), so
+
+          h'(q) = (z + L)^2 - 2(z M0(L) + M1(L)) / f(L).
+
+        At q = 0 (L = delta) the quotient's limit 0 is taken.
+        """
+        arr = np.asarray(q, dtype=float)
+        z = self.accept_prob_inv(arr)
+        level = z - self.eta * self.delta
+        m0, m1, _ = self.noise.partial_moments(level)
+        pull = 2.0 * (z * m0 + m1)
+        quotient = np.divide(pull, self.noise.pdf(level), out=np.zeros(np.shape(pull)),
+                             where=arr > 0.0)
+        out = (z + level) ** 2 - quotient
+        return float(out) if np.ndim(out) == 0 else out
 
 
 # --- direct quadrature (independent cross-check of the closed forms) --------

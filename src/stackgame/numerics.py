@@ -108,16 +108,16 @@ def bisect_monotone_vec(fn, lo, hi, targets, *, increasing: bool,
     """Vectorized bisection: solve fn(x) = target for each target.
 
     fn must be monotone on [lo, hi] and accept ndarray input. lo/hi may be
-    scalars or arrays broadcastable against targets.
+    scalars or arrays broadcastable against targets. Each bracket stops
+    halving once it is xtol narrow, so every result depends only on its own
+    bracket and target, not on what else is solved in the same call.
     """
     targets = np.asarray(targets, dtype=float)
     lo_arr = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).copy()
     hi_arr = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).copy()
     for _ in range(max_iter):
-        if targets.size == 0:
-            break
-        width = np.max(hi_arr - lo_arr) if targets.size else 0.0
-        if width <= xtol:
+        active = hi_arr - lo_arr > xtol
+        if not np.any(active):
             break
         mid = 0.5 * (lo_arr + hi_arr)
         vals = fn(mid)
@@ -125,6 +125,6 @@ def bisect_monotone_vec(fn, lo, hi, targets, *, increasing: bool,
             go_right = vals < targets
         else:
             go_right = vals > targets
-        lo_arr = np.where(go_right, mid, lo_arr)
-        hi_arr = np.where(go_right, hi_arr, mid)
+        lo_arr = np.where(active & go_right, mid, lo_arr)
+        hi_arr = np.where(active & ~go_right, mid, hi_arr)
     return 0.5 * (lo_arr + hi_arr)

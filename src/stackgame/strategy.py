@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import (DEFAULT_GRID_SIZE, Envelope, Touch, build_envelope, envelope_of_samples,
-                       has_reflex_sample, level_grid)
+from .envelope import (DEFAULT_GRID_SIZE, Envelope, Touch, build_envelope, chord_segments,
+                       has_reflex_sample, level_grid, tangent_chords)
 from .errors import DomainError, NumericalError
 from .kernel import KernelContext
 from .tradeoff import atom_accept_prob, c_alpha, check_levels
@@ -174,46 +174,72 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
 
     For each context the adversary's best acceptance set is computed; the
     defender is credited with the worst utility over that set, and the
-    threshold with the best guarantee wins. Exact ties go to the smaller eta,
-    which is also why iteration runs in ascending eta order.
+    threshold with the best guarantee wins. Exact ties go to the smaller eta.
 
     Etas sharing a noise model are solved in blocks of BLOCK_ETAS, a constant
     that keeps the arrays in cache: a context with a column of etas samples
     their curves at the levels and at the alphas, each row to the bit. A row
     with no reflex sample is its own hull, with no chord, so its c_alpha is
     the curve over 4 alpha. A row with a reflex sample may have chords, which
-    the curve misses, so it keeps the monotone chain and its refine pass.
+    the curve misses: its hull's chords are kept as sample indices, with its
+    curve row at the alphas, and after the last block the exact tangencies of
+    every such chord are solved in one batch (tangent_chords, the same solve
+    build_envelope makes for one eta), and the chord line replaces the curve
+    on the alphas inside a chord.
     """
     ctxs = sorted(ctxs, key=lambda c: c.eta)
     if not ctxs:
         raise DomainError("need at least one kernel context")
     alphas = check_levels(_alpha_levels(alpha_grid))
     qs = level_grid(grid_size)
-    runs = [list(run) for _, run in itertools.groupby(ctxs, key=lambda c: c.noise)]
+    runs = [list(run) for _, run in itertools.groupby(range(len(ctxs)),
+                                                       key=lambda i: ctxs[i].noise)]
 
-    best_sets, guarantees = {}, {}
-    best = None  # (guarantee, ctx, alpha and c_alpha where it is attained, top utility)
-    for block in (run[i:i + BLOCK_ETAS] for run in runs for i in range(0, len(run), BLOCK_ETAS)):
-        block_ctx = KernelContext(np.array([[ctx.eta] for ctx in block]), block[0].noise)
-        rows = block_ctx.moment_at_level(qs)
-        cs = block_ctx.moment_at_level(alphas) / (4.0 * alphas)
-        for i in np.flatnonzero(has_reflex_sample(qs, rows)).tolist():
-            cs[i] = c_alpha(envelope_of_samples(block[i], qs, rows[i]), alphas)
+    # per context: guarantee, alpha and c_alpha where it is attained, top utility, best alphas
+    found = [None] * len(ctxs)
+
+    def settle(indices, cs):
         keep, top = _best_alphas(spec, alphas, cs)
         dc_vals = np.where(keep, spec.dc.value(cs, alphas), np.inf)
         worst = np.argmin(dc_vals, axis=1)
-        for i, ctx in enumerate(block):
-            guarantee = float(dc_vals[i, worst[i]])
-            best_sets[ctx.eta] = alphas[keep[i]]
-            guarantees[ctx.eta] = guarantee
-            if best is None or guarantee > best[0]:
-                best = (guarantee, ctx, alphas[worst[i]], cs[i, worst[i]], top[i, 0])
+        for i, k in enumerate(indices):
+            found[k] = (float(dc_vals[i, worst[i]]), alphas[worst[i]], cs[i, worst[i]],
+                        top[i, 0], alphas[keep[i]])
 
-    _, ctx_star, alpha_eq, mse_eq, adv_util = best
+    for run in runs:
+        noise = ctxs[run[0]].noise
+        reflex_rows = []  # (index, c_alpha row off the chords, sampled chord ends)
+        for block in (run[i:i + BLOCK_ETAS] for i in range(0, len(run), BLOCK_ETAS)):
+            block_ctx = KernelContext(np.array([[ctxs[k].eta] for k in block]), noise)
+            rows = block_ctx.moment_at_level(qs)
+            cs = block_ctx.moment_at_level(alphas) / (4.0 * alphas)
+            reflex = has_reflex_sample(qs, rows)
+            for i in np.flatnonzero(reflex).tolist():
+                hull_ends = [q for ch in Envelope(qs, rows[i]).chords() for q in (ch.q1, ch.q2)]
+                reflex_rows.append((block[i], cs[i].copy(),
+                                    np.searchsorted(qs, hull_ends).reshape(-1, 2)))
+            settle([k for k, r in zip(block, reflex.tolist()) if not r], cs[~reflex])
+        if not reflex_rows:
+            continue
+        indices, cs, sampled = zip(*reflex_rows)
+        counts = [e.shape[0] for e in sampled]
+        exact = tangent_chords(KernelContext(np.repeat([ctxs[k].eta for k in indices], counts),
+                                             noise), qs, np.concatenate(sampled))
+        for k, row, chords in zip(indices, cs, np.split(exact, np.cumsum(counts)[:-1])):
+            ends = chords.ravel()
+            if ends.size:  # the chord line replaces the curve strictly inside a chord
+                inside = chord_segments(ends, alphas)[1]
+                line = np.interp(alphas[inside], ends, ctxs[k].moment_at_level(ends))
+                row[inside] = line / (4.0 * alphas[inside])
+        settle(indices, np.array(cs))
+
+    k_star = int(np.argmax([f[0] for f in found]))  # the first eta with the best guarantee
+    _, alpha_eq, mse_eq, adv_util, _ = found[k_star]
+    ctx_star = ctxs[k_star]
     return EquilibriumReport(
         eta_star=float(ctx_star.eta),
-        best_alpha_sets=best_sets,
-        dc_guaranteed_utility=guarantees,
+        best_alpha_sets={ctx.eta: f[4] for ctx, f in zip(ctxs, found)},
+        dc_guaranteed_utility={ctx.eta: f[0] for ctx, f in zip(ctxs, found)},
         adversary_utility_at_eq=float(adv_util),
         equilibrium_mse=float(mse_eq),
         equilibrium_pa=float(alpha_eq),

@@ -52,7 +52,14 @@ def c_alpha(env: Envelope, alpha):
 
 
 def zero_limit(env: Envelope) -> float:
-    """Limit of c_alpha as alpha -> 0: right slope of the majorant at 0, over 4."""
+    """Limit of c_alpha as alpha -> 0: right slope of the majorant at 0, over 4.
+
+    That is the slope of a chord starting at 0, and otherwise the curve's own
+    slope h'(0+) when the curve is known; raw samples give their first hull
+    segment's slope.
+    """
+    if env._ctx is not None and not env._chord_flags[0]:
+        return float(env._ctx.slope_at_level(0.0) / 4.0)
     q0, q1 = env.breakpoint_qs[0], env.breakpoint_qs[1]
     v0, v1 = env.breakpoint_vals[0], env.breakpoint_vals[1]
     return float((v1 - v0) / (q1 - q0) / 4.0)

@@ -25,7 +25,8 @@ NOISES = {
         "pdf": (1.0 - 0.6 * np.abs(_XS) + 0.3 * np.cos(9.0 * np.pi * _XS)).tolist()}},
 }
 
-# SHA-256 of each artifact, recorded from the parent of the change that added this file
+# SHA-256 of each artifact, recorded from the parent of the change that added this file;
+# those that read chord ends or zero_limit re-recorded when both became exact
 PINS = {
     "uniform": {
         "adversary.json":
@@ -35,17 +36,17 @@ PINS = {
         "eta_utility.csv":
             "00ff96c927f6664a00d2279db030ee057483bf97833e18315643432df25f2aac",
         "level_curve.csv":
-            "c3ee3565b45010b08b6ff057d27e47e36511e633cd90da3777581a4bf5d6d3b2",
+            "c54586c94cfafbca108a610f391abf75eba18180dad56c5077cacda23fa03c60",
         "resolved_config.json":
             "cf7a932273a9e7e11909b9c34090e4aecad00bede6f0621885640b7e4fa19f47",
         "sweep_report.json":
             "a9f4837e32e085013ab8e0137e57c0a1b5445dd37a7ef764b09113951454425b",
         "sweep_simulations.csv":
-            "efee4c1b719667f4cdf07010f40b6b4c818d810b453147d5e935e1c3d7f9a2f6",
+            "e1092c78c0b74362d8ebcd79bc48d091f13b212963cfa5cb784b0953ebc5ae64",
         "tradeoff.csv":
-            "49adfd48a04ee4917fc87cc4df35e300ff10999844a0792117ed59570e87aa90",
+            "2c596713ca1a41d02a4e86ec1451ddd008c2e6ec8a13f129582d10451a57977a",
         "tradeoff_summary.json":
-            "c972d7c3148fa3f930e23967c0a0d39bebbf9f692b2e157e5e5da66ef35fe951",
+            "09df22a79a31174df26ffdb196ac470e5098dbaa18e2fa8203001b5726aa683c",
     },
     "truncated-normal": {
         "adversary.json":
@@ -55,17 +56,17 @@ PINS = {
         "eta_utility.csv":
             "2b144658e03d8d5c7971088f55ab85b310aebad697b6da6894c92cd0de3a2848",
         "level_curve.csv":
-            "8f82b3a41affdcc7e7ec41134cce586209e35cc338073fb56d548612e00a575e",
+            "37a43383afca0a505961a87b1fd31f5454727c6ca84e034f6130ed8cdfdf50fe",
         "resolved_config.json":
             "d01758f4a08576a402a3f970382550dcf31b6793374286a2c409849a44cb7fcd",
         "sweep_report.json":
             "dd8a5bf4101e6d166b388b6f769e25a73f0f0285a5656dec0ff4dee0dec2a0bf",
         "sweep_simulations.csv":
-            "3e1020fa9bb7dbdd048e8c047d15127be439697e2df2208156ab8c9c36b9974e",
+            "4059c41a298ce45f6e7b42b2a17c093910cd6458c9ad975b211070f261604878",
         "tradeoff.csv":
-            "c762d0bb75b18c341fce34346c41f0c5311c22198b244d9a53bdd701c7c95538",
+            "6c82defd11a942da937e860eb98dabe2c4cf2c3f913018047db8ef6c9ad9e1d1",
         "tradeoff_summary.json":
-            "f589168fade607826f5dffea4ab8906f0a3467f207d8d7b3bb9380546b8447e9",
+            "6ef188c47b1c0e7d727ef4f55d20105afb0232d1623d5d6e106d076b29ac0e84",
     },
     "triangular": {
         "adversary.json":
@@ -85,7 +86,7 @@ PINS = {
         "tradeoff.csv":
             "df974fa0a769114473d604a5564665e44f15c965ac5efabcc249609b9d35d188",
         "tradeoff_summary.json":
-            "63ff7a540e559048bbd31f3415a57172163ea6980c27243fdd40be6c9565af7d",
+            "159287d74b3d54857a6b95f3e697e77f5ab9715954a8d45baa4a53a52c00c81d",
     },
     "tabulated": {
         "adversary.json":
@@ -95,17 +96,17 @@ PINS = {
         "eta_utility.csv":
             "3b0f230169921ac6a93aaf5a5da903105f2872f749dcc9b59ac59027f3c902a7",
         "level_curve.csv":
-            "4861a4e1733e425b92f4091408b2e50ab7c6f68abbdfcc2a941bda8d2a1da669",
+            "81600102f4c066fa3b78fed8ca931f7f776b7f49c04c7cee1464dff6c6ccd00d",
         "resolved_config.json":
             "50d814260c2b4284344d1dea2043579a6c5b7adaf6e19e7aaab098c6afa70f14",
         "sweep_report.json":
-            "350e38079a16862c1a0478a77f58708b73d5f93ae442b341e500ab42f0031cb6",
+            "509a464a1e1f8ce460cce1046e3e2e7560ea2240b08d88668b71de6649196666",
         "sweep_simulations.csv":
-            "9c35f6ba92dc279cd620712a3f24b886c8c7821d187272f0ed8b8ab1ccb254f7",
+            "9ddf6ac24c087839a9181cd5b0cb7ac12e79196ac1b1d25e474c492c057a2e57",
         "tradeoff.csv":
-            "0f5ac092e978f243ac64e0c52214d23068fd1f8018024f72bc2e63b0e68f0be9",
+            "33669fd416dbde49a6c2048712cb6c7bd08c76fdcc5fa02520da4685f0dbb120",
         "tradeoff_summary.json":
-            "dccecb9164a23afe52268ce60d685fcd48dd440f09accde94093c8e80c2dc799",
+            "bd86ed46bd7f77a2662a60daa60d28109ba16bcb844f3f87bdfd3fa83e3e640c",
     },
 }
 

@@ -258,6 +258,16 @@ def test_tradeoff_artifacts(tmp_path):
     assert level[0] == "q,h,h_star,is_touch"
 
 
+def test_level_curve_has_one_row_per_grid_point(tmp_path):
+    # uniform noise at eta = 2 has a chord, whose exact ends are not grid points
+    config = write_config(tmp_path, {"envelope": {"grid_size": 4096}})
+    code, out = run(["tradeoff", "--eta", "2.0"], tmp_path, config=config)
+    assert code == 0
+    assert len(json.loads((out / "tradeoff_summary.json").read_text())["chords"]) == 1
+    rows = (out / "level_curve.csv").read_text().splitlines()
+    assert rows[0] == "q,h,h_star,is_touch" and len(rows) == 1 + 4096
+
+
 @pytest.mark.parametrize("spec, alphas", [("0.9,0.2,0.5,0.2", [0.2, 0.5, 0.9]),
                                            ("1.0", [1.0])])
 def test_tradeoff_reports_each_level_once_in_ascending_order(tmp_path, spec, alphas):

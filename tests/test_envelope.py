@@ -62,7 +62,7 @@ def test_single_chord_with_known_tangency(uniform_env):
     ch = chords[0]
     # tangency of the chord to q=1: root of 14 q^3 - 39 q^2 + 36 q - 11,
     # which factors as (q - 1)(14 q^2 - 25 q + 11) -> q1 = 11/14
-    assert abs(ch.q1 - 11.0 / 14.0) < 1e-4
+    assert abs(ch.q1 - 11.0 / 14.0) < 1e-12
     assert ch.q2 == 1.0
 
 
@@ -147,8 +147,17 @@ def test_tabulated_envelope_within_budget():
     env = sg.build_envelope(ctx, 4096)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"4096-point tabulated envelope took {elapsed:.2f}s"
-    assert len(env.chords()) >= 10 and env.source_qs.size > 4096
     assert np.min(env.evaluate(env.source_qs) - env.source_vals) >= -1e-12
+    chords = env.chords()
+    assert len(chords) >= 10
+    # every chord end off the domain's ends is a tangency: the curve's slope
+    # there is the chord's slope
+    for ch in chords:
+        h1, h2 = ctx.moment_at_level(ch.q1), ctx.moment_at_level(ch.q2)
+        slope = (h2 - h1) / (ch.q2 - ch.q1)
+        for q in (ch.q1, ch.q2):
+            if 0.0 < q < 1.0:
+                assert abs(ctx.slope_at_level(q) - slope) <= 1e-10 * max(1.0, abs(slope)), q
 
 
 # --- the bulk-append hull against the plain chain ------------------------------

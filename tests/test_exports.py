@@ -15,7 +15,6 @@ UNREAD_BY_DESIGN = {
     "accept_prob_quad": "quadrature oracle the acceptance criteria compare the kernel against",
     "error_moment_quad": "quadrature oracle the acceptance criteria compare the kernel against",
     "bisect_scalar": "root-finding oracle imported by the acceptance criteria",
-    "bisect_monotone_vec": "bound by the benchmark tracer until the benchmark stops tracing it",
     "CustomJointStrategy": "the arbitrary joint sampler criterion 8 draws its iid candidates with",
 }
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,3 +86,59 @@ def test_scale_invariance():
     for z in (1.2, 2.0, 2.8):
         assert abs(big.accept_prob(2 * z) - small.accept_prob(z)) < 1e-12
         assert abs(big.error_moment(2 * z) - 4.0 * small.error_moment(z)) < 1e-10
+
+
+# --- the level curve's closed-form slope ----------------------------------------
+
+_XS = np.linspace(-1.0, 1.0, 33)
+SLOPE_NOISES = {
+    "uniform": sg.uniform(1.0),
+    "truncated-normal": sg.truncated_normal(1.0, 0.5),
+    "triangular": sg.triangular(1.0),
+    "tabulated": sg.tabulated(_XS, 1.0 - 0.6 * np.abs(_XS) + 0.3 * np.cos(5.0 * np.pi * _XS)),
+}
+
+
+def central_slope(ctx, qs, d):
+    """Fourth-order central difference of moment_at_level."""
+    h = ctx.moment_at_level
+    return (8.0 * (h(qs + d) - h(qs - d)) - (h(qs + 2.0 * d) - h(qs - 2.0 * d))) / (12.0 * d)
+
+
+@pytest.mark.parametrize("kind", list(SLOPE_NOISES))
+@pytest.mark.parametrize("eta", [2.0, 3.7])
+def test_slope_at_level_matches_central_differences(kind, eta):
+    noise = SLOPE_NOISES[kind]
+    ctx = sg.KernelContext(eta, noise)
+    if kind == "tabulated":
+        # the middle of each node-to-node cell: h' is continuous at a node but
+        # h'' jumps there, which a difference across the node would see
+        levels = np.sort(1.0 - noise.cdf(_XS))
+        qs, d = 0.5 * (levels[1:] + levels[:-1]), 1.5e-5
+    else:
+        qs, d = np.linspace(0.05, 0.95, 36), 1e-4  # off the triangular kink at q = 1/2
+    want = central_slope(ctx, qs, d)
+    err = np.abs(ctx.slope_at_level(qs) - want) / np.maximum(1.0, np.abs(want))
+    assert np.max(err) <= 1e-10
+    # a column of etas gives each eta's own slope to the bit
+    rows = sg.KernelContext(np.array([[2.0], [eta]]), noise).slope_at_level(qs)
+    assert np.array_equal(rows[1], ctx.slope_at_level(qs))
+
+
+@pytest.mark.parametrize("eta", [2.0, 3.7])
+def test_uniform_slope_against_mpmath(eta):
+    # uniform noise, delta = 1: L = 1 - 2q, z = eta + L, and h is a cubic in q
+    def h(q):
+        level = 1 - 2 * q
+        z = eta + level
+        m0, m1, m2 = (1 - level) / 2, (1 - level**2) / 4, (1 - level**3) / 6
+        return z * z * m0 + 2 * z * m1 + m2
+
+    ctx = sg.KernelContext(eta, sg.uniform(1.0))
+    qs = np.linspace(0.0, 1.0, 101)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.diff(h, mpmath.mpf(q))) for q in qs])
+    got = ctx.slope_at_level(qs)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+    # at q = 0 the quotient's limit is taken: h'(0+) = (eta + 2)^2 delta^2
+    assert ctx.slope_at_level(0.0) == (eta + 2.0) ** 2

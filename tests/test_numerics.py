@@ -51,3 +51,15 @@ def test_bisect_vec_decreasing():
     targets = np.array([0.25, 0.5, 0.75])
     roots = bisect_monotone_vec(lambda x: 1.0 - x, 0.0, 1.0, targets, increasing=False)
     np.testing.assert_allclose(roots, 1.0 - targets, atol=1e-10)
+
+
+def test_bisect_vec_result_does_not_depend_on_the_batch():
+    # a narrow bracket stops at its own xtol while a wide one keeps halving,
+    # so each root is the one it gets when solved alone
+    fn = lambda x: x**3
+    lo, hi = np.array([0.0, 0.2]), np.array([1.0, 0.2 + 3e-7])
+    targets = np.array([0.3, 0.2000001**3])
+    both = bisect_monotone_vec(fn, lo, hi, targets, increasing=True)
+    alone = [bisect_monotone_vec(fn, lo[i:i + 1], hi[i:i + 1], targets[i:i + 1],
+                                 increasing=True)[0] for i in range(2)]
+    assert both.tolist() == alone

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stackgame as sg
+from stackgame import cli
 from stackgame.envelope import DEFAULT_GRID_SIZE, has_reflex_sample, level_grid
 from stackgame.errors import DomainError
 from stackgame.strategy import BLOCK_ETAS, TIE_TOL_REL, EquilibriumReport
@@ -175,7 +176,7 @@ def test_build_adversary_chord(uniform_env, uniform_ctx):
     zs = adv.locations()
     # outer pair near k_inv(11/14) = 10/7, inner pair at the full-accept edge
     np.testing.assert_allclose(np.abs(zs), [10.0 / 7.0, 1.0, 1.0, 10.0 / 7.0],
-                               atol=1e-4)
+                               atol=1e-10)
     pa = sum(w * sg.atom_accept_prob(uniform_ctx, z) for z, w in adv.atoms)
     assert abs(pa - 0.9) < 1e-8
 
@@ -289,3 +290,22 @@ def test_other_adversary_family_does_not_take_the_default_params():
         sg.UtilitySpec.from_spec({"dc": {"family": "exp_penalty"}})
     default = sg.UtilitySpec.from_spec({"adversary": {"family": "scaled_product"}})
     assert default.adversary.params == {"c": 1.0}
+
+
+@pytest.mark.parametrize("noise", [sg.uniform(1.0), sg.truncated_normal(1.0, 3.0)],
+                         ids=["uniform", "truncated-normal-sigma-3"])
+def test_batched_tangencies_match_one_eta_solves(noise):
+    # the full grid solves every reflex eta's chords in one batch; each eta
+    # solved alone must come out the same to the bit
+    cfg = cli.parse_config(None)
+    spec, etas = cfg.utility, cfg.eta_grid
+    qs = level_grid(DEFAULT_GRID_SIZE)
+    reflex = [float(e) for e in etas
+              if has_reflex_sample(qs, sg.KernelContext(float(e), noise).moment_at_level(qs))]
+    assert len(reflex) >= 50
+    full = sg.solve_equilibrium([sg.KernelContext(float(e), noise) for e in etas], spec,
+                                cfg.alpha_grid)
+    for eta in reflex:
+        one = sg.solve_equilibrium([sg.KernelContext(eta, noise)], spec, cfg.alpha_grid)
+        assert one.dc_guaranteed_utility[eta] == full.dc_guaranteed_utility[eta], eta
+        assert np.array_equal(one.best_alpha_sets[eta], full.best_alpha_sets[eta]), eta

@@ -25,7 +25,7 @@ def test_vectorized_and_domain(uniform_env):
 
 def test_zero_limit(uniform_env):
     # h'(0) = 16 for uniform delta=1 eta=2, so c -> 4
-    assert abs(sg.zero_limit(uniform_env) - 4.0) < 5e-3
+    assert abs(sg.zero_limit(uniform_env) - 4.0) < 1e-12
 
 
 def test_atom_functionals_extended(uniform_ctx):

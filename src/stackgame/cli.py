@@ -38,7 +38,7 @@ OUTPUT_DIR_ENV = "STACKGAME_OUTPUT_DIR"
 _STEP_SLACK = 1e-9
 
 DEFAULT_CONFIG = {
-    "honest_noise": {"kind": "uniform", "delta": 1.0, "params": {}},
+    "honest_noise": {"kind": "uniform", "params": {}},  # from_spec owns delta's default
     "data": {"m": 1000.0},
     "eta_grid": {"start": 2.0, "stop": 8.0, "step": 0.01},
     "alpha_grid": {"start": ALPHA_MIN, "stop": 1.0, "num": 1000},
@@ -78,8 +78,8 @@ def _choice(key: str, params_of: dict, default: str, **rules):
 
 
 _RULES = {
-    "honest_noise": _choice("kind", noise_model.KINDS, DEFAULT_CONFIG["honest_noise"]["kind"],
-                            delta=_POSITIVE),
+    "honest_noise": _choice("kind", {k: names for k, (names, _) in noise_model.KINDS.items()},
+                            DEFAULT_CONFIG["honest_noise"]["kind"], delta=_POSITIVE),
     "data": {"m": _POSITIVE},
     "eta_grid": _GRID,
     "alpha_grid": _GRID,
@@ -186,6 +186,8 @@ class RunConfig:
             or os.environ.get(OUTPUT_DIR_ENV) or "out"
         self.output_dir = Path(out)
         self.raw = dict(resolved)
+        # a config without delta echoes the one from_spec built the model with
+        self.raw["honest_noise"] = {"delta": self.noise.delta, **resolved["honest_noise"]}
         self.raw["output_dir"] = str(out)
         self.config_hash = hashlib.sha256(
             json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode()
@@ -314,10 +316,15 @@ def cmd_validate_noise(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=None) -> int:
-    eta = float(cfg.eta_grid[0]) if eta is None else eta
-    ctx = KernelContext(eta, cfg.noise)
-    levels = np.unique(cfg.report_alphas if alphas is None else alphas)  # sorted, distinct
-    env = build_envelope(ctx, cfg.envelope_grid)
+    ctx = KernelContext(float(cfg.eta_grid[0]) if eta is None else eta, cfg.noise)
+    _write_tradeoff(cfg, out, ctx, build_envelope(ctx, cfg.envelope_grid),
+                    cfg.report_alphas if alphas is None else alphas)
+    return 0
+
+
+def _write_tradeoff(cfg: RunConfig, out: Path, ctx: KernelContext, env, alphas) -> None:
+    """level_curve.csv, tradeoff.csv and tradeoff_summary.json for env, the envelope at ctx."""
+    levels = np.unique(alphas)  # sorted, distinct
     values = c_alpha(env, levels)
     table = build_oracle_table(ctx, cfg.oracle_grid)
     oracle_vals = np.array([oracle_c2(ctx, a, table=table) for a in levels])
@@ -330,7 +337,7 @@ def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=Non
                zip(levels, values, oracle_vals, diffs))
     rel_scale = np.maximum(1.0, np.abs(values))
     summary = {
-        "eta": float(eta),
+        "eta": float(ctx.eta),
         "n_alphas": int(levels.size),
         "max_abs_diff": float(np.max(diffs)),
         "max_rel_diff": float(np.max(diffs / rel_scale)),
@@ -339,7 +346,6 @@ def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=Non
         **_stamp(cfg),
     }
     _write_json(out / "tradeoff_summary.json", summary)
-    return 0
 
 
 def _solve(cfg: RunConfig):
@@ -383,7 +389,7 @@ def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = N
 
 
 def _load_adversary(path, delta: float) -> AtomicAdversary:
-    """The adversary file at path, which must be built for eta >= 2 and the configured delta."""
+    """The adversary file at path, built for the configured delta, with valid eta and alpha."""
     try:
         raw = json.loads(Path(path).read_text())
         atoms = tuple((float(a["z"]), float(a["weight"])) for a in raw["atoms"])
@@ -391,9 +397,10 @@ def _load_adversary(path, delta: float) -> AtomicAdversary:
                               eta=float(raw["eta"]), delta=float(raw["delta"]))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"--adversary: cannot load {path}: {exc}") from exc
-    accepts, need = _FLAG_DOMAINS["eta"]
-    if not accepts(adv.eta):
-        raise ConfigError(f"--adversary: eta must be {need}, got {adv.eta}")
+    for name, value in (("eta", adv.eta), ("alpha", adv.alpha)):
+        accepts, need = _FLAG_DOMAINS[name]
+        if not accepts(value):
+            raise ConfigError(f"--adversary: {name} must be {need}, got {value}")
     if not abs(adv.delta - delta) <= 1e-9 * delta:
         raise ConfigError(f"--adversary: built for delta {adv.delta}, "
                           f"but the configured noise has delta {delta}")
@@ -489,10 +496,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     cmd_solve(cfg, out, report=report)
 
     eta_star = report.eta_star
-    cmd_tradeoff(cfg, out, eta_star)
-
     ctx = KernelContext(eta_star, cfg.noise)
     env = report.envelope
+    _write_tradeoff(cfg, out, ctx, env, cfg.report_alphas)
     adv_eq = build_adversary(env, ctx, report.equilibrium_pa)
     _write_json(out / "adversary.json", {**adv_eq.to_json_dict(), **_stamp(cfg)})
 

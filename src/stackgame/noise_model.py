@@ -29,10 +29,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 
-# noise kind -> the params it takes, an ordered mapping: kinds in their documented order
-KINDS = OrderedDict([("uniform", ()), ("truncated-normal", ("sigma",)), ("triangular", ()),
-                     ("tabulated", ("csv", "xs", "pdf"))])
-
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # inv_cdf is accurate to 1e-12 on x; its round-trip check allows that error
@@ -50,11 +46,20 @@ _VALIDATE_GRID = 1025
 # and the density's maximum. The three analytic families are symmetric on
 # [-delta, delta].
 
-class _Uniform:
+class _Symmetric:
+    """The support [-delta, delta] of an analytic law, for a positive finite delta."""
+
     def __init__(self, delta: float):
-        self._d = delta
-        self.support = (-delta, delta)
-        self.pdf_max = 1.0 / (2.0 * delta)
+        if not (math.isfinite(delta) and delta > 0):
+            raise DomainError(f"delta must be positive and finite, got {delta}")
+        self._d = float(delta)
+        self.support = (-self._d, self._d)
+
+
+class _Uniform(_Symmetric):
+    def __init__(self, delta: float):
+        super().__init__(delta)
+        self.pdf_max = 1.0 / (2.0 * self._d)
 
     def pdf(self, x):
         return self.pdf_max
@@ -75,11 +80,10 @@ class _Uniform:
         return u / (2.0 * d), u * v / (4.0 * d), u * (d * d + L * v) / (6.0 * d)
 
 
-class _Triangular:
+class _Triangular(_Symmetric):
     def __init__(self, delta: float):
-        self._d = delta
-        self.support = (-delta, delta)
-        self.pdf_max = 1.0 / delta
+        super().__init__(delta)
+        self.pdf_max = 1.0 / self._d
 
     def pdf(self, x):
         return (self._d - np.abs(x)) / (self._d * self._d)
@@ -111,13 +115,14 @@ class _Triangular:
         return np.where(neg, 1.0 - m0, m0), m1, np.where(neg, d * d / 6.0 - m2, m2)
 
 
-class _TruncatedNormal:
+class _TruncatedNormal(_Symmetric):
     def __init__(self, delta: float, sigma: float):
+        super().__init__(delta)
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise DomainError(f"truncated-normal requires sigma > 0, got {sigma}")
         from scipy import special  # only this law needs scipy, so only it loads it
         self._erf, self._erfcinv = special.erf, special.erfcinv
-        d, s = delta, sigma
-        self.support = (-d, d)
-        self._d = d
+        d, s = self._d, sigma
         self._s = s
         self._scale = s * _SQRT2
         # probability mass of the untruncated normal on [-delta, delta], and
@@ -228,33 +233,16 @@ class HonestNoiseModel:
 
     Use the module-level factories (uniform, truncated_normal, triangular,
     tabulated, tabulated_from_csv, from_spec) rather than the constructor.
-    The family's closed forms live in `law`.
+    The family's closed forms live in `law`; delta is its support's half-width.
     """
 
-    def __init__(self, kind: str, delta: float, params: dict,
-                 table: _Tabulated | None = None):
-        if kind not in KINDS:
-            raise DomainError(f"unknown noise kind {kind!r}; expected one of {tuple(KINDS)}")
-        if not (math.isfinite(delta) and delta > 0):
-            raise DomainError(f"delta must be positive and finite, got {delta}")
+    def __init__(self, kind: str, params: dict, law):
         self.kind = kind
-        self.delta = float(delta)
         self.params = dict(params)
-        if kind == "uniform":
-            self.law = _Uniform(self.delta)
-        elif kind == "triangular":
-            self.law = _Triangular(self.delta)
-        elif kind == "truncated-normal":
-            sigma = self.params.get("sigma")
-            if sigma is None or not (math.isfinite(sigma) and sigma > 0):
-                raise DomainError(f"truncated-normal requires sigma > 0, got {sigma}")
-            self.law = _TruncatedNormal(self.delta, float(sigma))
-        else:
-            if table is None:
-                raise DomainError("tabulated models need an (x, pdf) grid")
-            self.law = table
-        self.support = self.law.support
-        self._inv_cdf_tol = _INV_CDF_XTOL * self.law.pdf_max + _CDF_ROUNDING
+        self.law = law
+        self.support = law.support
+        self.delta = max(map(abs, law.support))
+        self._inv_cdf_tol = _INV_CDF_XTOL * law.pdf_max + _CDF_ROUNDING
 
     def __repr__(self):
         return f"HonestNoiseModel(kind={self.kind!r}, delta={self.delta}, params={self.params})"
@@ -318,20 +306,20 @@ class HonestNoiseModel:
 # --- factories -------------------------------------------------------------
 
 def uniform(delta: float) -> HonestNoiseModel:
-    return HonestNoiseModel("uniform", delta, {})
+    return HonestNoiseModel("uniform", {}, _Uniform(delta))
 
 
 def truncated_normal(delta: float, sigma: float) -> HonestNoiseModel:
-    return HonestNoiseModel("truncated-normal", delta, {"sigma": float(sigma)})
+    sigma = float(sigma)
+    return HonestNoiseModel("truncated-normal", {"sigma": sigma}, _TruncatedNormal(delta, sigma))
 
 
 def triangular(delta: float) -> HonestNoiseModel:
-    return HonestNoiseModel("triangular", delta, {})
+    return HonestNoiseModel("triangular", {}, _Triangular(delta))
 
 
 def tabulated(xs, pdf_vals) -> HonestNoiseModel:
-    table = _Tabulated(xs, pdf_vals)
-    return HonestNoiseModel("tabulated", max(map(abs, table.support)), {}, table=table)
+    return HonestNoiseModel("tabulated", {}, _Tabulated(xs, pdf_vals))
 
 
 def tabulated_from_csv(path) -> HonestNoiseModel:
@@ -356,21 +344,30 @@ def tabulated_from_csv(path) -> HonestNoiseModel:
     return model
 
 
+# noise kind -> (its param names, its factory), in the documented order. An
+# analytic factory takes (delta, *params); the tabulated one takes (xs, pdf),
+# and from_spec reads its csv or xs and pdf itself.
+KINDS = OrderedDict([("uniform", ((), uniform)),
+                     ("truncated-normal", (("sigma",), truncated_normal)),
+                     ("triangular", ((), triangular)),
+                     ("tabulated", (("csv", "xs", "pdf"), tabulated))])
+
+
 def from_spec(spec: dict, base_dir=None) -> HonestNoiseModel:
-    """Build a model from a config mapping {kind, delta, params}."""
+    """Build a model from a config mapping {kind, delta, params}.
+
+    delta defaults to 1 for an analytic kind. A table's delta is its grid's
+    half-width, which a given delta must match.
+    """
     kind = spec.get("kind", "uniform")
-    delta = spec.get("delta", 1.0)
     params = dict(spec.get("params", {}))
-    if kind == "uniform":
-        return uniform(delta)
-    if kind == "triangular":
-        return triangular(delta)
-    if kind == "truncated-normal":
-        if "sigma" not in params:
-            raise DomainError("/honest_noise/params: truncated-normal noise requires sigma")
-        return truncated_normal(delta, params["sigma"])
-    if kind != "tabulated":
+    if kind not in KINDS:
         raise DomainError(f"unknown noise kind {kind!r}; expected one of {tuple(KINDS)}")
+    names, factory = KINDS[kind]
+    if kind != "tabulated":
+        if not all(n in params for n in names):
+            raise DomainError(f"/honest_noise/params: {kind} noise requires {' and '.join(names)}")
+        return factory(spec.get("delta", 1.0), *(params[n] for n in names))
     if "csv" in params:
         path = Path(params["csv"])
         if base_dir is not None and not path.is_absolute():
@@ -384,7 +381,7 @@ def from_spec(spec: dict, base_dir=None) -> HonestNoiseModel:
             raise DomainError(f"/honest_noise/params/csv: {exc}") from exc
     elif "xs" in params and "pdf" in params:
         try:
-            model = tabulated(params["xs"], params["pdf"])
+            model = factory(params["xs"], params["pdf"])
         except DomainError as exc:
             raise DomainError(f"/honest_noise/params: {exc}") from exc
     else:

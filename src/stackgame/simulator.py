@@ -47,8 +47,6 @@ class ReplicatedStrategy:
     the replicated-atom domain, but the simulator itself does not care.
     """
 
-    n_adv = None  # works for any number of controlled nodes
-
     def __init__(self, locations, weights):
         self.locations = np.asarray(locations, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
@@ -173,10 +171,6 @@ def run_monte_carlo(cfg: GameConfig, strategy, common=None) -> SimulationResult:
     accepted trials. common, which only dominance_check passes, is the list
     of _common_draws(cfg) already drawn; without it each chunk draws its own.
     """
-    fixed_arity = getattr(strategy, "n_adv", None)
-    if fixed_arity is not None and fixed_arity != cfg.n_nodes - 1:
-        raise DomainError(
-            f"strategy is for {fixed_arity} controlled nodes, config has {cfg.n_nodes - 1}")
     accepted = 0
     s2 = 0.0
     s4 = 0.0

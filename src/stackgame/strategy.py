@@ -10,7 +10,6 @@ majorant touches the moment curve, four where it rides a chord.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,14 +175,15 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
     defender is credited with the worst utility over that set, and the
     threshold with the best guarantee wins. Exact ties go to the smaller eta.
 
-    Etas sharing a noise model are solved in blocks of BLOCK_ETAS, a constant
-    that keeps the arrays in cache: a context with a column of etas samples
-    their curves at the levels and at the alphas, each row to the bit. A row
-    with no reflex sample is its own hull, with no chord, so its c_alpha is
-    the curve over 4 alpha. A row with a reflex sample may have chords, which
-    the curve misses: its hull's chords are kept as sample indices, with its
-    curve row at the alphas, and after the last block the exact tangencies of
-    every such chord are solved in one batch (tangent_chords, the same solve
+    The contexts share one noise model (a DomainError if they do not). Their
+    etas are solved in blocks of BLOCK_ETAS, a constant that keeps the arrays
+    in cache: a context with a column of etas samples their curves at the
+    levels and at the alphas, each row to the bit. A row with no reflex
+    sample is its own hull, with no chord, so its c_alpha is the curve over
+    4 alpha. A row with a reflex sample may have chords, which the curve
+    misses: its hull's chords are kept as sample indices, with its curve row
+    at the alphas, and after the last block the exact tangencies of every
+    such chord are solved in one batch (tangent_chords, the same solve
     build_envelope makes for one eta), and the chord line replaces the curve
     on the alphas inside a chord.
     """
@@ -191,9 +191,10 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
     if not ctxs:
         raise DomainError("need at least one kernel context")
     alphas = check_levels(_alpha_levels(alpha_grid))
+    noise = ctxs[0].noise
+    if any(c.noise is not noise for c in ctxs):
+        raise DomainError("kernel contexts must share one noise model")
     qs = level_grid(grid_size)
-    runs = [list(run) for _, run in itertools.groupby(range(len(ctxs)),
-                                                       key=lambda i: ctxs[i].noise)]
 
     # per context: guarantee, alpha and c_alpha where it is attained, top utility, best alphas
     found = [None] * len(ctxs)
@@ -206,21 +207,19 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
             found[k] = (float(dc_vals[i, worst[i]]), alphas[worst[i]], cs[i, worst[i]],
                         top[i, 0], alphas[keep[i]])
 
-    for run in runs:
-        noise = ctxs[run[0]].noise
-        reflex_rows = []  # (index, c_alpha row off the chords, sampled chord ends)
-        for block in (run[i:i + BLOCK_ETAS] for i in range(0, len(run), BLOCK_ETAS)):
-            block_ctx = KernelContext(np.array([[ctxs[k].eta] for k in block]), noise)
-            rows = block_ctx.moment_at_level(qs)
-            cs = block_ctx.moment_at_level(alphas) / (4.0 * alphas)
-            reflex = has_reflex_sample(qs, rows)
-            for i in np.flatnonzero(reflex).tolist():
-                hull_ends = [q for ch in Envelope(qs, rows[i]).chords() for q in (ch.q1, ch.q2)]
-                reflex_rows.append((block[i], cs[i].copy(),
-                                    np.searchsorted(qs, hull_ends).reshape(-1, 2)))
-            settle([k for k, r in zip(block, reflex.tolist()) if not r], cs[~reflex])
-        if not reflex_rows:
-            continue
+    reflex_rows = []  # (index, c_alpha row off the chords, sampled chord ends)
+    for start in range(0, len(ctxs), BLOCK_ETAS):
+        block = range(start, min(start + BLOCK_ETAS, len(ctxs)))
+        block_ctx = KernelContext(np.array([[ctxs[k].eta] for k in block]), noise)
+        rows = block_ctx.moment_at_level(qs)
+        cs = block_ctx.moment_at_level(alphas) / (4.0 * alphas)
+        reflex = has_reflex_sample(qs, rows)
+        for i in np.flatnonzero(reflex).tolist():
+            hull_ends = [q for ch in Envelope(qs, rows[i]).chords() for q in (ch.q1, ch.q2)]
+            reflex_rows.append((block[i], cs[i].copy(),
+                                np.searchsorted(qs, hull_ends).reshape(-1, 2)))
+        settle([k for k, r in zip(block, reflex.tolist()) if not r], cs[~reflex])
+    if reflex_rows:
         indices, cs, sampled = zip(*reflex_rows)
         counts = [e.shape[0] for e in sampled]
         exact = tangent_chords(KernelContext(np.repeat([ctxs[k].eta for k in indices], counts),

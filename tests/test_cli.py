@@ -174,6 +174,20 @@ def test_invalid_tabulated_noise_is_a_config_error(tmp_path, capsys):
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["symmetry"]
 
 
+_HALF_WIDTH_2 = {"kind": "tabulated", "params": {"xs": [-2, 0, 2], "pdf": [0.25, 0.25, 0.25]}}
+
+
+def test_a_table_without_delta_takes_its_own_half_width(tmp_path):
+    config = write_config(tmp_path, {"honest_noise": _HALF_WIDTH_2})
+    for command in ("validate-noise", "solve"):
+        code, out = run([command], tmp_path, name=command, config=config)
+        assert code == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["honest_noise"] == {"delta": 2.0, **_HALF_WIDTH_2}
+    noise = json.loads((tmp_path / "validate-noise" / "noise_validation.json").read_text())
+    assert noise["noise"]["delta"] == 2.0
+
+
 def test_valid_tabulated_noise_runs(tmp_path):
     # a wavy 4096-point table: valid, though quadrature of its ~4096 kinks
     # cannot confirm its unit mass to 1e-8
@@ -401,6 +415,8 @@ def test_non_finite_numbers_fail_at_their_pointer(tmp_path, capsys, text, pointe
     ({"honest_noise": {"kind": "tabulated", "delta": 2.0,
                        "params": {"xs": [-1, 0, 1], "pdf": [1, 1, 1]}}},
      "/honest_noise/delta: tabulated grid implies delta=1.0"),
+    ({"honest_noise": {**_HALF_WIDTH_2, "delta": 1.0}},
+     "/honest_noise/delta: tabulated grid implies delta=2.0, config says 1.0"),
 ])
 def test_noise_spec_errors_name_their_pointer(tmp_path, capsys, config, start):
     code, _ = run(["solve"], tmp_path, config=write_config(tmp_path, config))
@@ -504,10 +520,14 @@ def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
         assert cli.parse_config(path).config_hash == digest
 
 
+# an alpha outside (0, 1] is refused as the --alpha flag refuses it
 @pytest.mark.parametrize("field, value, config", [
     ("delta", 1.0, {"honest_noise": {"kind": "uniform", "delta": 2.0}, "data": {"m": 1000.0}}),
     ("eta", 1.5, {}),
     ("eta", float("nan"), {}),
+    ("alpha", float("nan"), {}),
+    ("alpha", 0.0, {}),
+    ("alpha", 7.5, {}),
 ])
 def test_simulate_rejects_an_adversary_built_for_another_game(tmp_path, capsys, field, value,
                                                                 config):

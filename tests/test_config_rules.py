@@ -57,7 +57,8 @@ REFERENCE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "properties": {
-        "honest_noise": _choice_schema("kind", noise_model.KINDS, "uniform",
+        "honest_noise": _choice_schema("kind", {k: names for k, (names, _)
+                                                in noise_model.KINDS.items()}, "uniform",
                                        delta={"type": "number", "exclusiveMinimum": 0}),
         "data": {
             "type": "object",

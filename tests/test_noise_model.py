@@ -3,6 +3,7 @@ import pytest
 
 import stackgame as sg
 from stackgame.errors import DomainError
+from stackgame.noise_model import KINDS
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,35 @@ def test_from_spec_dispatch():
     assert m.kind == "truncated-normal" and m.delta == 2.0
     with pytest.raises(DomainError):
         sg.from_spec({"kind": "nope", "delta": 1.0, "params": {}})
+
+
+# per kind: the spec's params, and the same model's factory arguments
+_SPECS = {
+    "uniform": ({}, (1.5,)),
+    "truncated-normal": ({"sigma": 0.4}, (1.5, 0.4)),
+    "triangular": ({}, (1.5,)),
+    "tabulated": ({"xs": [-1.5, 0.0, 1.5], "pdf": [0.2, 1.0, 0.2]},
+                  ([-1.5, 0.0, 1.5], [0.2, 1.0, 0.2])),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_from_spec_and_the_factory_agree_to_the_bit(kind):
+    params, args = _SPECS[kind]
+    got = sg.from_spec({"kind": kind, "delta": 1.5, "params": params})
+    want = KINDS[kind][1](*args)
+    assert (got.kind, got.delta, got.params) == (want.kind, want.delta, want.params)
+    xs = np.linspace(-2.0, 2.0, 101)
+    ps = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(got.cdf(xs), want.cdf(xs))
+    assert np.array_equal(got.inv_cdf(ps), want.inv_cdf(ps))
+    for g, w in zip(got.partial_moments(xs), want.partial_moments(xs)):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "tabulated"])
+def test_an_analytic_kind_defaults_to_delta_one(kind):
+    assert sg.from_spec({"kind": kind, "params": _SPECS[kind][0]}).delta == 1.0
 
 
 def test_data_model():

@@ -143,6 +143,12 @@ def test_solve_equilibrium_single_and_empty_grid(uniform_noise, alphas):
         sg.solve_equilibrium([], sg.UtilitySpec.from_spec({}), alphas)
 
 
+def test_solve_equilibrium_refuses_mixed_noise_models(uniform_noise, alphas):
+    ctxs = [sg.KernelContext(2.0, uniform_noise), sg.KernelContext(2.5, sg.uniform(1.0))]
+    with pytest.raises(DomainError, match="share one noise model"):
+        sg.solve_equilibrium(ctxs, sg.UtilitySpec.from_spec({}), alphas)
+
+
 def test_solve_equilibrium_grid_refinement_consistency(uniform_noise, alphas):
     spec = sg.UtilitySpec.from_spec(
         {"dc": {"family": "linear_penalty", "params": {"gamma": 0.3}}})

@@ -30,8 +30,8 @@ from .simulator import (DEFAULT_CHUNK_SIZE, GameConfig, IidStrategy, ReplicatedS
                         dominance_check, run_monte_carlo, run_scenario_suite)
 from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY, AtomicAdversary,
                        UtilitySpec, best_alpha_set, build_adversary, solve_equilibrium)
-from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, atom_accept_prob,
-                       atom_error_moment, build_oracle_table, c_alpha, oracle_c2, zero_limit)
+from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, atom_error_moment,
+                       build_oracle_table, c_alpha, mixture_accept_prob, oracle_c2, zero_limit)
 
 OUTPUT_DIR_ENV = "STACKGAME_OUTPUT_DIR"
 # a start/stop/step grid must span a whole number of steps, up to fp rounding
@@ -374,7 +374,7 @@ def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = N
     ctx = KernelContext(eta, cfg.noise)
     env = build_envelope(ctx, cfg.envelope_grid)
     adv = build_adversary(env, ctx, alpha)
-    achieved_pa = float(sum(w * atom_accept_prob(ctx, z) for z, w in adv.atoms))
+    achieved_pa = mixture_accept_prob(ctx, adv.atoms)
     achieved_mse = float(sum(w * atom_error_moment(ctx, z) for z, w in adv.atoms)
                          / (4.0 * achieved_pa))
     payload = {
@@ -388,8 +388,8 @@ def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = N
     return 0
 
 
-def _load_adversary(path, delta: float) -> AtomicAdversary:
-    """The adversary file at path, built for the configured delta, with valid eta and alpha."""
+def _load_adversary(path, noise) -> AtomicAdversary:
+    """The adversary file at path: valid eta and alpha, met by its atoms against noise."""
     try:
         raw = json.loads(Path(path).read_text())
         atoms = tuple((float(a["z"]), float(a["weight"])) for a in raw["atoms"])
@@ -401,9 +401,13 @@ def _load_adversary(path, delta: float) -> AtomicAdversary:
         accepts, need = _FLAG_DOMAINS[name]
         if not accepts(value):
             raise ConfigError(f"--adversary: {name} must be {need}, got {value}")
-    if not abs(adv.delta - delta) <= 1e-9 * delta:
+    if not abs(adv.delta - noise.delta) <= 1e-9 * noise.delta:
         raise ConfigError(f"--adversary: built for delta {adv.delta}, "
-                          f"but the configured noise has delta {delta}")
+                          f"but the configured noise has delta {noise.delta}")
+    achieved = mixture_accept_prob(KernelContext(adv.eta, noise), adv.atoms)
+    if not abs(achieved - adv.alpha) <= 1e-8:
+        raise ConfigError(f"--adversary: the atoms achieve acceptance {achieved} at eta "
+                          f"{adv.eta}, but the file says alpha {adv.alpha}")
     return adv
 
 
@@ -624,7 +628,7 @@ def main(argv=None) -> int:
         cfg = parse_config(config, output_override=output,
                            check_noise=command != "validate-noise")
         if "adversary" in options:
-            options["adversary"] = _load_adversary(options["adversary"], cfg.noise.delta)
+            options["adversary"] = _load_adversary(options["adversary"], cfg.noise)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         _write_json(cfg.output_dir / "resolved_config.json", cfg.raw)
         return COMMANDS[command](cfg, cfg.output_dir, **options)

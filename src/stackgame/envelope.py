@@ -2,14 +2,16 @@
 
 The curve q -> moment_at_level(q) on [0, 1] is sampled on a dense grid, its
 upper concave hull is taken with a monotone chain (Andrew 1979), and hull
-segments that bridge over strictly lower samples are recorded as chords. The
-ends of each chord are then moved to where the curve's tangent passes through
-the other end, with the curve's closed-form slope (tangent_chords), so the
-chords are exact tangencies rather than grid points.
+segments that bridge over strictly lower samples are recorded as chords
+(hull_chords). The ends of each chord are then moved to where the curve's
+tangent passes through the other end, with the curve's closed-form slope
+(tangent_chords), so the chords are exact tangencies rather than grid points.
 
-One chord rule serves every query: q is on a chord when it lies strictly
-inside a hull segment flagged as one. The touch tolerance is a constant rule:
-TOUCH_REL times the largest sample magnitude, or TOUCH_REL if that is below 1.
+An envelope holds its chords as one sorted array of their exact ends,
+[q1, q2, q1', q2', ...], and one rule serves every query: q is on a chord when
+it lies strictly inside one (chord_segments). There the chord line replaces
+the curve (chord_line). The touch tolerance is a constant rule: TOUCH_REL
+times the largest sample magnitude, or TOUCH_REL if that is below 1.
 
 The chain's cross products for all consecutive sample triples are computed as
 one array, so the runs of samples it keeps without popping are appended in
@@ -105,6 +107,22 @@ def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
+def hull_chords(qs: np.ndarray, vals: np.ndarray):
+    """Upper hull indices of the samples, its chords as (m, 2) sample-index pairs
+    (hull segments bridging a sample more than the touch tolerance below them;
+    single-cell segments follow the curve), and that tolerance."""
+    hull = _upper_hull_indices(qs, vals)
+    tol = TOUCH_REL * max(1.0, float(np.max(np.abs(vals))))
+    chords = []
+    for s in np.flatnonzero(np.diff(hull) > 1).tolist():
+        a, b = hull[s], hull[s + 1]
+        t = (qs[a + 1:b] - qs[a]) / (qs[b] - qs[a])
+        line = vals[a] + t * (vals[b] - vals[a])
+        if np.max(line - vals[a + 1:b]) > tol:
+            chords.append((a, b))
+    return hull, np.array(chords, dtype=np.intp).reshape(-1, 2), tol
+
+
 class Envelope:
     """Piecewise-linear least concave majorant with chord classification.
 
@@ -124,32 +142,20 @@ class Envelope:
         _check_finite(qs, vals)
         self.source_qs = qs
         self.source_vals = vals
-        self._ctx = ctx
-        self.touch_tolerance = TOUCH_REL * max(1.0, float(np.max(np.abs(vals))))
+        self.ctx = ctx
 
-        hull = _upper_hull_indices(qs, vals)
+        hull, chords, self.touch_tolerance = hull_chords(qs, vals)
         bq, bv = qs[hull], vals[hull]
-        # A segment is a chord when it bridges over samples that sit strictly
-        # below it; single-cell segments follow the curve by construction.
-        flags = np.zeros(len(hull) - 1, dtype=bool)
-        for s in np.flatnonzero(np.diff(hull) > 1).tolist():
-            a, b = hull[s], hull[s + 1]
-            t = (qs[a + 1:b] - qs[a]) / (qs[b] - qs[a])
-            line = vals[a] + t * (vals[b] - vals[a])
-            flags[s] = np.max(line - vals[a + 1:b]) > self.touch_tolerance
-        if ctx is not None and np.any(flags):
-            s = np.flatnonzero(flags)
-            ends = tangent_chords(ctx, qs, np.column_stack((hull[s], hull[s + 1]))).ravel()
+        ends = qs[chords].ravel()
+        if ctx is not None and chords.size:
+            ends = tangent_chords(ctx, qs, chords).ravel()
             # hull samples strictly inside an exact chord give way to its ends
             keep = ~chord_segments(ends, bq)[1]
             bq, first = np.unique(np.concatenate((bq[keep], ends)), return_index=True)
             bv = np.concatenate((bv[keep], ctx.moment_at_level(ends)))[first]
-            flags = chord_segments(ends, 0.5 * (bq[:-1] + bq[1:]))[1]
         self.breakpoint_qs = bq
         self.breakpoint_vals = bv
-        self._chord_flags = flags
-        self._chords = [Chord(float(bq[s]), float(bq[s + 1]))
-                        for s in np.flatnonzero(flags).tolist()]
+        self.chord_ends = ends
 
     # --- queries -----------------------------------------------------------
 
@@ -164,26 +170,22 @@ class Envelope:
 
     def curve_value(self, q):
         """Underlying sampled curve at q: exact when the kernel context is known."""
-        if self._ctx is not None:
-            return self._ctx.moment_at_level(q)
+        if self.ctx is not None:
+            return self.ctx.moment_at_level(q)
         out = np.interp(q, self.source_qs, self.source_vals)
         return float(out) if np.ndim(q) == 0 else out
 
     def chords(self) -> list[Chord]:
-        return list(self._chords)
-
-    def _segments(self, arr: np.ndarray):
-        """Hull segment of each q, and whether q lies strictly inside a chord."""
-        return _on_chord(self.breakpoint_qs, self._chord_flags, arr)
+        return [Chord(q1, q2) for q1, q2 in self.chord_ends.reshape(-1, 2).tolist()]
 
     def _touches(self, arr: np.ndarray):
-        """Segment of each q in [0, 1], and True where the majorant meets the curve.
+        """Chord end left of each q in [0, 1], and True where the majorant meets the curve.
 
         Only points strictly inside a chord are checked against the curve: off
         chords the piecewise-linear majorant may sit O(grid step^2) above a
         strictly concave curve, beyond the touch tolerance, with no true chord.
         """
-        seg, inside = self._segments(arr)
+        seg, inside = chord_segments(self.chord_ends, arr)
         out = ~inside
         if np.any(inside):
             gap = self.evaluate(arr[inside]) - self.curve_value(arr[inside])
@@ -199,7 +201,7 @@ class Envelope:
         (i,), (touch,) = self._touches(np.array([q]))
         if touch:
             return Touch(min(q, float(self.breakpoint_qs[-1])))
-        return Chord(float(self.breakpoint_qs[i]), float(self.breakpoint_qs[i + 1]))
+        return Chord(float(self.chord_ends[i]), float(self.chord_ends[i + 1]))
 
     def is_touch(self, q) -> np.ndarray:
         """Vectorized supporting_chord: True where Touch; q <= 0 counts as a touch."""
@@ -222,16 +224,22 @@ def build_envelope(ctx: KernelContext, grid_size: int = DEFAULT_GRID_SIZE) -> En
     return Envelope(qs, np.asarray(ctx.moment_at_level(qs), dtype=float), ctx)
 
 
-def _on_chord(bq: np.ndarray, flags: np.ndarray, arr: np.ndarray):
-    """The chord rule: the segment of breakpoints bq holding each q, and
-    whether q lies strictly inside a segment flagged as a chord."""
-    seg = np.clip(np.searchsorted(bq, arr, side="right") - 1, 0, bq.size - 2)
-    return seg, (arr > bq[seg]) & (arr < bq[seg + 1]) & flags[seg]
-
-
 def chord_segments(ends: np.ndarray, arr: np.ndarray):
-    """_on_chord for chords given by their ends alone, [q1, q2, q1', q2', ...]."""
-    return _on_chord(ends, np.arange(ends.size - 1) % 2 == 0, arr)
+    """The chord rule, for chords given by their sorted ends [q1, q2, q1', q2', ...]:
+    the index into ends of the end at or left of each q, and whether q lies
+    strictly inside a chord."""
+    if ends.size == 0:
+        return np.zeros(arr.shape, dtype=np.intp), np.zeros(arr.shape, dtype=bool)
+    seg = np.clip(np.searchsorted(ends, arr, side="right") - 1, 0, ends.size - 2)
+    return seg, (seg % 2 == 0) & (arr > ends[seg]) & (arr < ends[seg + 1])
+
+
+def chord_line(ends: np.ndarray, curve, qs: np.ndarray, vals: np.ndarray) -> None:
+    """Put the chord line in place of the curve values vals at the levels qs,
+    in place, strictly inside each chord; curve gives the curve at the ends."""
+    inside = chord_segments(ends, qs)[1]
+    if np.any(inside):
+        vals[inside] = np.interp(qs[inside], ends, curve(ends))
 
 
 def tangent_chords(ctx: KernelContext, qs: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -271,7 +279,6 @@ def tangent_chords(ctx: KernelContext, qs: np.ndarray, ends: np.ndarray) -> np.n
                 return sign * (sub.slope_at_level(x) * (p - x) - (hp - sub.moment_at_level(x)))
 
             q[solve, side] = bisect_monotone_vec(g, lo[solve, side], hi[solve, side],
-                                                 np.zeros(p.size), increasing=False,
                                                  xtol=TANGENCY_XTOL)
     pinned = free & ((q - lo <= TANGENCY_XTOL) | (hi - q <= TANGENCY_XTOL))
     if np.any(pinned) or np.any(q[:, 0] >= q[:, 1]):

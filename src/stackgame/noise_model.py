@@ -386,7 +386,7 @@ def from_spec(spec: dict, base_dir=None) -> HonestNoiseModel:
             raise DomainError(f"/honest_noise/params: {exc}") from exc
     else:
         raise DomainError("/honest_noise/params: tabulated noise requires csv or xs and pdf")
-    if "delta" in spec and abs(model.delta - float(spec["delta"])) > 1e-9:
+    if "delta" in spec and not abs(model.delta - float(spec["delta"])) <= 1e-9 * model.delta:
         raise DomainError(f"/honest_noise/delta: tabulated grid implies delta={model.delta}, "
                           f"config says {spec['delta']}")
     return model

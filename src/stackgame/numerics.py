@@ -17,6 +17,7 @@ from .errors import NumericalError
 _MIN_REL_WIDTH = 1e-14
 # uniform panels the range is cut into before any subdivision
 _INITIAL_PANELS = 8
+_MAX_BISECTIONS = 200  # halvings bisect_monotone_vec makes at most
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
@@ -103,28 +104,20 @@ def bisect_scalar(f, lo: float, hi: float, *, xtol: float = 1e-12,
     return 0.5 * (lo + hi)
 
 
-def bisect_monotone_vec(fn, lo, hi, targets, *, increasing: bool,
-                        xtol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
-    """Vectorized bisection: solve fn(x) = target for each target.
+def bisect_monotone_vec(fn, lo, hi, *, xtol: float = 1e-12) -> np.ndarray:
+    """Vectorized bisection: the root of a decreasing fn in each bracket [lo, hi].
 
-    fn must be monotone on [lo, hi] and accept ndarray input. lo/hi may be
-    scalars or arrays broadcastable against targets. Each bracket stops
-    halving once it is xtol narrow, so every result depends only on its own
-    bracket and target, not on what else is solved in the same call.
+    fn must accept ndarray input; lo and hi are arrays of one shape. Each
+    bracket stops halving once it is xtol narrow, so every result depends only
+    on its own bracket, not on what else is solved in the same call.
     """
-    targets = np.asarray(targets, dtype=float)
-    lo_arr = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).copy()
-    hi_arr = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).copy()
-    for _ in range(max_iter):
+    lo_arr, hi_arr = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    for _ in range(_MAX_BISECTIONS):
         active = hi_arr - lo_arr > xtol
         if not np.any(active):
             break
         mid = 0.5 * (lo_arr + hi_arr)
-        vals = fn(mid)
-        if increasing:
-            go_right = vals < targets
-        else:
-            go_right = vals > targets
+        go_right = fn(mid) > 0.0
         lo_arr = np.where(active & go_right, mid, lo_arr)
         hi_arr = np.where(active & ~go_right, mid, hi_arr)
     return 0.5 * (lo_arr + hi_arr)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import (DEFAULT_GRID_SIZE, Envelope, Touch, build_envelope, chord_segments,
-                       has_reflex_sample, level_grid, tangent_chords)
+from .envelope import (DEFAULT_GRID_SIZE, Envelope, Touch, build_envelope, chord_line,
+                       has_reflex_sample, hull_chords, level_grid, tangent_chords)
 from .errors import DomainError, NumericalError
 from .kernel import KernelContext
-from .tradeoff import atom_accept_prob, c_alpha, check_levels
+from .tradeoff import c_alpha, check_levels, mixture_accept_prob
 
 TIE_TOL_REL = 1e-9
 # monotonicity probe: random (mse, pa) pairs, each moved by one step per argument
@@ -181,11 +181,12 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
     levels and at the alphas, each row to the bit. A row with no reflex
     sample is its own hull, with no chord, so its c_alpha is the curve over
     4 alpha. A row with a reflex sample may have chords, which the curve
-    misses: its hull's chords are kept as sample indices, with its curve row
-    at the alphas, and after the last block the exact tangencies of every
-    such chord are solved in one batch (tangent_chords, the same solve
-    build_envelope makes for one eta), and the chord line replaces the curve
-    on the alphas inside a chord.
+    misses: its hull's chords are kept as sample indices (hull_chords), with
+    its curve row at the alphas, and after the last block the exact
+    tangencies of every such chord are solved in one batch (tangent_chords,
+    the same solve build_envelope makes for one eta), and the chord line
+    replaces the curve on the alphas inside a chord (chord_line, as c_alpha
+    applies it).
     """
     ctxs = sorted(ctxs, key=lambda c: c.eta)
     if not ctxs:
@@ -207,30 +208,25 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
             found[k] = (float(dc_vals[i, worst[i]]), alphas[worst[i]], cs[i, worst[i]],
                         top[i, 0], alphas[keep[i]])
 
-    reflex_rows = []  # (index, c_alpha row off the chords, sampled chord ends)
+    reflex_rows = []  # (index, moment row at the alphas, chords as sample-index pairs)
     for start in range(0, len(ctxs), BLOCK_ETAS):
         block = range(start, min(start + BLOCK_ETAS, len(ctxs)))
         block_ctx = KernelContext(np.array([[ctxs[k].eta] for k in block]), noise)
         rows = block_ctx.moment_at_level(qs)
-        cs = block_ctx.moment_at_level(alphas) / (4.0 * alphas)
+        moments = block_ctx.moment_at_level(alphas)
         reflex = has_reflex_sample(qs, rows)
         for i in np.flatnonzero(reflex).tolist():
-            hull_ends = [q for ch in Envelope(qs, rows[i]).chords() for q in (ch.q1, ch.q2)]
-            reflex_rows.append((block[i], cs[i].copy(),
-                                np.searchsorted(qs, hull_ends).reshape(-1, 2)))
-        settle([k for k, r in zip(block, reflex.tolist()) if not r], cs[~reflex])
+            reflex_rows.append((block[i], moments[i].copy(), hull_chords(qs, rows[i])[1]))
+        settle([k for k, r in zip(block, reflex.tolist()) if not r],
+               moments[~reflex] / (4.0 * alphas))
     if reflex_rows:
-        indices, cs, sampled = zip(*reflex_rows)
+        indices, curves, sampled = zip(*reflex_rows)
         counts = [e.shape[0] for e in sampled]
         exact = tangent_chords(KernelContext(np.repeat([ctxs[k].eta for k in indices], counts),
                                              noise), qs, np.concatenate(sampled))
-        for k, row, chords in zip(indices, cs, np.split(exact, np.cumsum(counts)[:-1])):
-            ends = chords.ravel()
-            if ends.size:  # the chord line replaces the curve strictly inside a chord
-                inside = chord_segments(ends, alphas)[1]
-                line = np.interp(alphas[inside], ends, ctxs[k].moment_at_level(ends))
-                row[inside] = line / (4.0 * alphas[inside])
-        settle(indices, np.array(cs))
+        for k, row, chords in zip(indices, curves, np.split(exact, np.cumsum(counts)[:-1])):
+            chord_line(chords.ravel(), ctxs[k].moment_at_level, alphas, row)
+        settle(indices, np.array(curves) / (4.0 * alphas))
 
     k_star = int(np.argmax([f[0] for f in found]))  # the first eta with the best guarantee
     _, alpha_eq, mse_eq, adv_util, _ = found[k_star]
@@ -300,9 +296,7 @@ def build_adversary(env: Envelope, ctx: KernelContext, alpha: float) -> AtomicAd
     and +/- accept_prob_inv(q2) with weights (q2-alpha)/(2(q2-q1)) and
     (alpha-q1)/(2(q2-q1)), which make the achieved acceptance exactly alpha.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("acceptance level must lie in (0, 1]")
+    alpha = float(check_levels(alpha))
     sc = env.supporting_chord(alpha)
     if isinstance(sc, Touch):
         z1 = float(ctx.accept_prob_inv(alpha))
@@ -316,7 +310,7 @@ def build_adversary(env: Envelope, ctx: KernelContext, alpha: float) -> AtomicAd
         pairs = sorted([(-z1, b1), (-z2, b2), (z2, b2), (z1, b1)])
         atoms = tuple(pairs)
     adv = AtomicAdversary(atoms=atoms, alpha=alpha, eta=ctx.eta, delta=ctx.delta)
-    achieved = float(sum(w * atom_accept_prob(ctx, z) for z, w in adv.atoms))
+    achieved = mixture_accept_prob(ctx, adv.atoms)
     if abs(achieved - alpha) > 1e-8:
         raise NumericalError(
             f"constructed atoms achieve acceptance {achieved}, wanted {alpha}")

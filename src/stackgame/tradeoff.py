@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import Envelope
+from .envelope import Envelope, chord_line
 from .errors import DomainError
 from .kernel import QUAD_TOL, KernelContext
 from .numerics import adaptive_simpson
@@ -37,16 +37,14 @@ def check_levels(alpha) -> np.ndarray:
 def c_alpha(env: Envelope, alpha):
     """Worst-case conditional MSE at acceptance level alpha: envelope/(4 alpha).
 
-    Off chord intervals the majorant coincides with the underlying curve, so
-    the exact curve is evaluated there instead of the piecewise-linear hull,
-    which would sit O(grid step^2) low on strictly concave stretches.
+    The majorant is the exact curve, with the chord line in place of it strictly
+    inside each chord (chord_line), not the piecewise-linear hull, which would
+    sit O(grid step^2) low on strictly concave stretches.
     """
     arr = check_levels(alpha)
     flat = np.atleast_1d(arr)
-    vals = np.atleast_1d(np.asarray(env.evaluate(flat), dtype=float))
-    _, on_chord = env._segments(flat)
-    if np.any(~on_chord):
-        vals[~on_chord] = np.asarray(env.curve_value(flat[~on_chord]), dtype=float)
+    vals = np.array(env.curve_value(flat), dtype=float)
+    chord_line(env.chord_ends, env.curve_value, flat, vals)
     out = vals.reshape(arr.shape) / (4.0 * arr)
     return float(out) if np.ndim(alpha) == 0 else out
 
@@ -58,8 +56,8 @@ def zero_limit(env: Envelope) -> float:
     slope h'(0+) when the curve is known; raw samples give their first hull
     segment's slope.
     """
-    if env._ctx is not None and not env._chord_flags[0]:
-        return float(env._ctx.slope_at_level(0.0) / 4.0)
+    if env.ctx is not None and env.chord_ends[:1].tolist() != [env.breakpoint_qs[0]]:
+        return float(env.ctx.slope_at_level(0.0) / 4.0)
     q0, q1 = env.breakpoint_qs[0], env.breakpoint_qs[1]
     v0, v1 = env.breakpoint_vals[0], env.breakpoint_vals[1]
     return float((v1 - v0) / (q1 - q0) / 4.0)
@@ -79,6 +77,11 @@ def atom_accept_prob(ctx: KernelContext, z: float) -> float:
     if az > ctx.z_hi:
         return 0.0
     return float(ctx.accept_prob(az))
+
+
+def mixture_accept_prob(ctx: KernelContext, atoms) -> float:
+    """Acceptance probability of replicated atoms ((z, weight), ...) at any offsets."""
+    return float(sum(w * atom_accept_prob(ctx, z) for z, w in atoms))
 
 
 def atom_error_moment(ctx: KernelContext, z: float) -> float:
@@ -143,9 +146,7 @@ def oracle_c2_witness(ctx: KernelContext, alpha: float,
                       grid_size: int = DEFAULT_ORACLE_GRID,
                       table: OracleTable | None = None):
     """oracle_c2 plus the attaining atoms as ((z, weight), ...)."""
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("acceptance level must lie in (0, 1]")
+    alpha = float(check_levels(alpha))
     if table is None:
         table = build_oracle_table(ctx, grid_size)
     zs, k, nu = table.zs, table.accept, table.moment

@@ -1,4 +1,5 @@
-"""Every `sweep` artifact pinned to the byte for each noise family, and `verify`'s for three.
+"""Every `sweep` artifact pinned to the byte for each noise family, `verify`'s for three,
+and the standalone `adversary` command's on and off a chord for two.
 
 A change to the program that keeps its numbers keeps these hashes. A change
 that alters artifacts on purpose updates the pins and names the changed
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 from stackgame import cli
+from stackgame.envelope import Chord, build_envelope
+from stackgame.kernel import KernelContext
 
 _XS = np.linspace(-1.0, 1.0, 4096)
 NOISES = {
@@ -178,3 +181,49 @@ def test_verify_artifacts_are_pinned(name, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     assert verify_hashes(tmp_path, NOISES[name]) == VERIFY_PINS[name]
+
+
+# SHA-256 of each standalone `adversary` artifact at eta 2, recorded before the
+# envelope kept its chords as one array of ends; per noise, one alpha off a
+# chord (two atoms) and one on a chord (four atoms)
+ADVERSARY_PINS = {
+    ("uniform", 0.5, False): {
+        "adversary.json":
+            "5eb73721dbc66d1ad4ea917e70eadce0fe92d409fcf35205a2de1c556a209c29",
+        "resolved_config.json":
+            "e1b5bc0967fd718239cac6d03174a07ca63b682dab4dbdbc7b042f7eee1c1670",
+    },
+    ("uniform", 0.9, True): {
+        "adversary.json":
+            "5fa96f14c8e68ad3b4afc4c6f34c37e04369094e6e614fcc9bc9d1a21fa65a06",
+        "resolved_config.json":
+            "e1b5bc0967fd718239cac6d03174a07ca63b682dab4dbdbc7b042f7eee1c1670",
+    },
+    ("tabulated", 0.25, False): {
+        "adversary.json":
+            "5d76076c471d218e3230618551f6177d92e8cf80e131515830cc205d5ab8e90c",
+        "resolved_config.json":
+            "a8c4d0ddf412ae1876152baa4f2a52c0df8631efb7a98b1e2891ad245b73b705",
+    },
+    ("tabulated", 0.9, True): {
+        "adversary.json":
+            "1d2d44fc7ccf6fa8703387fbd718c062f3909e9c4a198a4f405aeaaa3ff56b86",
+        "resolved_config.json":
+            "a8c4d0ddf412ae1876152baa4f2a52c0df8631efb7a98b1e2891ad245b73b705",
+    },
+}
+
+
+@pytest.mark.parametrize("name, alpha, on_chord", list(ADVERSARY_PINS))
+def test_adversary_artifacts_are_pinned(name, alpha, on_chord, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({
+        "honest_noise": NOISES[name], "envelope": {"grid_size": 512}}))
+    env = build_envelope(KernelContext(2.0, cli.parse_config("config.json").noise), 512)
+    assert isinstance(env.supporting_chord(alpha), Chord) == on_chord
+    assert cli.main(["adversary", "--config", "config.json", "--output", "out",
+                     "--eta", "2", "--alpha", str(alpha)]) == 0
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted((tmp_path / "out").iterdir())}
+    assert hashes == ADVERSARY_PINS[name, alpha, on_chord]

@@ -417,6 +417,10 @@ def test_non_finite_numbers_fail_at_their_pointer(tmp_path, capsys, text, pointe
      "/honest_noise/delta: tabulated grid implies delta=1.0"),
     ({"honest_noise": {**_HALF_WIDTH_2, "delta": 1.0}},
      "/honest_noise/delta: tabulated grid implies delta=2.0, config says 1.0"),
+    # the mismatch is relative to the grid's half-width, not an absolute 1e-9
+    ({"honest_noise": {"kind": "tabulated", "delta": 5e-10,
+                       "params": {"xs": [-1e-10, 0, 1e-10], "pdf": [1, 1, 1]}}},
+     "/honest_noise/delta: tabulated grid implies delta=1e-10, config says 5e-10"),
 ])
 def test_noise_spec_errors_name_their_pointer(tmp_path, capsys, config, start):
     code, _ = run(["solve"], tmp_path, config=write_config(tmp_path, config))
@@ -520,7 +524,8 @@ def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
         assert cli.parse_config(path).config_hash == digest
 
 
-# an alpha outside (0, 1] is refused as the --alpha flag refuses it
+# an alpha outside (0, 1] is refused as the --alpha flag refuses it, and so is
+# one the atoms do not achieve: at +/-1.2 they are accepted with probability 0.9
 @pytest.mark.parametrize("field, value, config", [
     ("delta", 1.0, {"honest_noise": {"kind": "uniform", "delta": 2.0}, "data": {"m": 1000.0}}),
     ("eta", 1.5, {}),
@@ -528,11 +533,12 @@ def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
     ("alpha", float("nan"), {}),
     ("alpha", 0.0, {}),
     ("alpha", 7.5, {}),
+    ("alpha", 0.5, {}),
 ])
 def test_simulate_rejects_an_adversary_built_for_another_game(tmp_path, capsys, field, value,
                                                                 config):
     adversary = {"eta": 2.0, "delta": 1.0, "alpha": 0.9,
-                 "atoms": [{"z": -1.0, "weight": 0.5}, {"z": 1.0, "weight": 0.5}]}
+                 "atoms": [{"z": -1.2, "weight": 0.5}, {"z": 1.2, "weight": 0.5}]}
     adversary[field] = value
     path = tmp_path / "adversary.json"
     path.write_text(json.dumps(adversary))

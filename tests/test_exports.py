@@ -59,3 +59,30 @@ def test_every_public_definition_is_read_outside_itself():
         read |= _names_read(stmt) - {getattr(stmt, "name", None)}
     assert len(defined) > len(UNREAD_BY_DESIGN), "no definitions parsed"
     assert sorted(defined - read) == sorted(UNREAD_BY_DESIGN)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    """x._name, with x not self or cls, only where the module defines _name itself."""
+    defined, reads = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = defined.setdefault(path.name, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and _private(node.attr)
+                    and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+                reads.append((path.name, node.lineno, node.attr))
+    assert reads, "no private attribute reads parsed"
+    foreign = [(module, line, attr) for module, line, attr in reads
+               if attr not in defined[module]
+               and any(attr in names for other, names in defined.items() if other != module)]
+    assert foreign == []

@@ -41,25 +41,25 @@ def test_bisect_scalar_requires_bracket():
         bisect_scalar(lambda x: x + 10.0, 0.0, 1.0)
 
 
-def test_bisect_vec_increasing():
+def test_bisect_vec_cube_root():
     targets = np.linspace(0.01, 0.99, 17)
-    roots = bisect_monotone_vec(lambda x: x**3, 0.0, 1.0, targets, increasing=True)
+    roots = bisect_monotone_vec(lambda x: targets - x**3, np.zeros(17), np.ones(17))
     np.testing.assert_allclose(roots, targets ** (1 / 3), atol=1e-10)
 
 
 def test_bisect_vec_decreasing():
     targets = np.array([0.25, 0.5, 0.75])
-    roots = bisect_monotone_vec(lambda x: 1.0 - x, 0.0, 1.0, targets, increasing=False)
+    roots = bisect_monotone_vec(lambda x: 1.0 - x - targets, np.zeros(3), np.ones(3))
     np.testing.assert_allclose(roots, 1.0 - targets, atol=1e-10)
 
 
 def test_bisect_vec_result_does_not_depend_on_the_batch():
     # a narrow bracket stops at its own xtol while a wide one keeps halving,
     # so each root is the one it gets when solved alone
-    fn = lambda x: x**3
     lo, hi = np.array([0.0, 0.2]), np.array([1.0, 0.2 + 3e-7])
     targets = np.array([0.3, 0.2000001**3])
-    both = bisect_monotone_vec(fn, lo, hi, targets, increasing=True)
-    alone = [bisect_monotone_vec(fn, lo[i:i + 1], hi[i:i + 1], targets[i:i + 1],
-                                 increasing=True)[0] for i in range(2)]
-    assert both.tolist() == alone
+
+    def roots(part):
+        return bisect_monotone_vec(lambda x: targets[part] - x**3, lo[part], hi[part])
+
+    assert roots(slice(None)).tolist() == [roots(slice(i, i + 1))[0] for i in range(2)]

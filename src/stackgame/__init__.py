@@ -8,7 +8,7 @@ atomic noise distribution, and verifies all of it against brute-force
 oracles and Monte Carlo simulation.
 """
 
-from .envelope import Chord, Envelope, Touch, build_envelope
+from .envelope import Chord, Envelope, build_envelope
 from .errors import ConfigError, DomainError, NumericalError
 from .kernel import KernelContext
 from .noise_model import (DataModel, HonestNoiseModel, ValidationReport, from_spec,
@@ -20,7 +20,6 @@ from .simulator import (CustomJointStrategy, DominanceReport, GameConfig, IidStr
 from .strategy import (AdversaryUtility, AtomicAdversary, DCUtility,
                        EquilibriumReport, UtilitySpec, best_alpha_set,
                        build_adversary, solve_equilibrium)
-from .tradeoff import (atom_accept_prob, atom_error_moment, build_oracle_table,
-                       c_alpha, oracle_c2, oracle_c2_witness, zero_limit)
+from .tradeoff import build_oracle_table, c_alpha, oracle_c2, oracle_c2_witness, zero_limit
 
 __version__ = "0.1.0"

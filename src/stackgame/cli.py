@@ -30,8 +30,8 @@ from .simulator import (DEFAULT_CHUNK_SIZE, GameConfig, IidStrategy, ReplicatedS
                         dominance_check, run_monte_carlo, run_scenario_suite)
 from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY, AtomicAdversary,
                        UtilitySpec, best_alpha_set, build_adversary, solve_equilibrium)
-from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, atom_error_moment,
-                       build_oracle_table, c_alpha, mixture_accept_prob, oracle_c2, zero_limit)
+from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, build_oracle_table,
+                       c_alpha, mixture_accept_prob, oracle_c2, zero_limit)
 
 OUTPUT_DIR_ENV = "STACKGAME_OUTPUT_DIR"
 # a start/stop/step grid must span a whole number of steps, up to fp rounding
@@ -164,6 +164,17 @@ def _resolve_grid(spec: dict, path: str) -> np.ndarray:
     return grid
 
 
+def _largest_mse(where: str, eta: float, delta: float) -> float:
+    """((eta + 2) delta)^2, the largest MSE at eta. It and its square, which the Monte
+    Carlo sums, must be finite: a ConfigError at the pointer or flag where if not."""
+    with np.errstate(over="ignore"):
+        m_max = np.float64((eta + 2.0) * delta) ** 2
+        if not np.isfinite(m_max * m_max):
+            raise ConfigError(f"{where}: eta {eta} with delta {delta} puts the largest MSE, "
+                              "((eta + 2) delta)^2, or its square beyond the float range")
+    return float(m_max)
+
+
 class RunConfig:
     """Fully resolved run configuration plus the derived model objects."""
 
@@ -213,9 +224,11 @@ class RunConfig:
         if self.data.m < 100.0 * self.noise.delta:
             problems.append(
                 "/data/m: the value range must dominate the noise (m >= 100 * delta)")
-        m_max = ((self.eta_grid[-1] + 2.0) * self.noise.delta) ** 2
-        for msg in self.utility.monotonicity_violations(m_max):
-            problems.append(f"/utility: {msg}")
+        try:
+            m_max = _largest_mse("/eta_grid", self.eta_grid[-1], self.noise.delta)
+            problems += [f"/utility: {msg}" for msg in self.utility.monotonicity_violations(m_max)]
+        except ConfigError as exc:
+            problems.append(str(exc))
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -375,7 +388,7 @@ def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = N
     env = build_envelope(ctx, cfg.envelope_grid)
     adv = build_adversary(env, ctx, alpha)
     achieved_pa = mixture_accept_prob(ctx, adv.atoms)
-    achieved_mse = float(sum(w * atom_error_moment(ctx, z) for z, w in adv.atoms)
+    achieved_mse = float(sum(w * ctx.error_moment(z) for z, w in adv.atoms)
                          / (4.0 * achieved_pa))
     payload = {
         **adv.to_json_dict(),
@@ -404,6 +417,7 @@ def _load_adversary(path, noise) -> AtomicAdversary:
     if not abs(adv.delta - noise.delta) <= 1e-9 * noise.delta:
         raise ConfigError(f"--adversary: built for delta {adv.delta}, "
                           f"but the configured noise has delta {noise.delta}")
+    _largest_mse("--adversary", adv.eta, noise.delta)
     achieved = mixture_accept_prob(KernelContext(adv.eta, noise), adv.atoms)
     if not abs(achieved - adv.alpha) <= 1e-8:
         raise ConfigError(f"--adversary: the atoms achieve acceptance {achieved} at eta "
@@ -627,6 +641,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{flag}: must be {need}, got {options[flag]}")
         cfg = parse_config(config, output_override=output,
                            check_noise=command != "validate-noise")
+        if "eta" in options:
+            _largest_mse("--eta", options["eta"], cfg.noise.delta)
         if "adversary" in options:
             options["adversary"] = _load_adversary(options["adversary"], cfg.noise)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -39,12 +39,6 @@ TANGENCY_PASSES = 2  # alternations of the two ends' solves
 
 
 @dataclass(frozen=True)
-class Touch:
-    """The majorant touches the curve at q: the optimum is a single offset."""
-    q: float
-
-
-@dataclass(frozen=True)
 class Chord:
     """The majorant is linear over [q1, q2] and strictly above the curve inside."""
     q1: float
@@ -178,37 +172,23 @@ class Envelope:
     def chords(self) -> list[Chord]:
         return [Chord(q1, q2) for q1, q2 in self.chord_ends.reshape(-1, 2).tolist()]
 
-    def _touches(self, arr: np.ndarray):
-        """Chord end left of each q in [0, 1], and True where the majorant meets the curve.
+    def is_touch(self, q) -> np.ndarray:
+        """Per q <= 1: True where the majorant meets the curve (q <= 0 counts as a touch).
 
         Only points strictly inside a chord are checked against the curve: off
         chords the piecewise-linear majorant may sit O(grid step^2) above a
         strictly concave curve, beyond the touch tolerance, with no true chord.
         """
-        seg, inside = chord_segments(self.chord_ends, arr)
+        arr = np.atleast_1d(np.asarray(q, dtype=float))
+        if np.any(np.isnan(arr) | (arr > 1.0 + 1e-12)):
+            raise DomainError("is_touch argument must be a number <= 1")
+        arr = np.minimum(arr, 1.0)
+        inside = chord_segments(self.chord_ends, arr)[1]
         out = ~inside
         if np.any(inside):
             gap = self.evaluate(arr[inside]) - self.curve_value(arr[inside])
             out[inside] = gap <= self.touch_tolerance
-        return seg, out
-
-    def supporting_chord(self, q: float):
-        """Touch(q) where the majorant meets the curve, else the hull Chord."""
-        q = float(q)
-        if not 0.0 < q <= 1.0 + 1e-12:
-            raise DomainError("supporting_chord argument must lie in (0, 1]")
-        q = min(q, 1.0)
-        (i,), (touch,) = self._touches(np.array([q]))
-        if touch:
-            return Touch(min(q, float(self.breakpoint_qs[-1])))
-        return Chord(float(self.chord_ends[i]), float(self.chord_ends[i + 1]))
-
-    def is_touch(self, q) -> np.ndarray:
-        """Vectorized supporting_chord: True where Touch; q <= 0 counts as a touch."""
-        arr = np.atleast_1d(np.asarray(q, dtype=float))
-        if np.any(np.isnan(arr) | (arr > 1.0 + 1e-12)):
-            raise DomainError("supporting_chord argument must lie in (0, 1]")
-        return self._touches(np.minimum(arr, 1.0))[1]
+        return out
 
 
 def level_grid(grid_size: int) -> np.ndarray:

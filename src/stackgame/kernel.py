@@ -1,10 +1,9 @@
 """Acceptance kernel of a replicated atom against the honest noise.
 
 An adversary that replicates a single offset z across its nodes is accepted
-exactly when the honest noise lands within eta*delta of it. On the offset
-range [(eta-1)*delta, (eta+1)*delta] this defines:
+exactly when the honest noise lands within eta*delta of it. This defines:
 
-  accept_prob(z)   -- probability of acceptance, 1 - F(z - eta*delta)
+  accept_prob(z)   -- probability of acceptance, 1 - F(|z| - eta*delta)
   error_moment(z)  -- integral of (x + z)^2 f(x) over the accepting x;
                       note (x + z)/2 is the midrange estimation error, so
                       error_moment(z)/4 is the unnormalized conditional MSE
@@ -14,7 +13,8 @@ range [(eta-1)*delta, (eta+1)*delta] this defines:
 moment_at_level is the curve whose least concave majorant drives the whole
 trade-off analysis downstream; its slope places the majorant's chords. All
 are closed forms of the noise model: its density, CDF, inverse CDF and
-partial moments.
+partial moments, which clamp outside its support, so they hold at every
+offset: always accepted below (eta-1)*delta, never beyond (eta+1)*delta.
 """
 
 from __future__ import annotations
@@ -59,30 +59,30 @@ class KernelContext:
     def z_hi(self) -> float:
         return (self.eta + 1.0) * self.delta
 
-    def _check_z(self, z) -> np.ndarray:
+    def _check_z(self, z) -> None:
+        """The quadrature oracles' input check: z on [(eta-1)*delta, (eta+1)*delta]."""
         arr = np.asarray(z, dtype=float)
         lo, hi = self.z_lo, self.z_hi
         slack = _EDGE_SLACK * self.delta
         if np.any(arr < lo - slack) or np.any(arr > hi + slack):
             raise DomainError(
                 f"offset outside [{lo}, {hi}] for eta={self.eta}, delta={self.delta}")
-        return np.clip(arr, lo, hi)
 
     # --- forward kernel ----------------------------------------------------
 
     def accept_prob(self, z):
-        """P(honest noise >= z - eta*delta) = 1 - F(z - eta*delta)."""
-        arr = self._check_z(z)
+        """P(honest noise >= |z| - eta*delta) = 1 - F(|z| - eta*delta): the noise is symmetric."""
+        arr = np.abs(np.asarray(z, dtype=float))
         out = 1.0 - self.noise.cdf(arr - self.eta * self.delta)
         return float(out) if np.ndim(z) == 0 else np.asarray(out)
 
     def error_moment(self, z):
-        """integral of (x+z)^2 f(x) over x in [L, delta], L = z - eta*delta.
+        """integral of (x+|z|)^2 f(x) over x in [L, delta], L = |z| - eta*delta.
 
-        Expanding the square gives z^2 M0(L) + 2z M1(L) + M2(L) in the noise
+        Expanding the square gives z^2 M0(L) + 2|z| M1(L) + M2(L) in the noise
         model's partial moments.
         """
-        arr = self._check_z(z)
+        arr = np.abs(np.asarray(z, dtype=float))
         m0, m1, m2 = self.noise.partial_moments(arr - self.eta * self.delta)
         out = np.maximum(arr * (arr * m0 + 2.0 * m1) + m2, 0.0)
         return float(out) if arr.ndim == 0 else out

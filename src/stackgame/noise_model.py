@@ -22,7 +22,6 @@ import csv
 import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,11 @@ _INV_CDF_XTOL = 1e-12
 _CDF_ROUNDING = 1e-15
 # points of the grid on which validate checks symmetry and strict CDF increase
 _VALIDATE_GRID = 1025
+# sigma / delta from which a truncated normal takes the forms of _WideNormal
+WIDE_SIGMA = 8.0
+# row j: 1 / (k! (2k + j + 1)), k = 11 down to 0, the series of the j-th partial moment
+_WIDE_SERIES = [[1.0 / (math.factorial(k) * (2 * k + j + 1)) for k in range(11, -1, -1)]
+                for j in range(3)]
 
 
 # --- per-family laws --------------------------------------------------------
@@ -160,6 +164,31 @@ class _TruncatedNormal(_Symmetric):
         m1 = s * (phi_a - self._phi_d)
         m2 = s * s * m0 + s * (L * phi_a - self._d * self._phi_d)
         return m0, m1, m2
+
+
+class _WideNormal(_TruncatedNormal):
+    """A truncated normal with sigma >= WIDE_SIGMA * delta, where the erf/phi forms cancel
+    to (sigma/delta)^2 eps. Its density's series in x^2, integrated term by term, gives
+    M_j(L) = f(0) sum_k (-1/(2 s^2))^k / k! (delta^n - L^n) / n, n = 2k + j + 1, whose terms
+    fall by delta^2/(2 s^2) <= 1/128: 12 reach the rounding. x = s sqrt(2) erfinv((2p-1) mass)."""
+
+    def __init__(self, delta: float, sigma: float):
+        super().__init__(delta, sigma)
+        from scipy import special
+        self._erfinv = special.erfinv
+        self._at_d = self._integrals(self._d)
+
+    def _integrals(self, x):
+        """Integrals of t^j f(t) over [0, x], j = 0, 1, 2, by the series."""
+        w = -0.5 * (x / self._s) ** 2
+        return [self.pdf_max * x ** (j + 1) * np.polyval(c, w) for j, c in enumerate(_WIDE_SERIES)]
+
+    def inv_cdf(self, p):
+        return np.clip(self._scale * self._erfinv((2.0 * p - 1.0) * self._mass),
+                       -self._d, self._d)
+
+    def partial_moments(self, L):
+        return tuple(at_d - at_l for at_d, at_l in zip(self._at_d, self._integrals(L)))
 
 
 class _Tabulated:
@@ -297,11 +326,6 @@ class HonestNoiseModel:
         lo, hi = self.support
         return self.law.partial_moments(np.clip(L, lo, hi))
 
-    @cached_property
-    def second_moment(self) -> float:
-        """E[x^2], the full-support M2."""
-        return float(self.partial_moments(self.support[0])[2])
-
 
 # --- factories -------------------------------------------------------------
 
@@ -311,7 +335,8 @@ def uniform(delta: float) -> HonestNoiseModel:
 
 def truncated_normal(delta: float, sigma: float) -> HonestNoiseModel:
     sigma = float(sigma)
-    return HonestNoiseModel("truncated-normal", {"sigma": sigma}, _TruncatedNormal(delta, sigma))
+    law = _WideNormal if sigma >= WIDE_SIGMA * delta else _TruncatedNormal
+    return HonestNoiseModel("truncated-normal", {"sigma": sigma}, law(delta, sigma))
 
 
 def triangular(delta: float) -> HonestNoiseModel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import (DEFAULT_GRID_SIZE, Envelope, Touch, build_envelope, chord_line,
+from .envelope import (DEFAULT_GRID_SIZE, Envelope, build_envelope, chord_line, chord_segments,
                        has_reflex_sample, hull_chords, level_grid, tangent_chords)
 from .errors import DomainError, NumericalError
 from .kernel import KernelContext
@@ -24,6 +24,7 @@ TIE_TOL_REL = 1e-9
 # monotonicity probe: random (mse, pa) pairs, each moved by one step per argument
 _PROBE_PAIRS = 10_000
 _PROBE_STEP = 1e-3
+_PROBE_REL_STEP = 2.0**-40  # the least MSE step, relative to the MSE range: it never rounds away
 _PROBE_SEED = 7
 _STRICT_TOL = 1e-12  # least increase that counts as strict
 BLOCK_ETAS = 8  # etas solved together: 4 to 16 run equally fast, 32 or more spill the cache
@@ -99,14 +100,15 @@ class UtilitySpec:
         rng = np.random.default_rng(_PROBE_SEED)
         m = rng.uniform(0.0, m_max, _PROBE_PAIRS)
         p = rng.uniform(0.0, 1.0 - _PROBE_STEP, _PROBE_PAIRS)
+        step = max(_PROBE_STEP, _PROBE_REL_STEP * m_max)
         out = []
         adv = self.adversary.value
-        if np.min(adv(m + _PROBE_STEP, p) - adv(m, p)) <= _STRICT_TOL:
+        if np.min(adv(m + step, p) - adv(m, p)) <= _STRICT_TOL:
             out.append("adversary utility not strictly increasing in MSE")
         if np.min(adv(m, p + _PROBE_STEP) - adv(m, p)) <= _STRICT_TOL:
             out.append("adversary utility not strictly increasing in acceptance")
         dcv = self.dc.value
-        if np.max(dcv(m + _PROBE_STEP, p) - dcv(m, p)) > 0.0:
+        if np.max(dcv(m + step, p) - dcv(m, p)) > 0.0:
             out.append("defender utility increases in MSE")
         if np.min(dcv(m, p + _PROBE_STEP) - dcv(m, p)) < 0.0:
             out.append("defender utility decreases in acceptance")
@@ -297,12 +299,12 @@ def build_adversary(env: Envelope, ctx: KernelContext, alpha: float) -> AtomicAd
     (alpha-q1)/(2(q2-q1)), which make the achieved acceptance exactly alpha.
     """
     alpha = float(check_levels(alpha))
-    sc = env.supporting_chord(alpha)
-    if isinstance(sc, Touch):
+    if env.is_touch(alpha)[0]:
         z1 = float(ctx.accept_prob_inv(alpha))
         atoms = ((-z1, 0.5), (z1, 0.5))
     else:
-        q1, q2 = sc.q1, sc.q2
+        i = int(chord_segments(env.chord_ends, np.array([alpha]))[0][0])
+        q1, q2 = env.chord_ends[i:i + 2].tolist()
         z1 = float(ctx.accept_prob_inv(q1))
         z2 = float(ctx.accept_prob_inv(q2))
         b1 = (q2 - alpha) / (2.0 * (q2 - q1))

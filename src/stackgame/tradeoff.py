@@ -63,35 +63,9 @@ def zero_limit(env: Envelope) -> float:
     return float((v1 - v0) / (q1 - q0) / 4.0)
 
 
-# --- extended atom functionals (any offset, not just the kernel domain) -----
-
-def atom_accept_prob(ctx: KernelContext, z: float) -> float:
-    """Acceptance probability of a replicated atom at any offset.
-
-    Offsets below (eta-1)*delta are always accepted; beyond (eta+1)*delta
-    never. The sign of z is irrelevant for a symmetric honest density.
-    """
-    az = abs(float(z))
-    if az <= ctx.z_lo:
-        return 1.0
-    if az > ctx.z_hi:
-        return 0.0
-    return float(ctx.accept_prob(az))
-
-
 def mixture_accept_prob(ctx: KernelContext, atoms) -> float:
     """Acceptance probability of replicated atoms ((z, weight), ...) at any offsets."""
-    return float(sum(w * atom_accept_prob(ctx, z) for z, w in atoms))
-
-
-def atom_error_moment(ctx: KernelContext, z: float) -> float:
-    """Acceptance-restricted second moment of (honest + z) at any offset."""
-    az = abs(float(z))
-    if az > ctx.z_hi:
-        return 0.0
-    if az >= ctx.z_lo:
-        return float(ctx.error_moment(az))
-    return az * az + ctx.noise.second_moment  # always accepted; symmetric noise has mean 0
+    return float(sum(w * ctx.accept_prob(z) for z, w in atoms))
 
 
 @dataclass(frozen=True)
@@ -103,35 +77,28 @@ class OracleTable:
 
 
 def build_oracle_table(ctx: KernelContext, grid_size: int = DEFAULT_ORACLE_GRID) -> OracleTable:
-    """Evaluate the extended atom functionals on a dense offset grid.
+    """Evaluate the atom functionals on a dense offset grid.
 
     The grid is uniform over [0, (eta+1)*delta] with (eta-1)*delta appended so
     the boundary between always-accepted and partially-accepted offsets is
-    represented exactly (it carries the full-acceptance optimum).
+    represented exactly (it carries the full-acceptance optimum). Below it the
+    moments come from quadrature of the density over its whole support.
     """
     if grid_size < MIN_ORACLE_GRID:
         raise DomainError(f"oracle grid too small: {grid_size}")
     zs = np.unique(np.append(np.linspace(0.0, ctx.z_hi, grid_size), ctx.z_lo))
-    accept = np.empty_like(zs)
     moment = np.empty_like(zs)
-    inner = zs < ctx.z_lo
-    if np.any(inner):
-        # expand (x+z)^2 once: full-support partial moments do not depend on z
-        lo, hi = ctx.noise.support
-        pdf = ctx.noise.pdf_scalar
-        m0 = (adaptive_simpson(pdf, lo, 0.0, QUAD_TOL)
-              + adaptive_simpson(pdf, 0.0, hi, QUAD_TOL))
-        m1 = (adaptive_simpson(lambda x: x * pdf(x), lo, 0.0, QUAD_TOL)
-              + adaptive_simpson(lambda x: x * pdf(x), 0.0, hi, QUAD_TOL))
-        m2 = (adaptive_simpson(lambda x: x * x * pdf(x), lo, 0.0, QUAD_TOL)
-              + adaptive_simpson(lambda x: x * x * pdf(x), 0.0, hi, QUAD_TOL))
-        zi = zs[inner]
-        accept[inner] = 1.0
-        moment[inner] = m2 + 2.0 * zi * m1 + zi * zi * m0
-    domain = ~inner
-    accept[domain] = ctx.accept_prob(zs[domain])
-    moment[domain] = ctx.error_moment(zs[domain])
-    return OracleTable(zs=zs, accept=accept, moment=moment)
+    inner = zs < ctx.z_lo  # never empty: zs starts at 0
+    # expand (x+z)^2 once: full-support partial moments do not depend on z
+    lo, hi = ctx.noise.support
+    pdf = ctx.noise.pdf_scalar
+    m0, m1, m2 = (adaptive_simpson(lambda x: x ** k * pdf(x), lo, 0.0, QUAD_TOL)
+                  + adaptive_simpson(lambda x: x ** k * pdf(x), 0.0, hi, QUAD_TOL)
+                  for k in range(3))
+    zi = zs[inner]
+    moment[inner] = m2 + 2.0 * zi * m1 + zi * zi * m0
+    moment[~inner] = ctx.error_moment(zs[~inner])
+    return OracleTable(zs=zs, accept=ctx.accept_prob(zs), moment=moment)
 
 
 def oracle_c2(ctx: KernelContext, alpha: float,

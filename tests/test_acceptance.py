@@ -109,8 +109,8 @@ def test_criterion_4_adversary_achievability(uniform_ctx, uniform_env):
     worst_pa = worst_mse = 0.0
     for a in alphas:
         adv = sg.build_adversary(uniform_env, uniform_ctx, float(a))
-        pa = sum(w * sg.atom_accept_prob(uniform_ctx, z) for z, w in adv.atoms)
-        mse = sum(w * sg.atom_error_moment(uniform_ctx, z) for z, w in adv.atoms) / (4 * a)
+        pa = sum(w * uniform_ctx.accept_prob(z) for z, w in adv.atoms)
+        mse = sum(w * uniform_ctx.error_moment(z) for z, w in adv.atoms) / (4 * a)
         worst_pa = max(worst_pa, abs(pa - a))
         worst_mse = max(worst_mse, abs(mse - sg.c_alpha(uniform_env, float(a))))
     ok = worst_pa < 1e-8 and worst_mse < 1e-6

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from stackgame import cli
-from stackgame.envelope import Chord, build_envelope
+from stackgame.envelope import build_envelope
 from stackgame.kernel import KernelContext
 
 _XS = np.linspace(-1.0, 1.0, 4096)
@@ -221,7 +221,7 @@ def test_adversary_artifacts_are_pinned(name, alpha, on_chord, tmp_path, monkeyp
     (tmp_path / "config.json").write_text(json.dumps({
         "honest_noise": NOISES[name], "envelope": {"grid_size": 512}}))
     env = build_envelope(KernelContext(2.0, cli.parse_config("config.json").noise), 512)
-    assert isinstance(env.supporting_chord(alpha), Chord) == on_chord
+    assert (not env.is_touch(alpha)[0]) == on_chord
     assert cli.main(["adversary", "--config", "config.json", "--output", "out",
                      "--eta", "2", "--alpha", str(alpha)]) == 0
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

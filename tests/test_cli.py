@@ -230,6 +230,7 @@ def test_exit_codes(tmp_path, capsys):
     (["verify", "--realizations", "0"], "--realizations"),
     (["verify", "--candidates", "-1"], "--candidates"),
     (["verify", "--trials", "0"], "--trials"),
+    (["tradeoff", "--eta", "1e307"], "--eta"),  # ((eta + 2) delta)^2 overflows
 ])
 def test_bad_flags_fail_at_the_boundary(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"
@@ -383,7 +384,9 @@ def test_typed_params_fail_at_the_boundary(tmp_path, capsys, config, pointer):
     assert error["type"] == "ConfigError" and error["message"].startswith(pointer)
 
 
-# NaN, Infinity and integers too large for a float parse as numbers; no config number may be one
+# NaN, Infinity and integers too large for a float parse as numbers; no config number may
+# be one, and no eta and delta may put the largest MSE, ((eta + 2) delta)^2, or its square
+# beyond the float range
 @pytest.mark.parametrize("text, pointer", [
     ('{"eta_grid": {"start": 2, "stop": 3, "step": NaN}}', "/eta_grid/step"),
     ('{"eta_grid": {"start": 2, "stop": 3, "step": Infinity}}', "/eta_grid/step"),
@@ -392,6 +395,8 @@ def test_typed_params_fail_at_the_boundary(tmp_path, capsys, config, pointer):
     ('{"data": {"m": NaN}}', "/data/m"),
     ('{"honest_noise": {"delta": NaN}}', "/honest_noise/delta"),
     ('{"honest_noise": {"delta": 1%s}}' % ("0" * 400), "/honest_noise/delta"),
+    ('{"honest_noise": {"delta": 1e200}, "data": {"m": 1e203}}', "/eta_grid"),
+    ('{"eta_grid": {"values": [1e307]}}', "/eta_grid"),
     ('{"honest_noise": {"kind": "tabulated", "params": {"xs": [-1, 0, 1], "pdf": [1, NaN, 1]}}}',
      "/honest_noise/params/pdf/1"),
 ])
@@ -548,6 +553,21 @@ def test_simulate_rejects_an_adversary_built_for_another_game(tmp_path, capsys, 
     assert code == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError" and error["message"].startswith("--adversary:")
+    assert not out.exists()
+
+
+def test_simulate_rejects_an_adversary_beyond_the_float_range(tmp_path, capsys):
+    # the scale rule holds for the file's eta as for the grid's: its MSE would overflow
+    adversary = {"eta": 1e307, "delta": 1.0, "alpha": 1.0,
+                 "atoms": [{"z": -1e307, "weight": 0.5}, {"z": 1e307, "weight": 0.5}]}
+    path = tmp_path / "adversary.json"
+    path.write_text(json.dumps(adversary))
+    out = tmp_path / "sim"
+    code = cli.main(["simulate", "--adversary", str(path), "--output", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("--adversary: eta 1e+307 with delta 1.0")
     assert not out.exists()
 
 

@@ -1,9 +1,11 @@
 """The package exports no name, and defines no public one, that only tests would read.
 
-The exceptions are listed, each with the reason it is kept.
+That holds for the public methods and properties of its classes too. The
+exceptions are listed, each with the reason it is kept.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import stackgame
@@ -26,14 +28,16 @@ def _exports() -> set:
             for alias in node.names}
 
 
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name and attribute is read in tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
 def _names_read(tree: ast.AST) -> set:
-    read = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+    return set(_reads(tree))
 
 
 def _module_statements():
@@ -59,6 +63,19 @@ def test_every_public_definition_is_read_outside_itself():
         read |= _names_read(stmt) - {getattr(stmt, "name", None)}
     assert len(defined) > len(UNREAD_BY_DESIGN), "no definitions parsed"
     assert sorted(defined - read) == sorted(UNREAD_BY_DESIGN)
+
+
+def test_every_public_method_is_read_outside_itself():
+    read, methods = Counter(), []
+    for stmt in _module_statements():
+        read += _reads(stmt)
+        if isinstance(stmt, ast.ClassDef):
+            methods += [(stmt.name, node) for node in stmt.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert methods, "no methods parsed"
+    unread = [f"{cls}.{node.name}" for cls, node in methods
+              if read[node.name] == _reads(node)[node.name]]
+    assert unread == []
 
 
 def _private(name: str) -> bool:

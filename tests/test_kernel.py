@@ -11,8 +11,10 @@ def test_domain_bounds(uniform_ctx):
     assert uniform_ctx.z_lo == 1.0 and uniform_ctx.z_hi == 3.0
     with pytest.raises(DomainError):
         sg.KernelContext(1.5, sg.uniform(1.0))
+    # the kernel holds at every offset; the quadrature oracles check theirs
+    assert uniform_ctx.accept_prob(3.5) == 0.0
     with pytest.raises(DomainError):
-        uniform_ctx.accept_prob(3.5)
+        accept_prob_quad(uniform_ctx, 3.5)
 
 
 def test_uniform_closed_forms(uniform_ctx):

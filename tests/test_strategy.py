@@ -51,6 +51,8 @@ def test_monotonicity_probe_clean():
         "dc": {"family": "exp_penalty", "params": {"s": 2.0}},
     })
     assert spec2.monotonicity_violations(m_max=25.0) == []
+    # delta = 1e6 on the default eta grid: a step of 1e-3 would round away at this MSE
+    assert spec.monotonicity_violations(m_max=2.5e13) == []
 
 
 def test_scaled_product_interior_optimum(uniform_env, alphas):
@@ -98,12 +100,10 @@ def test_random_strategies_never_beat_best_response(uniform_env, uniform_ctx, rn
     zs = rng.uniform(0.0, uniform_ctx.z_hi, (1000, 2))
     ws = rng.uniform(0.0, 1.0, 1000)
     for (z1, z2), w in zip(zs, ws):
-        pa = (w * sg.atom_accept_prob(uniform_ctx, z1)
-              + (1.0 - w) * sg.atom_accept_prob(uniform_ctx, z2))
+        pa = w * uniform_ctx.accept_prob(z1) + (1.0 - w) * uniform_ctx.accept_prob(z2)
         if pa <= 0.0:
             continue
-        moment = (w * sg.atom_error_moment(uniform_ctx, z1)
-                  + (1.0 - w) * sg.atom_error_moment(uniform_ctx, z2))
+        moment = w * uniform_ctx.error_moment(z1) + (1.0 - w) * uniform_ctx.error_moment(z2)
         util = spec.adversary.value(moment / (4.0 * pa), pa)
         assert util <= top + 1e-6
 
@@ -183,15 +183,15 @@ def test_build_adversary_chord(uniform_env, uniform_ctx):
     # outer pair near k_inv(11/14) = 10/7, inner pair at the full-accept edge
     np.testing.assert_allclose(np.abs(zs), [10.0 / 7.0, 1.0, 1.0, 10.0 / 7.0],
                                atol=1e-10)
-    pa = sum(w * sg.atom_accept_prob(uniform_ctx, z) for z, w in adv.atoms)
+    pa = sum(w * uniform_ctx.accept_prob(z) for z, w in adv.atoms)
     assert abs(pa - 0.9) < 1e-8
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 5.0 / 7.0, 0.85, 0.99, 1.0])
 def test_adversary_achieves_curve(uniform_env, uniform_ctx, alpha):
     adv = sg.build_adversary(uniform_env, uniform_ctx, alpha)
-    pa = sum(w * sg.atom_accept_prob(uniform_ctx, z) for z, w in adv.atoms)
-    mse = sum(w * sg.atom_error_moment(uniform_ctx, z) for z, w in adv.atoms) / (4 * pa)
+    pa = sum(w * uniform_ctx.accept_prob(z) for z, w in adv.atoms)
+    mse = sum(w * uniform_ctx.error_moment(z) for z, w in adv.atoms) / (4 * pa)
     assert abs(pa - alpha) < 1e-8
     assert abs(mse - sg.c_alpha(uniform_env, alpha)) < 1e-6
 

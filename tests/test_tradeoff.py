@@ -31,12 +31,12 @@ def test_zero_limit(uniform_env):
 def test_atom_functionals_extended(uniform_ctx):
     # inside the always-accept zone the acceptance is 1 and the moment is
     # m2 + z^2 (uniform, m1 = 0)
-    assert sg.atom_accept_prob(uniform_ctx, 0.5) == 1.0
-    assert abs(sg.atom_error_moment(uniform_ctx, 0.5) - (1.0 / 3.0 + 0.25)) < 1e-9
-    assert sg.atom_accept_prob(uniform_ctx, 3.5) == 0.0
-    assert sg.atom_error_moment(uniform_ctx, 3.5) == 0.0
+    assert uniform_ctx.accept_prob(0.5) == 1.0
+    assert abs(uniform_ctx.error_moment(0.5) - (1.0 / 3.0 + 0.25)) < 1e-9
+    assert uniform_ctx.accept_prob(3.5) == 0.0
+    assert uniform_ctx.error_moment(3.5) == 0.0
     # sign is irrelevant
-    assert sg.atom_accept_prob(uniform_ctx, -2.0) == sg.atom_accept_prob(uniform_ctx, 2.0)
+    assert uniform_ctx.accept_prob(-2.0) == uniform_ctx.accept_prob(2.0)
 
 
 def test_oracle_matches_formula(uniform_ctx, uniform_env):
@@ -59,11 +59,11 @@ def test_oracle_witness_feasible(uniform_ctx):
     table = build_oracle_table(uniform_ctx, 512)
     for a in (0.25, 0.6, 0.95):
         val, atoms = oracle_c2_witness(uniform_ctx, a, table=table)
-        ks = np.array([sg.atom_accept_prob(uniform_ctx, z) for z, _ in atoms])
+        ks = np.array([uniform_ctx.accept_prob(z) for z, _ in atoms])
         ws = np.array([w for _, w in atoms])
         assert abs(ws.sum() - 1.0) < 1e-12
         assert ws @ ks >= a - 1e-9
-        nus = np.array([sg.atom_error_moment(uniform_ctx, z) for z, _ in atoms])
+        nus = np.array([uniform_ctx.error_moment(z) for z, _ in atoms])
         achieved = (ws @ nus) / (4.0 * max(ws @ ks, a))
         assert abs(achieved - val) < 1e-12
 
@@ -101,8 +101,8 @@ def test_random_mixtures_never_beat_oracle(uniform_ctx, rng):
     """Three-support-point mixtures stay below the two-point oracle optimum."""
     table = build_oracle_table(uniform_ctx, 512)
     zs_all = np.linspace(0.0, uniform_ctx.z_hi, 301)
-    ks = np.array([sg.atom_accept_prob(uniform_ctx, z) for z in zs_all])
-    nus = np.array([sg.atom_error_moment(uniform_ctx, z) for z in zs_all])
+    ks = uniform_ctx.accept_prob(zs_all)
+    nus = uniform_ctx.error_moment(zs_all)
     for a in (0.2, 0.5, 0.8):
         best = sg.oracle_c2(uniform_ctx, a, table=table)
         for _ in range(300):

@@ -164,15 +164,15 @@ def _resolve_grid(spec: dict, path: str) -> np.ndarray:
     return grid
 
 
-def _largest_mse(where: str, eta: float, delta: float) -> float:
-    """((eta + 2) delta)^2, the largest MSE at eta. It and its square, which the Monte
-    Carlo sums, must be finite: a ConfigError at the pointer or flag where if not."""
+def _check_scale(where: str, eta: float, delta: float) -> None:
+    """The scale rule: ((eta + 2) delta)^2, the largest MSE at eta, and its square,
+    which the Monte Carlo sums, must be finite: a ConfigError at the pointer or flag
+    where if not."""
     with np.errstate(over="ignore"):
         m_max = np.float64((eta + 2.0) * delta) ** 2
         if not np.isfinite(m_max * m_max):
             raise ConfigError(f"{where}: eta {eta} with delta {delta} puts the largest MSE, "
                               "((eta + 2) delta)^2, or its square beyond the float range")
-    return float(m_max)
 
 
 class RunConfig:
@@ -225,8 +225,7 @@ class RunConfig:
             problems.append(
                 "/data/m: the value range must dominate the noise (m >= 100 * delta)")
         try:
-            m_max = _largest_mse("/eta_grid", self.eta_grid[-1], self.noise.delta)
-            problems += [f"/utility: {msg}" for msg in self.utility.monotonicity_violations(m_max)]
+            _check_scale("/eta_grid", self.eta_grid[-1], self.noise.delta)
         except ConfigError as exc:
             problems.append(str(exc))
         if problems:
@@ -417,7 +416,7 @@ def _load_adversary(path, noise) -> AtomicAdversary:
     if not abs(adv.delta - noise.delta) <= 1e-9 * noise.delta:
         raise ConfigError(f"--adversary: built for delta {adv.delta}, "
                           f"but the configured noise has delta {noise.delta}")
-    _largest_mse("--adversary", adv.eta, noise.delta)
+    _check_scale("--adversary", adv.eta, noise.delta)
     achieved = mixture_accept_prob(KernelContext(adv.eta, noise), adv.atoms)
     if not abs(achieved - adv.alpha) <= 1e-8:
         raise ConfigError(f"--adversary: the atoms achieve acceptance {achieved} at eta "
@@ -642,7 +641,7 @@ def main(argv=None) -> int:
         cfg = parse_config(config, output_override=output,
                            check_noise=command != "validate-noise")
         if "eta" in options:
-            _largest_mse("--eta", options["eta"], cfg.noise.delta)
+            _check_scale("--eta", options["eta"], cfg.noise.delta)
         if "adversary" in options:
             options["adversary"] = _load_adversary(options["adversary"], cfg.noise)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -9,9 +9,10 @@ tangent passes through the other end, with the curve's closed-form slope
 
 An envelope holds its chords as one sorted array of their exact ends,
 [q1, q2, q1', q2', ...], and one rule serves every query: q is on a chord when
-it lies strictly inside one (chord_segments). There the chord line replaces
-the curve (chord_line). The touch tolerance is a constant rule: TOUCH_REL
-times the largest sample magnitude, or TOUCH_REL if that is below 1.
+it lies strictly inside one (chord_segments). The majorant is the curve, with
+the chord line in place of it there (chord_line). The touch tolerance is a
+constant rule: TOUCH_REL times the largest sample magnitude, or TOUCH_REL if
+that is below 1.
 
 The chain's cross products for all consecutive sample triples are computed as
 one array, so the runs of samples it keeps without popping are appended in
@@ -102,8 +103,8 @@ def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def hull_chords(qs: np.ndarray, vals: np.ndarray):
-    """Upper hull indices of the samples, its chords as (m, 2) sample-index pairs
-    (hull segments bridging a sample more than the touch tolerance below them;
+    """The chords of the samples' upper hull as (m, 2) sample-index pairs (hull
+    segments bridging a sample more than the touch tolerance below them;
     single-cell segments follow the curve), and that tolerance."""
     hull = _upper_hull_indices(qs, vals)
     tol = TOUCH_REL * max(1.0, float(np.max(np.abs(vals))))
@@ -114,19 +115,18 @@ def hull_chords(qs: np.ndarray, vals: np.ndarray):
         line = vals[a] + t * (vals[b] - vals[a])
         if np.max(line - vals[a + 1:b]) > tol:
             chords.append((a, b))
-    return hull, np.array(chords, dtype=np.intp).reshape(-1, 2), tol
+    return np.array(chords, dtype=np.intp).reshape(-1, 2), tol
 
 
 class Envelope:
-    """Piecewise-linear least concave majorant with chord classification.
+    """Least concave majorant of the level curve of ctx, sampled at source_qs.
 
-    Built from raw samples alone, the majorant is their upper hull. With the
-    kernel context ctx whose curve was sampled, each chord of that hull is
-    moved to the exact tangency points of the curve (tangent_chords), so the
-    chords, and the majorant over them, are the curve's own.
+    The samples' hull finds the chords (hull_chords), whose ends are then moved
+    to the curve's exact tangency points (tangent_chords). The majorant is the
+    curve itself, with the chord line in place of it strictly inside each chord.
     """
 
-    def __init__(self, source_qs, source_vals, ctx: KernelContext | None = None):
+    def __init__(self, source_qs, source_vals, ctx: KernelContext):
         qs = np.asarray(source_qs, dtype=float)
         vals = np.asarray(source_vals, dtype=float)
         if qs.ndim != 1 or qs.size < 2 or qs.shape != vals.shape:
@@ -137,37 +137,20 @@ class Envelope:
         self.source_qs = qs
         self.source_vals = vals
         self.ctx = ctx
-
-        hull, chords, self.touch_tolerance = hull_chords(qs, vals)
-        bq, bv = qs[hull], vals[hull]
-        ends = qs[chords].ravel()
-        if ctx is not None and chords.size:
-            ends = tangent_chords(ctx, qs, chords).ravel()
-            # hull samples strictly inside an exact chord give way to its ends
-            keep = ~chord_segments(ends, bq)[1]
-            bq, first = np.unique(np.concatenate((bq[keep], ends)), return_index=True)
-            bv = np.concatenate((bv[keep], ctx.moment_at_level(ends)))[first]
-        self.breakpoint_qs = bq
-        self.breakpoint_vals = bv
-        self.chord_ends = ends
+        chords, self.touch_tolerance = hull_chords(qs, vals)
+        self.chord_ends = tangent_chords(ctx, qs, chords).ravel()
 
     # --- queries -----------------------------------------------------------
 
     def evaluate(self, q):
-        """Majorant value at q (piecewise-linear between breakpoints)."""
+        """Majorant value at q: the curve, or the chord line strictly inside a chord."""
         arr = np.asarray(q, dtype=float)
         if np.any((arr < -1e-12) | (arr > 1.0 + 1e-12)) or not np.all(np.isfinite(arr)):
             raise DomainError("envelope argument must lie in [0, 1]")
-        arr = np.clip(arr, self.breakpoint_qs[0], self.breakpoint_qs[-1])
-        out = np.interp(arr, self.breakpoint_qs, self.breakpoint_vals)
-        return float(out) if np.ndim(q) == 0 else out
-
-    def curve_value(self, q):
-        """Underlying sampled curve at q: exact when the kernel context is known."""
-        if self.ctx is not None:
-            return self.ctx.moment_at_level(q)
-        out = np.interp(q, self.source_qs, self.source_vals)
-        return float(out) if np.ndim(q) == 0 else out
+        flat = np.clip(arr, 0.0, 1.0).ravel()
+        vals = np.array(self.ctx.moment_at_level(flat), dtype=float)
+        chord_line(self.chord_ends, self.ctx.moment_at_level, flat, vals)
+        return float(vals[0]) if np.ndim(q) == 0 else vals.reshape(arr.shape)
 
     def chords(self) -> list[Chord]:
         return [Chord(q1, q2) for q1, q2 in self.chord_ends.reshape(-1, 2).tolist()]
@@ -175,9 +158,8 @@ class Envelope:
     def is_touch(self, q) -> np.ndarray:
         """Per q <= 1: True where the majorant meets the curve (q <= 0 counts as a touch).
 
-        Only points strictly inside a chord are checked against the curve: off
-        chords the piecewise-linear majorant may sit O(grid step^2) above a
-        strictly concave curve, beyond the touch tolerance, with no true chord.
+        Off the chords the majorant is the curve; strictly inside one, a touch
+        is where the chord line is within the touch tolerance of the curve.
         """
         arr = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any(np.isnan(arr) | (arr > 1.0 + 1e-12)):
@@ -186,7 +168,7 @@ class Envelope:
         inside = chord_segments(self.chord_ends, arr)[1]
         out = ~inside
         if np.any(inside):
-            gap = self.evaluate(arr[inside]) - self.curve_value(arr[inside])
+            gap = self.evaluate(arr[inside]) - self.ctx.moment_at_level(arr[inside])
             out[inside] = gap <= self.touch_tolerance
         return out
 

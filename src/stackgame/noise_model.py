@@ -498,4 +498,5 @@ class DataModel:
             raise DomainError(f"data half-range m must be positive, got {self.m}")
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.uniform(-self.m, self.m, count)
+        # scaled after the draw: the width 2m of uniform(-m, m) overflows above about 9e307
+        return self.m * rng.uniform(-1.0, 1.0, count)

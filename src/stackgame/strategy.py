@@ -21,12 +21,6 @@ from .kernel import KernelContext
 from .tradeoff import c_alpha, check_levels, mixture_accept_prob
 
 TIE_TOL_REL = 1e-9
-# monotonicity probe: random (mse, pa) pairs, each moved by one step per argument
-_PROBE_PAIRS = 10_000
-_PROBE_STEP = 1e-3
-_PROBE_REL_STEP = 2.0**-40  # the least MSE step, relative to the MSE range: it never rounds away
-_PROBE_SEED = 7
-_STRICT_TOL = 1e-12  # least increase that counts as strict
 BLOCK_ETAS = 8  # etas solved together: 4 to 16 run equally fast, 32 or more spill the cache
 # utility family -> (its parameter names, all numbers > 0; its value(params, mse, pa))
 ADVERSARY_FAMILIES = {
@@ -89,30 +83,6 @@ class UtilitySpec:
             params = default["params"] if family == default["family"] else {}
             return utility(family, dict(given.get("params", params)))
         return cls(build("adversary", AdversaryUtility), build("dc", DCUtility))
-
-    def monotonicity_violations(self, m_max: float) -> list[str]:
-        """Probe the monotonicity contract on random (mse, pa) pairs, mse up to m_max.
-
-        The adversary utility must strictly increase in each argument; the
-        defender utility must be nonincreasing in MSE and nondecreasing in
-        acceptance. Returns human-readable violation messages (empty = ok).
-        """
-        rng = np.random.default_rng(_PROBE_SEED)
-        m = rng.uniform(0.0, m_max, _PROBE_PAIRS)
-        p = rng.uniform(0.0, 1.0 - _PROBE_STEP, _PROBE_PAIRS)
-        step = max(_PROBE_STEP, _PROBE_REL_STEP * m_max)
-        out = []
-        adv = self.adversary.value
-        if np.min(adv(m + step, p) - adv(m, p)) <= _STRICT_TOL:
-            out.append("adversary utility not strictly increasing in MSE")
-        if np.min(adv(m, p + _PROBE_STEP) - adv(m, p)) <= _STRICT_TOL:
-            out.append("adversary utility not strictly increasing in acceptance")
-        dcv = self.dc.value
-        if np.max(dcv(m + step, p) - dcv(m, p)) > 0.0:
-            out.append("defender utility increases in MSE")
-        if np.min(dcv(m, p + _PROBE_STEP) - dcv(m, p)) < 0.0:
-            out.append("defender utility decreases in acceptance")
-        return out
 
 
 def _alpha_levels(alpha_grid) -> np.ndarray:
@@ -187,8 +157,8 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
     its curve row at the alphas, and after the last block the exact
     tangencies of every such chord are solved in one batch (tangent_chords,
     the same solve build_envelope makes for one eta), and the chord line
-    replaces the curve on the alphas inside a chord (chord_line, as c_alpha
-    applies it).
+    replaces the curve on the alphas inside a chord (chord_line, as
+    Envelope.evaluate applies it).
     """
     ctxs = sorted(ctxs, key=lambda c: c.eta)
     if not ctxs:
@@ -218,7 +188,7 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
         moments = block_ctx.moment_at_level(alphas)
         reflex = has_reflex_sample(qs, rows)
         for i in np.flatnonzero(reflex).tolist():
-            reflex_rows.append((block[i], moments[i].copy(), hull_chords(qs, rows[i])[1]))
+            reflex_rows.append((block[i], moments[i].copy(), hull_chords(qs, rows[i])[0]))
         settle([k for k, r in zip(block, reflex.tolist()) if not r],
                moments[~reflex] / (4.0 * alphas))
     if reflex_rows:
@@ -270,7 +240,7 @@ class AtomicAdversary:
         if np.any(np.abs(locs) < lo - slack) or np.any(np.abs(locs) > hi + slack):
             raise DomainError("atom offsets must lie in the replicated-atom domain")
         # mirror symmetry: each (+z, w) pairs with (-z, w)
-        key = sorted(zip(np.round(np.abs(locs), 12), weights))
+        key = sorted(zip(np.abs(locs).tolist(), weights.tolist()))
         for (z1, w1), (z2, w2) in zip(key[::2], key[1::2]):
             if abs(z1 - z2) > 1e-9 * max(1.0, self.delta) or abs(w1 - w2) > 1e-12:
                 raise DomainError("atoms must be symmetric in offset and weight")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import Envelope, chord_line
+from .envelope import Envelope
 from .errors import DomainError
 from .kernel import QUAD_TOL, KernelContext
 from .numerics import adaptive_simpson
@@ -35,17 +35,9 @@ def check_levels(alpha) -> np.ndarray:
 
 
 def c_alpha(env: Envelope, alpha):
-    """Worst-case conditional MSE at acceptance level alpha: envelope/(4 alpha).
-
-    The majorant is the exact curve, with the chord line in place of it strictly
-    inside each chord (chord_line), not the piecewise-linear hull, which would
-    sit O(grid step^2) low on strictly concave stretches.
-    """
+    """Worst-case conditional MSE at acceptance level alpha: envelope/(4 alpha)."""
     arr = check_levels(alpha)
-    flat = np.atleast_1d(arr)
-    vals = np.array(env.curve_value(flat), dtype=float)
-    chord_line(env.chord_ends, env.curve_value, flat, vals)
-    out = vals.reshape(arr.shape) / (4.0 * arr)
+    out = env.evaluate(arr) / (4.0 * arr)
     return float(out) if np.ndim(alpha) == 0 else out
 
 
@@ -53,14 +45,13 @@ def zero_limit(env: Envelope) -> float:
     """Limit of c_alpha as alpha -> 0: right slope of the majorant at 0, over 4.
 
     That is the slope of a chord starting at 0, and otherwise the curve's own
-    slope h'(0+) when the curve is known; raw samples give their first hull
-    segment's slope.
+    slope h'(0+).
     """
-    if env.ctx is not None and env.chord_ends[:1].tolist() != [env.breakpoint_qs[0]]:
+    ends = env.chord_ends[:2]
+    if ends[:1].tolist() != [0.0]:
         return float(env.ctx.slope_at_level(0.0) / 4.0)
-    q0, q1 = env.breakpoint_qs[0], env.breakpoint_qs[1]
-    v0, v1 = env.breakpoint_vals[0], env.breakpoint_vals[1]
-    return float((v1 - v0) / (q1 - q0) / 4.0)
+    v0, v1 = env.ctx.moment_at_level(ends)
+    return float((v1 - v0) / (ends[1] - ends[0]) / 4.0)
 
 
 def mixture_accept_prob(ctx: KernelContext, atoms) -> float:
@@ -82,7 +73,8 @@ def build_oracle_table(ctx: KernelContext, grid_size: int = DEFAULT_ORACLE_GRID)
     The grid is uniform over [0, (eta+1)*delta] with (eta-1)*delta appended so
     the boundary between always-accepted and partially-accepted offsets is
     represented exactly (it carries the full-acceptance optimum). Below it the
-    moments come from quadrature of the density over its whole support.
+    moments come from quadrature of the density over its whole support, M_k to
+    the absolute tolerance QUAD_TOL * max(1, delta)^k, the scale of x^k there.
     """
     if grid_size < MIN_ORACLE_GRID:
         raise DomainError(f"oracle grid too small: {grid_size}")
@@ -92,8 +84,9 @@ def build_oracle_table(ctx: KernelContext, grid_size: int = DEFAULT_ORACLE_GRID)
     # expand (x+z)^2 once: full-support partial moments do not depend on z
     lo, hi = ctx.noise.support
     pdf = ctx.noise.pdf_scalar
-    m0, m1, m2 = (adaptive_simpson(lambda x: x ** k * pdf(x), lo, 0.0, QUAD_TOL)
-                  + adaptive_simpson(lambda x: x ** k * pdf(x), 0.0, hi, QUAD_TOL)
+    scale = max(1.0, ctx.delta)
+    m0, m1, m2 = (adaptive_simpson(lambda x: x ** k * pdf(x), lo, 0.0, QUAD_TOL * scale ** k)
+                  + adaptive_simpson(lambda x: x ** k * pdf(x), 0.0, hi, QUAD_TOL * scale ** k)
                   for k in range(3))
     zi = zs[inner]
     moment[inner] = m2 + 2.0 * zi * m1 + zi * zi * m0

@@ -350,15 +350,43 @@ def test_output_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "noise_validation.json").exists()
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def run_module(args, timeout=60):
+    """python -m stackgame args, with this checkout's package on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "stackgame"] + list(args), env=env,
+                          capture_output=True, timeout=timeout)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-m", "stackgame", "validate-noise",
-                           "--output", str(out)], env=env, capture_output=True, timeout=60)
+    proc = run_module(["validate-noise", "--output", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads((out / "noise_validation.json").read_text())["passed"] is True
+
+
+def test_oracle_table_scales_its_quadrature_with_delta(tmp_path):
+    # an absolute tolerance of 1e-10 on moments of size delta^2 = 1e80 never converges;
+    # scaled by delta^k, the table is the delta = 1 table scaled
+    summaries = []
+    for name, extra in (("unit", {}),
+                        ("huge", {"honest_noise": {"delta": 1e40}, "data": {"m": 1e300}})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(extra))
+        out = tmp_path / name
+        proc = run_module(["tradeoff", "--config", str(config), "--output", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        summaries.append(json.loads((out / "tradeoff_summary.json").read_text()))
+    unit, huge = summaries
+    assert huge["chords"] == unit["chords"]
+    assert huge["max_rel_diff"] == pytest.approx(unit["max_rel_diff"], rel=1e-6)
+
+
+def test_simulate_takes_a_value_range_near_the_float_limit(tmp_path):
+    code, out = run(["simulate"], tmp_path, config=write_config(tmp_path, {"data": {"m": 1e308}}))
+    assert code == 0
+    assert (out / "simulation.json").exists()
 
 
 def _noise(kind, **params):

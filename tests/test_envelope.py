@@ -46,8 +46,9 @@ def test_majorizes_and_concave(uniform_env):
     qs = uniform_env.source_qs
     gap = uniform_env.evaluate(qs) - uniform_env.source_vals
     assert np.min(gap) >= -1e-12
-    bq, bv = uniform_env.breakpoint_qs, uniform_env.breakpoint_vals
-    slopes = np.diff(bv) / np.diff(bq)
+    # the majorant at its samples and chord ends: nonincreasing slopes
+    bq = np.union1d(qs, uniform_env.chord_ends)
+    slopes = np.diff(uniform_env.evaluate(bq)) / np.diff(bq)
     assert np.all(np.diff(slopes) <= 1e-9)
 
 
@@ -95,49 +96,51 @@ def test_chord_region_is_linear(uniform_env):
 
 
 def test_idempotent_rebuild(uniform_env):
+    # the majorant's samples are their own hull, with no chord
     qs = uniform_env.source_qs
-    env2 = Envelope(qs, uniform_env.evaluate(qs))
+    vals = uniform_env.evaluate(qs)
+    hull = envelope._upper_hull_indices(qs, vals)
     probe = np.linspace(0.0, 1.0, 1111)
-    np.testing.assert_allclose(env2.evaluate(probe), uniform_env.evaluate(probe),
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.interp(probe, qs[hull], vals[hull]),
+                               np.interp(probe, qs, vals), rtol=0, atol=1e-12)
+    assert envelope.hull_chords(qs, vals)[0].size == 0
 
 
 def test_hull_of_explicit_samples():
     qs = np.linspace(0.0, 1.0, 101)
     vals = np.minimum(qs, 0.3)  # concave piecewise-linear: hull is itself
-    env = Envelope(qs, vals)
-    np.testing.assert_allclose(env.evaluate(qs), vals, atol=1e-14)
+    hull = envelope._upper_hull_indices(qs, vals)
+    np.testing.assert_allclose(np.interp(qs, qs[hull], vals[hull]), vals, atol=1e-14)
 
     dip = 1.0 - np.abs(qs - 0.5)  # tent: already concave
-    env2 = Envelope(qs, dip)
-    assert not env2.chords()
+    assert envelope.hull_chords(qs, dip)[0].size == 0
 
     wiggle = qs * (1.0 - qs) * np.where(qs < 0.5, 0.1, 1.0)  # jump -> chord
-    env3 = Envelope(qs, wiggle)
-    assert env3.chords()
+    assert envelope.hull_chords(qs, wiggle)[0].size
 
 
 def test_domain_errors(uniform_env):
+    ctx = uniform_env.ctx
     with pytest.raises(DomainError):
         uniform_env.evaluate(1.5)
     with pytest.raises(DomainError):
-        Envelope([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        Envelope([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], ctx)
     with pytest.raises(DomainError):
         sg.build_envelope(sg.KernelContext(2.0, sg.uniform(1.0)), 2)
     with pytest.raises(NumericalError):
-        Envelope([0.0, 0.5, 1.0], [0.0, np.nan, 0.0])
+        Envelope([0.0, 0.5, 1.0], [0.0, np.nan, 0.0], ctx)
 
 
 @pytest.mark.parametrize("noise", [sg.truncated_normal(1.0, 0.5), sg.triangular(1.0)])
 def test_other_models_build(noise):
-    env = sg.build_envelope(sg.KernelContext(2.0, noise), 512)
-    # exact majorization holds at the sample grid; between samples the linear
-    # hull of a concave curve dips below it by O(step^2), so allow that much
+    ctx = sg.KernelContext(2.0, noise)
+    env = sg.build_envelope(ctx, 512)
+    # the majorant is the curve or a chord above it, on the sample grid and between
     gap_grid = env.evaluate(env.source_qs) - env.source_vals
     assert np.min(gap_grid) >= -1e-12
     qs = np.linspace(0.0, 1.0, 257)
-    gap_off = env.evaluate(qs) - env.curve_value(qs)
-    assert np.min(gap_off) >= -5e-5
+    gap_off = env.evaluate(qs) - ctx.moment_at_level(qs)
+    assert np.min(gap_off) >= -1e-12
 
 
 def test_tabulated_envelope_within_budget():
@@ -196,10 +199,10 @@ def test_hull_matches_the_plain_chain(data):
 @given(hull_inputs())
 def test_majorant_majorizes_with_nonincreasing_slopes(data):
     qs, vals = data
-    env = Envelope(qs, vals)
+    hull = envelope._upper_hull_indices(qs, vals)
     scale = 1.0 + np.max(np.abs(vals))
-    assert np.min(env.evaluate(qs) - vals) >= -1e-12 * scale
-    slopes = np.diff(env.breakpoint_vals) / np.diff(env.breakpoint_qs)
+    assert np.min(np.interp(qs, qs[hull], vals[hull]) - vals) >= -1e-12 * scale
+    slopes = np.diff(vals[hull]) / np.diff(qs[hull])
     assert np.all(np.diff(slopes) <= 1e-9 * (1.0 + np.max(np.abs(slopes))))
 
 
@@ -241,7 +244,7 @@ def reference_is_touch(env, q):
     a touch where the majorant is within the touch tolerance of the curve."""
     for ch in env.chords():
         if ch.q1 < q < ch.q2:
-            return env.evaluate(q) - env.curve_value(q) <= env.touch_tolerance
+            return env.evaluate(q) - env.ctx.moment_at_level(q) <= env.touch_tolerance
     return True
 
 
@@ -260,12 +263,14 @@ def test_is_touch_matches_supporting_chord(noise):
 
 
 def reference_c_alpha(env, alphas):
-    """c_alpha with its former chord rule: a loop of q1 < alpha < q2 over the chords."""
-    vals = np.asarray(env.evaluate(alphas), dtype=float)
-    on_chord = np.zeros(alphas.shape, dtype=bool)
+    """c_alpha with its former chord rule: a loop of q1 < alpha < q2 over the chords,
+    each chord's line interpolated between its own two ends."""
+    curve = env.ctx.moment_at_level
+    vals = np.asarray(curve(alphas), dtype=float)
     for ch in env.chords():
-        on_chord |= (alphas > ch.q1) & (alphas < ch.q2)
-    vals[~on_chord] = np.asarray(env.curve_value(alphas[~on_chord]), dtype=float)
+        on_chord = (alphas > ch.q1) & (alphas < ch.q2)
+        ends = np.array([ch.q1, ch.q2])
+        vals[on_chord] = np.interp(alphas[on_chord], ends, curve(ends))
     return vals / (4.0 * alphas)
 
 
@@ -280,6 +285,7 @@ def test_c_alpha_chord_rule_matches_the_chord_loop(noise):
     alphas = np.concatenate([np.linspace(1e-3, 1.0, 1000), near])
     alphas = alphas[(alphas > 0.0) & (alphas <= 1.0)]
     assert np.array_equal(sg.c_alpha(env, alphas), reference_c_alpha(env, alphas))
+    assert np.array_equal(sg.c_alpha(env, alphas), env.evaluate(alphas) / (4.0 * alphas))
 
 
 def test_solve_artifacts_do_not_depend_on_the_hull(tmp_path, monkeypatch):

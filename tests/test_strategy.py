@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ import stackgame as sg
 from stackgame import cli
 from stackgame.envelope import DEFAULT_GRID_SIZE, has_reflex_sample, level_grid
 from stackgame.errors import DomainError
-from stackgame.strategy import BLOCK_ETAS, TIE_TOL_REL, EquilibriumReport
+from stackgame.strategy import (ADVERSARY_FAMILIES, BLOCK_ETAS, DC_FAMILIES, TIE_TOL_REL,
+                                EquilibriumReport)
 
 
 @pytest.fixture(scope="module")
@@ -43,16 +46,31 @@ def test_utility_params_must_be_finite(spec, message):
     assert str(exc.value) == message
 
 
-def test_monotonicity_probe_clean():
-    spec = sg.UtilitySpec.from_spec({})
-    assert spec.monotonicity_violations(m_max=25.0) == []
-    spec2 = sg.UtilitySpec.from_spec({
-        "adversary": {"family": "weighted_sum", "params": {"a": 1.0, "b": 4.0}},
-        "dc": {"family": "exp_penalty", "params": {"s": 2.0}},
-    })
-    assert spec2.monotonicity_violations(m_max=25.0) == []
-    # delta = 1e6 on the default eta grid: a step of 1e-3 would round away at this MSE
-    assert spec.monotonicity_violations(m_max=2.5e13) == []
+def test_utility_families_are_monotone_at_unit_params():
+    mse, pa = np.meshgrid(np.linspace(0.0, 25.0, 101), np.linspace(1e-3, 1.0, 101))
+
+    def steps(utility, families, family):
+        value = utility(family, dict.fromkeys(families[family][0], 1.0)).value(mse, pa)
+        return np.diff(value, axis=1), np.diff(value, axis=0)  # along mse, along pa
+
+    for family in ADVERSARY_FAMILIES:
+        d_mse, d_pa = steps(sg.AdversaryUtility, ADVERSARY_FAMILIES, family)
+        assert np.all(d_mse > 0.0) and np.all(d_pa > 0.0), family
+    for family in DC_FAMILIES:
+        d_mse, d_pa = steps(sg.DCUtility, DC_FAMILIES, family)
+        assert np.all(d_mse <= 0.0) and np.all(d_pa >= 0.0), family
+
+
+@pytest.mark.parametrize("adversary", [
+    {"family": "scaled_product", "params": {"c": 1e13}},
+    {"family": "weighted_sum", "params": {"a": 1e-9, "b": 1.0}},
+], ids=["scaled_product-c-1e13", "weighted_sum-a-1e-9"])
+def test_extreme_utility_params_solve(tmp_path, adversary):
+    # monotone for every finite parameter > 0, though a rounded difference may not show it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"eta_grid": {"values": [2, 3]},
+                                  "utility": {"adversary": adversary}}))
+    assert cli.main(["solve", "--config", str(config), "--output", str(tmp_path / "out")]) == 0
 
 
 def test_scaled_product_interior_optimum(uniform_env, alphas):
@@ -203,6 +221,9 @@ def test_atomic_adversary_validation():
     with pytest.raises(DomainError):
         sg.AtomicAdversary(atoms=((-1.0, 0.5), (2.0, 0.5)), alpha=0.5,
                            eta=2.0, delta=1.0)  # not mirror-symmetric
+    with pytest.raises(DomainError):  # the same shape near the float limit
+        sg.AtomicAdversary(atoms=((-2e296, 0.5), (2.5e296, 0.5)), alpha=0.5,
+                           eta=2.0, delta=1e296)
 
 
 def reference_solve_equilibrium(ctxs, spec, alpha_grid, grid_size=DEFAULT_GRID_SIZE,
@@ -269,8 +290,7 @@ def test_block_solver_matches_the_per_eta_solver(case, alphas):
     got = sg.solve_equilibrium(ctxs, spec, alphas, grid_size=grid_size)
     want = reference_solve_equilibrium(ctxs, spec, alphas, grid_size=grid_size)
     assert got.to_json_dict() == want.to_json_dict()
-    assert np.array_equal(got.envelope.breakpoint_qs, want.envelope.breakpoint_qs)
-    assert np.array_equal(got.envelope.breakpoint_vals, want.envelope.breakpoint_vals)
+    assert np.array_equal(got.envelope.chord_ends, want.envelope.chord_ends)
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)

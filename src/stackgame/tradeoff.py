@@ -7,7 +7,9 @@ For mixtures the objective is a ratio of two weight-linear forms, so on any
 two-atom segment it is monotone in the mixing weight and the optimum sits at
 a vertex (single atom) or at the weight where the acceptance constraint
 binds. Singles plus binding pairs therefore cover the search space; a random
-three-atom probe in the tests spot-checks this reduction.
+three-atom probe in the tests spot-checks this reduction. The pair search runs
+in blocks of rows and returns the same first maximum as one search over every
+pair would.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .numerics import adaptive_simpson
 ALPHA_MIN = 1e-3  # lowest reported level: below it the conditional MSE means little
 DEFAULT_ORACLE_GRID = 2048
 MIN_ORACLE_GRID = 64
+ORACLE_BLOCK = 64  # hi rows per block of the pair search: its memory is O(64 * grid)
 
 
 def check_levels(alpha) -> np.ndarray:
@@ -124,11 +127,15 @@ def oracle_c2_witness(ctx: KernelContext, alpha: float,
 
     hi_mask = k > alpha
     lo_mask = k < alpha
-    if np.any(hi_mask) and np.any(lo_mask):
-        k_hi = k[hi_mask][:, None]
-        k_lo = k[lo_mask][None, :]
-        w = (alpha - k_lo) / (k_hi - k_lo)  # in (0, 1) by construction
-        num = w * nu[hi_mask][:, None] + (1.0 - w) * nu[lo_mask][None, :]
+    zs_hi, k_hi, nu_hi = zs[hi_mask], k[hi_mask], nu[hi_mask]
+    zs_lo, k_lo, nu_lo = zs[lo_mask], k[lo_mask], nu[lo_mask]
+    # pairs need an atom on each side of alpha. A block's maximum replaces the
+    # best only when strictly greater: the first maximum in row order, as one
+    # argmax over the whole matrix picks
+    for start in range(0, k_hi.size if k_lo.size else 0, ORACLE_BLOCK):
+        rows = slice(start, start + ORACLE_BLOCK)
+        w = (alpha - k_lo) / (k_hi[rows, None] - k_lo)  # in (0, 1) by construction
+        num = w * nu_hi[rows, None] + (1.0 - w) * nu_lo
         ratios = num / (4.0 * alpha)
         flat = int(np.argmax(ratios))
         val = float(ratios.flat[flat])
@@ -136,8 +143,7 @@ def oracle_c2_witness(ctx: KernelContext, alpha: float,
             best = val
             i, j = np.unravel_index(flat, ratios.shape)
             w_ij = float(w[i, j])
-            witness = ((float(zs[hi_mask][i]), w_ij),
-                       (float(zs[lo_mask][j]), 1.0 - w_ij))
+            witness = ((float(zs_hi[start + i]), w_ij), (float(zs_lo[j]), 1.0 - w_ij))
 
     if witness is None:
         raise DomainError(f"no feasible atom reaches acceptance {alpha}")

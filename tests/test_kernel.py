@@ -93,11 +93,12 @@ def test_scale_invariance():
 # --- the level curve's closed-form slope ----------------------------------------
 
 _XS = np.linspace(-1.0, 1.0, 33)
+_TABLE = 1.0 - 0.6 * np.abs(_XS) + 0.3 * np.cos(5.0 * np.pi * _XS)
 SLOPE_NOISES = {
     "uniform": sg.uniform(1.0),
     "truncated-normal": sg.truncated_normal(1.0, 0.5),
     "triangular": sg.triangular(1.0),
-    "tabulated": sg.tabulated(_XS, 1.0 - 0.6 * np.abs(_XS) + 0.3 * np.cos(5.0 * np.pi * _XS)),
+    "tabulated": sg.tabulated(_XS, _TABLE),
 }
 
 
@@ -107,6 +108,41 @@ def central_slope(ctx, qs, d):
     return (8.0 * (h(qs + d) - h(qs - d)) - (h(qs + 2.0 * d) - h(qs - 2.0 * d))) / (12.0 * d)
 
 
+def tabulated_level_curve(xs, ps, eta):
+    """moment_at_level of a tabulated law in mpmath, from its piecewise-linear cells.
+
+    Cell i carries the normalized density f_i + s_i u on u in [0, width_i], so
+    its CDF is the quadratic f_i u + s_i u^2 / 2 and its moments are exact.
+    """
+    xs, ps, eta = [mpmath.mpf(x) for x in xs], [mpmath.mpf(p) for p in ps], mpmath.mpf(eta)
+    widths = [b - a for a, b in zip(xs, xs[1:])]
+    mass = sum(w * (a + b) / 2 for w, a, b in zip(widths, ps, ps[1:]))
+    f = [p / mass for p in ps]
+    s = [(b - a) / w for a, b, w in zip(f, f[1:], widths)]
+    delta = max(abs(xs[0]), abs(xs[-1]))
+
+    def head(i, u):
+        """Integrals of x^k times the density over [x_i, x_i + u], k = 0, 1, 2."""
+        a0, a1, a2 = (f[i] * u ** (j + 1) / (j + 1) + s[i] * u ** (j + 2) / (j + 2)
+                      for j in range(3))
+        return a0, xs[i] * a0 + a1, xs[i] ** 2 * a0 + 2 * xs[i] * a1 + a2
+
+    cells = [head(i, w) for i, w in enumerate(widths)]
+    cum = [sum(c[0] for c in cells[:i]) for i in range(len(cells))]
+
+    def h(q):
+        p = 1 - q
+        i = max(j for j, c in enumerate(cum) if c <= p)
+        r = p - cum[i]
+        level = xs[i] + 2 * r / (f[i] + mpmath.sqrt(f[i] ** 2 + 2 * s[i] * r))
+        z = eta * delta + level
+        head_i = head(i, level - xs[i])
+        m0, m1, m2 = (sum(c[k] for c in cells[i:]) - head_i[k] for k in range(3))
+        return z * z * m0 + 2 * z * m1 + m2
+
+    return h
+
+
 @pytest.mark.parametrize("kind", list(SLOPE_NOISES))
 @pytest.mark.parametrize("eta", [2.0, 3.7])
 def test_slope_at_level_matches_central_differences(kind, eta):
@@ -114,12 +150,17 @@ def test_slope_at_level_matches_central_differences(kind, eta):
     ctx = sg.KernelContext(eta, noise)
     if kind == "tabulated":
         # the middle of each node-to-node cell: h' is continuous at a node but
-        # h'' jumps there, which a difference across the node would see
+        # h'' jumps there, which a difference across the node would see. A float
+        # difference's round-off is the size of the bound, so differentiate
+        # the table's own cells in mpmath instead
         levels = np.sort(1.0 - noise.cdf(_XS))
-        qs, d = 0.5 * (levels[1:] + levels[:-1]), 1.5e-5
+        qs = 0.5 * (levels[1:] + levels[:-1])
+        with mpmath.workdps(40):
+            h = tabulated_level_curve(_XS, _TABLE, eta)
+            want = np.array([float(mpmath.diff(h, mpmath.mpf(q))) for q in qs])
     else:
-        qs, d = np.linspace(0.05, 0.95, 36), 1e-4  # off the triangular kink at q = 1/2
-    want = central_slope(ctx, qs, d)
+        qs = np.linspace(0.05, 0.95, 36)  # off the triangular kink at q = 1/2
+        want = central_slope(ctx, qs, 1e-4)
     err = np.abs(ctx.slope_at_level(qs) - want) / np.maximum(1.0, np.abs(want))
     assert np.max(err) <= 1e-10
     # a column of etas gives each eta's own slope to the bit

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import stackgame as sg
 from stackgame.errors import DomainError
-from stackgame.tradeoff import ALPHA_MIN, MIN_ORACLE_GRID, build_oracle_table, oracle_c2_witness
+from stackgame.tradeoff import (ALPHA_MIN, MIN_ORACLE_GRID, ORACLE_BLOCK, OracleTable,
+                                build_oracle_table, check_levels, oracle_c2_witness)
 
 
 def test_known_values(uniform_env):
@@ -124,3 +127,99 @@ def test_oracle_agreement_other_models(noise):
         cf = sg.c_alpha(env, a)
         co = sg.oracle_c2(ctx, a, grid_size=512)
         assert abs(cf - co) <= 5e-3 * max(1.0, cf), (noise.kind, a)
+
+
+# --- the row-blocked pair search against one search over every pair ---------
+
+def reference_oracle_c2_witness(ctx, alpha, grid_size=2048, table=None):
+    """oracle_c2_witness over the whole hi x lo pair matrix at once."""
+    alpha = float(check_levels(alpha))
+    if table is None:
+        table = build_oracle_table(ctx, grid_size)
+    zs, k, nu = table.zs, table.accept, table.moment
+
+    best = -np.inf
+    witness = None
+
+    feasible = k >= alpha - 1e-12
+    if np.any(feasible):
+        ratios = nu[feasible] / (4.0 * k[feasible])
+        i = int(np.argmax(ratios))
+        best = float(ratios[i])
+        zi = float(zs[feasible][i])
+        witness = ((zi, 1.0),)
+
+    hi_mask = k > alpha
+    lo_mask = k < alpha
+    if np.any(hi_mask) and np.any(lo_mask):
+        k_hi = k[hi_mask][:, None]
+        k_lo = k[lo_mask][None, :]
+        w = (alpha - k_lo) / (k_hi - k_lo)  # in (0, 1) by construction
+        num = w * nu[hi_mask][:, None] + (1.0 - w) * nu[lo_mask][None, :]
+        ratios = num / (4.0 * alpha)
+        flat = int(np.argmax(ratios))
+        val = float(ratios.flat[flat])
+        if val > best:
+            best = val
+            i, j = np.unravel_index(flat, ratios.shape)
+            w_ij = float(w[i, j])
+            witness = ((float(zs[hi_mask][i]), w_ij),
+                       (float(zs[lo_mask][j]), 1.0 - w_ij))
+
+    if witness is None:
+        raise DomainError(f"no feasible atom reaches acceptance {alpha}")
+    return best, witness
+
+
+ORACLE_NOISES = {
+    "uniform": sg.uniform(1.0),
+    "triangular": sg.triangular(1.0),
+    "truncated-normal-0.5": sg.truncated_normal(1.0, 0.5),
+    "truncated-normal-3": sg.truncated_normal(1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("grid", [512, 2048])
+@pytest.mark.parametrize("eta", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("kind", list(ORACLE_NOISES))
+def test_blocked_oracle_matches_the_whole_matrix(kind, eta, grid):
+    # ~grid hi rows: several blocks of ORACLE_BLOCK, and a partial last one
+    ctx = sg.KernelContext(eta, ORACLE_NOISES[kind])
+    table = build_oracle_table(ctx, grid)
+    for a in np.linspace(ALPHA_MIN, 1.0, 42):
+        assert oracle_c2_witness(ctx, a, table=table) == \
+            reference_oracle_c2_witness(ctx, a, table=table), (kind, eta, grid, a)
+
+
+def test_blocked_oracle_keeps_the_first_maximum_across_blocks(uniform_ctx):
+    # acceptances 1, 0.99, ... above alpha = 0.25, then 0.2 and 0 below it; the
+    # moments make rows 1 and 2 * ORACLE_BLOCK + 3 tie for the best pair
+    n_hi = 3 * ORACLE_BLOCK + 5
+    k_hi = 1.0 - 0.001 * np.arange(n_hi)
+    nu_hi = np.full(n_hi, 0.5)
+    nu_hi[[1, 2 * ORACLE_BLOCK + 3]] = 9.0
+    k_hi[2 * ORACLE_BLOCK + 3] = k_hi[1]  # same weight, so the same ratio to the bit
+    table = OracleTable(zs=np.arange(n_hi + 2, dtype=float),
+                        accept=np.append(k_hi, [0.2, 0.0]),
+                        moment=np.append(nu_hi, [0.1, 1.0]))
+    got = oracle_c2_witness(uniform_ctx, 0.25, table=table)
+    assert got == reference_oracle_c2_witness(uniform_ctx, 0.25, table=table)
+    assert [z for z, _ in got[1]] == [1.0, n_hi + 1.0]  # the first tied row, then k = 0
+
+
+def _oracle_peak_bytes(ctx, grid):
+    table = build_oracle_table(ctx, grid)
+    tracemalloc.start()
+    try:
+        for a in (0.1, 0.5, 0.9):
+            oracle_c2_witness(ctx, a, table=table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_is_linear_in_the_grid(uniform_ctx):
+    # one matrix over every pair peaked at 31 MiB at grid 2048 and 4x that at 4096
+    small, large = (_oracle_peak_bytes(uniform_ctx, grid) for grid in (2048, 4096))
+    assert small < 8 * 2 ** 20
+    assert large < 3 * small

@@ -43,7 +43,7 @@ DEFAULT_CONFIG = {
     "eta_grid": {"start": 2.0, "stop": 8.0, "step": 0.01},
     "alpha_grid": {"start": ALPHA_MIN, "stop": 1.0, "num": 1000},
     "report_alphas": {"start": 0.1, "stop": 1.0, "num": 10},
-    "utility": DEFAULT_UTILITY,
+    # "utility" is resolved over DEFAULT_UTILITY by UtilitySpec.from_spec
     "simulation": {"n_nodes": [2, 3, 5], "trials": 100000, "seed": 20260814,
                    "chunk_size": DEFAULT_CHUNK_SIZE},
     "envelope": {"grid_size": DEFAULT_GRID_SIZE},
@@ -185,7 +185,7 @@ class RunConfig:
         self.eta_grid = _resolve_grid(resolved["eta_grid"], "/eta_grid")
         self.alpha_grid = _resolve_grid(resolved["alpha_grid"], "/alpha_grid")
         self.report_alphas = _resolve_grid(resolved["report_alphas"], "/report_alphas")
-        self.utility = UtilitySpec.from_spec(resolved["utility"])
+        self.utility = UtilitySpec.from_spec(resolved.get("utility", {}))
         sim = resolved["simulation"]
         self.n_nodes = [int(n) for n in sim["n_nodes"]]
         self.trials = int(sim["trials"])
@@ -200,6 +200,8 @@ class RunConfig:
         # a config without delta echoes the one from_spec built the model with
         self.raw["honest_noise"] = {"delta": self.noise.delta, **resolved["honest_noise"]}
         self.raw["output_dir"] = str(out)
+        self.raw["utility"] = {role: {"family": u.family, "params": u.params}
+                               for role, u in vars(self.utility).items()}
         self.config_hash = hashlib.sha256(
             json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
@@ -262,10 +264,6 @@ def parse_config(path=None, output_override=None, check_noise: bool = True) -> R
         if named:
             resolved[key] = {k: v for k, v in resolved[key].items()
                              if k in named or k not in _GRID_SHAPES}
-    # a family other than the default one takes only its own params
-    for role, spec in user.get("utility", {}).items():
-        if spec.get("family") not in (None, DEFAULT_CONFIG["utility"][role]["family"]):
-            resolved["utility"][role]["params"] = spec.get("params", {})
     try:
         return RunConfig(resolved, base_dir=base_dir, output_override=output_override,
                          check_noise=check_noise)
@@ -329,13 +327,14 @@ def cmd_validate_noise(cfg: RunConfig, out: Path) -> int:
 
 def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=None) -> int:
     ctx = KernelContext(float(cfg.eta_grid[0]) if eta is None else eta, cfg.noise)
-    _write_tradeoff(cfg, out, ctx, build_envelope(ctx, cfg.envelope_grid),
+    _write_tradeoff(cfg, out, build_envelope(ctx, cfg.envelope_grid),
                     cfg.report_alphas if alphas is None else alphas)
     return 0
 
 
-def _write_tradeoff(cfg: RunConfig, out: Path, ctx: KernelContext, env, alphas) -> None:
-    """level_curve.csv, tradeoff.csv and tradeoff_summary.json for env, the envelope at ctx."""
+def _write_tradeoff(cfg: RunConfig, out: Path, env, alphas) -> None:
+    """level_curve.csv, tradeoff.csv and tradeoff_summary.json for the envelope env."""
+    ctx = env.ctx
     levels = np.unique(alphas)  # sorted, distinct
     values = c_alpha(env, levels)
     table = build_oracle_table(ctx, cfg.oracle_grid)
@@ -385,7 +384,7 @@ def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = N
     eta = float(cfg.eta_grid[0]) if eta is None else eta
     ctx = KernelContext(eta, cfg.noise)
     env = build_envelope(ctx, cfg.envelope_grid)
-    adv = build_adversary(env, ctx, alpha)
+    adv = build_adversary(env, alpha)
     achieved_pa = mixture_accept_prob(ctx, adv.atoms)
     achieved_mse = float(sum(w * ctx.error_moment(z) for z, w in adv.atoms)
                          / (4.0 * achieved_pa))
@@ -449,8 +448,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, adversary: AtomicAdversary | None = 
     adv = adversary
     if adv is None:
         report = _solve(cfg)
-        adv = build_adversary(report.envelope, KernelContext(report.eta_star, cfg.noise),
-                              report.equilibrium_pa)
+        adv = build_adversary(report.envelope, report.equilibrium_pa)
     rows, results = _simulate_cells(
         cfg, [(n, adv, cfg.seed + i) for i, n in enumerate(cfg.n_nodes)])
     _write_csv(out / "simulations.csv", _SIM_HEADER, rows, append=True)
@@ -489,7 +487,7 @@ def cmd_verify(cfg: RunConfig, out: Path, realizations: int = 100_000,
     env = build_envelope(ctx, cfg.envelope_grid)
     aset = best_alpha_set(env, cfg.utility, cfg.alpha_grid)
     alpha_star = float(aset[0])
-    optimum = ReplicatedStrategy.from_atomic(build_adversary(env, ctx, alpha_star))
+    optimum = ReplicatedStrategy.from_atomic(build_adversary(env, alpha_star))
     rng = np.random.default_rng(cfg.seed)
     cands = _random_candidates(ctx, rng, candidates, max(2, candidates // 10))
     game = GameConfig(n_nodes=cfg.n_nodes[0], eta=eta, data=cfg.data, noise=cfg.noise,
@@ -513,13 +511,12 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     cmd_solve(cfg, out, report=report)
 
     eta_star = report.eta_star
-    ctx = KernelContext(eta_star, cfg.noise)
     env = report.envelope
-    _write_tradeoff(cfg, out, ctx, env, cfg.report_alphas)
-    adv_eq = build_adversary(env, ctx, report.equilibrium_pa)
+    _write_tradeoff(cfg, out, env, cfg.report_alphas)
+    adv_eq = build_adversary(env, report.equilibrium_pa)
     _write_json(out / "adversary.json", {**adv_eq.to_json_dict(), **_stamp(cfg)})
 
-    advs = [build_adversary(env, ctx, float(a)) for a in cfg.report_alphas]
+    advs = [build_adversary(env, float(a)) for a in cfg.report_alphas]
     # cell k = (n, alpha), n outer and alpha inner, runs on seed + k
     rows, results = _simulate_cells(
         cfg, [(n, adv, cfg.seed + k)

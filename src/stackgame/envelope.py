@@ -1,18 +1,23 @@
 """Least concave majorant of the acceptance-level moment curve.
 
-The curve q -> moment_at_level(q) on [0, 1] is sampled on a dense grid, its
-upper concave hull is taken with a monotone chain (Andrew 1979), and hull
-segments that bridge over strictly lower samples are recorded as chords
-(hull_chords). The ends of each chord are then moved to where the curve's
-tangent passes through the other end, with the curve's closed-form slope
-(tangent_chords), so the chords are exact tangencies rather than grid points.
+This module is the one place a majorant is built: for one eta or for a grid
+of etas, whose curves are sampled BLOCK_ETAS at a time (build_envelopes). The
+curve q -> moment_at_level(q) on [0, 1] is sampled on a dense grid. A curve
+with no reflex sample is its own hull (has_reflex_sample); otherwise its upper
+concave hull is taken with a monotone chain (Andrew 1979), and hull segments
+that bridge over strictly lower samples are recorded as chords (hull_chords).
+The ends of every chord of the grid are then moved, in one batch, to where
+the curve's tangent passes through the other end, with the curve's
+closed-form slope (tangent_chords), so the chords are exact tangencies rather
+than grid points.
 
-An envelope holds its chords as one sorted array of their exact ends,
-[q1, q2, q1', q2', ...], and one rule serves every query: q is on a chord when
-it lies strictly inside one (chord_segments). The majorant is the curve, with
-the chord line in place of it there (chord_line). The touch tolerance is a
+An envelope holds its kernel context and its chords as one sorted array of
+their exact ends, [q1, q2, q1', q2', ...], and one rule serves every query: q
+is on a chord when it lies strictly inside one (chord_segments). The majorant
+is the curve, with the chord line in place of it there (chord_line), for one
+envelope or a block of them (majorant_rows). The touch tolerance is a
 constant rule: TOUCH_REL times the largest sample magnitude, or TOUCH_REL if
-that is below 1.
+that is below 1 (_touch_tolerance).
 
 The chain's cross products for all consecutive sample triples are computed as
 one array, so the runs of samples it keeps without popping are appended in
@@ -37,6 +42,7 @@ MIN_GRID_SIZE = 33  # the fewest samples that give a stable hull
 TOUCH_REL = 1e-8
 TANGENCY_XTOL = 1e-14  # width of the bracket a chord end is solved to
 TANGENCY_PASSES = 2  # alternations of the two ends' solves
+BLOCK_ETAS = 8  # etas sampled together: 4 to 16 run equally fast, 32 or more spill the cache
 
 
 @dataclass(frozen=True)
@@ -56,15 +62,16 @@ def _triples_cross(qs, vals):
     return _cross(qs[:-2], vals[..., :-2], qs[1:-1], vals[..., 1:-1], qs[2:], vals[..., 2:])
 
 
-def _check_finite(qs, vals):
-    if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(vals))):
-        raise NumericalError("envelope samples contain non-finite values")
+def _touch_tolerance(vals):
+    """Per row of vals: TOUCH_REL times its largest magnitude, or TOUCH_REL if that is below 1."""
+    return TOUCH_REL * np.maximum(1.0, np.max(np.abs(vals), axis=-1))
 
 
 def has_reflex_sample(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Per row of vals: would the hull chain pop a sample? A row with no
     reflex sample is its own hull, with no chord."""
-    _check_finite(qs, vals)
+    if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(vals))):
+        raise NumericalError("envelope samples contain non-finite values")
     return np.any(_triples_cross(qs, vals) > 0.0, axis=-1)
 
 
@@ -102,12 +109,12 @@ def _upper_hull_indices(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
-def hull_chords(qs: np.ndarray, vals: np.ndarray):
-    """The chords of the samples' upper hull as (m, 2) sample-index pairs (hull
-    segments bridging a sample more than the touch tolerance below them;
-    single-cell segments follow the curve), and that tolerance."""
+def hull_chords(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The chords of the samples' upper hull as (m, 2) sample-index pairs: hull
+    segments bridging a sample more than the touch tolerance below them
+    (single-cell segments follow the curve)."""
     hull = _upper_hull_indices(qs, vals)
-    tol = TOUCH_REL * max(1.0, float(np.max(np.abs(vals))))
+    tol = _touch_tolerance(vals)
     chords = []
     for s in np.flatnonzero(np.diff(hull) > 1).tolist():
         a, b = hull[s], hull[s + 1]
@@ -115,30 +122,28 @@ def hull_chords(qs: np.ndarray, vals: np.ndarray):
         line = vals[a] + t * (vals[b] - vals[a])
         if np.max(line - vals[a + 1:b]) > tol:
             chords.append((a, b))
-    return np.array(chords, dtype=np.intp).reshape(-1, 2), tol
+    return np.array(chords, dtype=np.intp).reshape(-1, 2)
 
 
 class Envelope:
     """Least concave majorant of the level curve of ctx, sampled at source_qs.
 
-    The samples' hull finds the chords (hull_chords), whose ends are then moved
-    to the curve's exact tangency points (tangent_chords). The majorant is the
-    curve itself, with the chord line in place of it strictly inside each chord.
+    The majorant is the curve itself, with the chord line in place of it
+    strictly inside each chord; chord_ends holds the chords' exact ends, sorted.
+    build_envelopes builds it.
     """
 
-    def __init__(self, source_qs, source_vals, ctx: KernelContext):
-        qs = np.asarray(source_qs, dtype=float)
-        vals = np.asarray(source_vals, dtype=float)
-        if qs.ndim != 1 or qs.size < 2 or qs.shape != vals.shape:
-            raise DomainError("envelope needs matching 1-d sample arrays, >= 2 points")
-        if np.any(np.diff(qs) <= 0):
-            raise DomainError("envelope sample grid must be strictly increasing")
-        _check_finite(qs, vals)
-        self.source_qs = qs
-        self.source_vals = vals
+    def __init__(self, ctx: KernelContext, source_qs: np.ndarray, chord_ends: np.ndarray,
+                 touch_tolerance: float):
         self.ctx = ctx
-        chords, self.touch_tolerance = hull_chords(qs, vals)
-        self.chord_ends = tangent_chords(ctx, qs, chords).ravel()
+        self.source_qs = source_qs
+        self.chord_ends = chord_ends
+        self.touch_tolerance = touch_tolerance
+
+    @property
+    def source_vals(self) -> np.ndarray:
+        """The curve at source_qs."""
+        return self.ctx.moment_at_level(self.source_qs)
 
     # --- queries -----------------------------------------------------------
 
@@ -147,9 +152,7 @@ class Envelope:
         arr = np.asarray(q, dtype=float)
         if np.any((arr < -1e-12) | (arr > 1.0 + 1e-12)) or not np.all(np.isfinite(arr)):
             raise DomainError("envelope argument must lie in [0, 1]")
-        flat = np.clip(arr, 0.0, 1.0).ravel()
-        vals = np.array(self.ctx.moment_at_level(flat), dtype=float)
-        chord_line(self.chord_ends, self.ctx.moment_at_level, flat, vals)
+        (vals,) = next(majorant_rows([self], np.clip(arr, 0.0, 1.0).ravel()))
         return float(vals[0]) if np.ndim(q) == 0 else vals.reshape(arr.shape)
 
     def chords(self) -> list[Chord]:
@@ -180,10 +183,50 @@ def level_grid(grid_size: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, grid_size)
 
 
+def _curve_blocks(ctxs, levels):
+    """(start, rows) per block of BLOCK_ETAS contexts from start on: row i is the
+    curve of ctxs[start + i] at levels, sampled through one column-eta context,
+    which gives each row to the bit."""
+    for start in range(0, len(ctxs), BLOCK_ETAS):
+        block = ctxs[start:start + BLOCK_ETAS]
+        column = KernelContext(np.array([[ctx.eta] for ctx in block]), block[0].noise)
+        yield start, column.moment_at_level(levels)
+
+
+def build_envelopes(ctxs, grid_size: int = DEFAULT_GRID_SIZE) -> list[Envelope]:
+    """The envelope of each context, sampled on grid_size levels; the contexts
+    share one noise model. Only a curve with a reflex sample is hulled, and
+    the tangencies of every chord are solved in one batch."""
+    if not ctxs:
+        raise DomainError("need at least one kernel context")
+    noise = ctxs[0].noise
+    if any(ctx.noise is not noise for ctx in ctxs):
+        raise DomainError("kernel contexts must share one noise model")
+    qs = level_grid(grid_size)
+    tols, sampled = [], []
+    for _, rows in _curve_blocks(ctxs, qs):
+        tols += _touch_tolerance(rows).tolist()
+        sampled += [hull_chords(qs, row) if reflex else np.empty((0, 2), dtype=np.intp)
+                    for row, reflex in zip(rows, has_reflex_sample(qs, rows).tolist())]
+    counts = [chords.shape[0] for chords in sampled]
+    etas = np.repeat([ctx.eta for ctx in ctxs], counts)
+    exact = tangent_chords(KernelContext(etas, noise), qs, np.concatenate(sampled)).ravel()
+    ends = np.split(exact, 2 * np.cumsum(counts)[:-1])
+    return [Envelope(ctx, qs, e, tol) for ctx, e, tol in zip(ctxs, ends, tols)]
+
+
 def build_envelope(ctx: KernelContext, grid_size: int = DEFAULT_GRID_SIZE) -> Envelope:
     """Sample moment_at_level on [0, 1] and take its least concave majorant."""
-    qs = level_grid(grid_size)
-    return Envelope(qs, np.asarray(ctx.moment_at_level(qs), dtype=float), ctx)
+    return build_envelopes([ctx], grid_size)[0]
+
+
+def majorant_rows(envs, levels: np.ndarray):
+    """The majorants of envs, which share one noise model, at levels in [0, 1]:
+    one array per block of BLOCK_ETAS envelopes, one row per envelope."""
+    for start, rows in _curve_blocks([env.ctx for env in envs], levels):
+        for env, row in zip(envs[start:], rows):
+            chord_line(env.chord_ends, env.ctx.moment_at_level, levels, row)
+        yield rows
 
 
 def chord_segments(ends: np.ndarray, arr: np.ndarray):

@@ -465,7 +465,7 @@ def validate(model: HonestNoiseModel) -> ValidationReport:
     checks.append(CheckResult("nonnegative", min_pdf >= 0.0, f"min pdf = {min_pdf}"))
 
     sym_tol = 1e-12 * max(1.0, float(np.max(np.abs(pdf_grid))))
-    sym_gap = float(np.max(np.abs(model.pdf(grid) - model.pdf(-grid))))
+    sym_gap = float(np.max(np.abs(pdf_grid - model.pdf(-grid))))
     checks.append(CheckResult("symmetry", sym_gap <= sym_tol,
                               f"max |pdf(x) - pdf(-x)| = {sym_gap}"))
 

@@ -3,9 +3,10 @@
 The adversary observes the threshold multiple eta and the honest noise, then
 picks an acceptance level alpha maximizing its utility along the trade-off
 curve; the defender picks eta maximizing its own utility against that best
-response, with ties broken toward the smaller (stricter) threshold. The
-attaining noise distribution is atomic: two symmetric offsets where the
-majorant touches the moment curve, four where it rides a chord.
+response, with ties broken toward the smaller (stricter) threshold. Every
+eta's envelope comes from envelope.build_envelopes; this module holds only
+the game. The attaining noise distribution is atomic: two symmetric offsets
+where the majorant touches the moment curve, four where it rides a chord.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import (DEFAULT_GRID_SIZE, Envelope, build_envelope, chord_line, chord_segments,
-                       has_reflex_sample, hull_chords, level_grid, tangent_chords)
+from .envelope import DEFAULT_GRID_SIZE, Envelope, build_envelopes, chord_segments, majorant_rows
 from .errors import DomainError, NumericalError
-from .kernel import KernelContext
 from .tradeoff import c_alpha, check_levels, mixture_accept_prob
 
 TIE_TOL_REL = 1e-9
-BLOCK_ETAS = 8  # etas solved together: 4 to 16 run equally fast, 32 or more spill the cache
 # utility family -> (its parameter names, all numbers > 0; its value(params, mse, pa))
 ADVERSARY_FAMILIES = {
     "weighted_sum": (("a", "b"), lambda p, mse, pa: p["a"] * mse + p["b"] * pa),
@@ -79,9 +77,9 @@ class UtilitySpec:
         def build(role, utility):
             given, default = spec.get(role, {}), DEFAULT_UTILITY[role]
             family = given.get("family", default["family"])
-            # the default params belong to the default family only
+            # the given params merge over the default ones, which belong to the default family only
             params = default["params"] if family == default["family"] else {}
-            return utility(family, dict(given.get("params", params)))
+            return utility(family, {**params, **given.get("params", {})})
         return cls(build("adversary", AdversaryUtility), build("dc", DCUtility))
 
 
@@ -143,75 +141,35 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
                       grid_size: int = DEFAULT_GRID_SIZE) -> EquilibriumReport:
     """Leader optimization over a threshold grid against best-responding noise.
 
-    For each context the adversary's best acceptance set is computed; the
-    defender is credited with the worst utility over that set, and the
-    threshold with the best guarantee wins. Exact ties go to the smaller eta.
-
-    The contexts share one noise model (a DomainError if they do not). Their
-    etas are solved in blocks of BLOCK_ETAS, a constant that keeps the arrays
-    in cache: a context with a column of etas samples their curves at the
-    levels and at the alphas, each row to the bit. A row with no reflex
-    sample is its own hull, with no chord, so its c_alpha is the curve over
-    4 alpha. A row with a reflex sample may have chords, which the curve
-    misses: its hull's chords are kept as sample indices (hull_chords), with
-    its curve row at the alphas, and after the last block the exact
-    tangencies of every such chord are solved in one batch (tangent_chords,
-    the same solve build_envelope makes for one eta), and the chord line
-    replaces the curve on the alphas inside a chord (chord_line, as
-    Envelope.evaluate applies it).
+    The defender is credited with its worst utility over the adversary's best
+    acceptance set at each eta; the best guarantee wins, exact ties going to the
+    smaller eta. The contexts share one noise model (a DomainError if not).
     """
     ctxs = sorted(ctxs, key=lambda c: c.eta)
-    if not ctxs:
-        raise DomainError("need at least one kernel context")
     alphas = check_levels(_alpha_levels(alpha_grid))
-    noise = ctxs[0].noise
-    if any(c.noise is not noise for c in ctxs):
-        raise DomainError("kernel contexts must share one noise model")
-    qs = level_grid(grid_size)
-
-    # per context: guarantee, alpha and c_alpha where it is attained, top utility, best alphas
-    found = [None] * len(ctxs)
-
-    def settle(indices, cs):
+    envs = build_envelopes(ctxs, grid_size)
+    # per eta: guarantee, alpha and c_alpha where it is attained, top utility, best alphas
+    found = []
+    for rows in majorant_rows(envs, alphas):
+        cs = rows / (4.0 * alphas)
         keep, top = _best_alphas(spec, alphas, cs)
         dc_vals = np.where(keep, spec.dc.value(cs, alphas), np.inf)
-        worst = np.argmin(dc_vals, axis=1)
-        for i, k in enumerate(indices):
-            found[k] = (float(dc_vals[i, worst[i]]), alphas[worst[i]], cs[i, worst[i]],
-                        top[i, 0], alphas[keep[i]])
-
-    reflex_rows = []  # (index, moment row at the alphas, chords as sample-index pairs)
-    for start in range(0, len(ctxs), BLOCK_ETAS):
-        block = range(start, min(start + BLOCK_ETAS, len(ctxs)))
-        block_ctx = KernelContext(np.array([[ctxs[k].eta] for k in block]), noise)
-        rows = block_ctx.moment_at_level(qs)
-        moments = block_ctx.moment_at_level(alphas)
-        reflex = has_reflex_sample(qs, rows)
-        for i in np.flatnonzero(reflex).tolist():
-            reflex_rows.append((block[i], moments[i].copy(), hull_chords(qs, rows[i])[0]))
-        settle([k for k, r in zip(block, reflex.tolist()) if not r],
-               moments[~reflex] / (4.0 * alphas))
-    if reflex_rows:
-        indices, curves, sampled = zip(*reflex_rows)
-        counts = [e.shape[0] for e in sampled]
-        exact = tangent_chords(KernelContext(np.repeat([ctxs[k].eta for k in indices], counts),
-                                             noise), qs, np.concatenate(sampled))
-        for k, row, chords in zip(indices, curves, np.split(exact, np.cumsum(counts)[:-1])):
-            chord_line(chords.ravel(), ctxs[k].moment_at_level, alphas, row)
-        settle(indices, np.array(curves) / (4.0 * alphas))
+        for i, worst in enumerate(np.argmin(dc_vals, axis=1)):
+            found.append((float(dc_vals[i, worst]), alphas[worst], cs[i, worst], top[i, 0],
+                          alphas[keep[i]]))
 
     k_star = int(np.argmax([f[0] for f in found]))  # the first eta with the best guarantee
     _, alpha_eq, mse_eq, adv_util, _ = found[k_star]
-    ctx_star = ctxs[k_star]
+    eta_star = ctxs[k_star].eta
     return EquilibriumReport(
-        eta_star=float(ctx_star.eta),
+        eta_star=float(eta_star),
         best_alpha_sets={ctx.eta: f[4] for ctx, f in zip(ctxs, found)},
         dc_guaranteed_utility={ctx.eta: f[0] for ctx, f in zip(ctxs, found)},
         adversary_utility_at_eq=float(adv_util),
         equilibrium_mse=float(mse_eq),
         equilibrium_pa=float(alpha_eq),
-        eta_on_grid_boundary=ctx_star.eta in (ctxs[0].eta, ctxs[-1].eta),
-        envelope=build_envelope(ctx_star, grid_size),
+        eta_on_grid_boundary=eta_star in (ctxs[0].eta, ctxs[-1].eta),
+        envelope=envs[k_star],
     )
 
 
@@ -260,8 +218,8 @@ class AtomicAdversary:
         }
 
 
-def build_adversary(env: Envelope, ctx: KernelContext, alpha: float) -> AtomicAdversary:
-    """Atoms attaining c(alpha): two on a touch, four on a chord.
+def build_adversary(env: Envelope, alpha: float) -> AtomicAdversary:
+    """Atoms attaining c(alpha) on env's kernel context: two on a touch, four on a chord.
 
     Touch at alpha: offsets +/- z1 with z1 = accept_prob_inv(alpha), weights
     1/2 each. Chord [q1, q2] containing alpha: offsets +/- accept_prob_inv(q1)
@@ -269,6 +227,7 @@ def build_adversary(env: Envelope, ctx: KernelContext, alpha: float) -> AtomicAd
     (alpha-q1)/(2(q2-q1)), which make the achieved acceptance exactly alpha.
     """
     alpha = float(check_levels(alpha))
+    ctx = env.ctx
     if env.is_touch(alpha)[0]:
         z1 = float(ctx.accept_prob_inv(alpha))
         atoms = ((-z1, 0.5), (z1, 0.5))

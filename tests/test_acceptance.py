@@ -108,7 +108,7 @@ def test_criterion_4_adversary_achievability(uniform_ctx, uniform_env):
     alphas = np.linspace(0.02, 1.0, 50)  # spans touch (<11/14) and chord (>11/14)
     worst_pa = worst_mse = 0.0
     for a in alphas:
-        adv = sg.build_adversary(uniform_env, uniform_ctx, float(a))
+        adv = sg.build_adversary(uniform_env, float(a))
         pa = sum(w * uniform_ctx.accept_prob(z) for z, w in adv.atoms)
         mse = sum(w * uniform_ctx.error_moment(z) for z, w in adv.atoms) / (4 * a)
         worst_pa = max(worst_pa, abs(pa - a))
@@ -120,7 +120,7 @@ def test_criterion_4_adversary_achievability(uniform_ctx, uniform_env):
 
 def test_criterion_5_monte_carlo_equilibrium(uniform_ctx, uniform_env):
     t0 = time.perf_counter()
-    adv = sg.build_adversary(uniform_env, uniform_ctx, 0.5)
+    adv = sg.build_adversary(uniform_env, 0.5)
     cfg = sg.GameConfig(n_nodes=2, eta=2.0, data=sg.DataModel(1000.0),
                         noise=sg.uniform(1.0), trials=10**6, seed=20260814)
     res = sg.run_monte_carlo(cfg, sg.ReplicatedStrategy.from_atomic(adv))
@@ -135,7 +135,7 @@ def test_criterion_5_monte_carlo_equilibrium(uniform_ctx, uniform_env):
 
 def test_criterion_6_sybil_resistance(uniform_ctx, uniform_env):
     t0 = time.perf_counter()
-    adv = sg.build_adversary(uniform_env, uniform_ctx, 0.5)
+    adv = sg.build_adversary(uniform_env, 0.5)
     strat = sg.ReplicatedStrategy.from_atomic(adv)
     results = {}
     for n in (2, 3, 5, 8):
@@ -210,7 +210,7 @@ def test_criterion_8_dominance(uniform_ctx, uniform_env, family, params):
     spec = sg.UtilitySpec.from_spec({"adversary": {"family": family, "params": params}})
     aset = sg.best_alpha_set(uniform_env, spec, np.linspace(1e-3, 1.0, 1000))
     opt = sg.ReplicatedStrategy.from_atomic(
-        sg.build_adversary(uniform_env, uniform_ctx, float(aset[0])))
+        sg.build_adversary(uniform_env, float(aset[0])))
     rng = np.random.default_rng({"scaled_product": 101, "weighted_sum": 202}[family])
     cands = (_random_replicated(rng, uniform_ctx.z_hi, 100)
              + _random_iid(rng, uniform_ctx.z_hi, 10, n_adv=2))

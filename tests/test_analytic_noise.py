@@ -158,7 +158,7 @@ def test_accept_prob_strictly_decreases_on_the_kernel_domain(model, eta, frac, g
 @given(noise_models(), st.floats(2.0, 6.0), st.floats(1e-3, 1.0))
 def test_build_adversary_achieves_alpha(model, eta, alpha):
     ctx = sg.KernelContext(eta, model)
-    adv = sg.build_adversary(build_envelope(ctx, 512), ctx, alpha)
+    adv = sg.build_adversary(build_envelope(ctx, 512), alpha)
     achieved = sum(w * ctx.accept_prob(z) for z, w in adv.atoms)
     assert abs(achieved - alpha) <= 1e-12, (model, eta, alpha, adv.atoms)
 

@@ -103,3 +103,20 @@ def test_no_module_reads_another_modules_private_attributes():
                if attr not in defined[module]
                and any(attr in names for other, names in defined.items() if other != module)]
     assert foreign == []
+
+
+# the steps that build a majorant: sample check, hull, tangency, chord line
+MAJORANT_STEPS = {"has_reflex_sample", "hull_chords", "tangent_chords", "chord_line"}
+
+
+def test_only_the_envelope_module_builds_majorants():
+    """No package module but envelope.py imports or reads a step of the majorant's construction."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        found[path.name] = sorted((imported | _names_read(tree)) & MAJORANT_STEPS)
+    own = found.pop("envelope.py")
+    assert {name: steps for name, steps in found.items() if steps} == {}
+    assert own == sorted(MAJORANT_STEPS), "no majorant step parsed"

@@ -133,7 +133,7 @@ def test_monte_carlo_matches_a_per_trial_reference(iid):
 
 
 def test_monte_carlo_matches_kernel_prediction(base_cfg, uniform_ctx, uniform_env):
-    adv = sg.build_adversary(uniform_env, uniform_ctx, 0.9)  # chord regime
+    adv = sg.build_adversary(uniform_env, 0.9)  # chord regime
     res = sg.run_monte_carlo(base_cfg, sg.ReplicatedStrategy.from_atomic(adv))
     assert abs(res.pa_hat - 0.9) <= 4.0 * res.pa_stderr
     assert abs(res.mse_hat - sg.c_alpha(uniform_env, 0.9)) <= 4.0 * res.mse_stderr
@@ -176,7 +176,7 @@ def test_dominance_smoke(uniform_ctx, uniform_env):
                         noise=sg.uniform(1.0), trials=20_000, seed=21)
     aset = sg.best_alpha_set(uniform_env, spec, np.linspace(1e-3, 1.0, 1000))
     opt = sg.ReplicatedStrategy.from_atomic(
-        sg.build_adversary(uniform_env, uniform_ctx, float(aset[0])))
+        sg.build_adversary(uniform_env, float(aset[0])))
     cands = [
         ("mid", sg.ReplicatedStrategy([-1.5, 1.5], [0.5, 0.5])),
         ("zero", sg.ReplicatedStrategy([0.0], [1.0])),

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 import stackgame as sg
 from stackgame import cli
-from stackgame.envelope import DEFAULT_GRID_SIZE, has_reflex_sample, level_grid
+from stackgame.envelope import (BLOCK_ETAS, DEFAULT_GRID_SIZE, build_envelopes,
+                                has_reflex_sample, level_grid, majorant_rows)
 from stackgame.errors import DomainError
-from stackgame.strategy import (ADVERSARY_FAMILIES, BLOCK_ETAS, DC_FAMILIES, TIE_TOL_REL,
-                                EquilibriumReport)
+from stackgame.strategy import ADVERSARY_FAMILIES, DC_FAMILIES, TIE_TOL_REL, EquilibriumReport
 
 
 @pytest.fixture(scope="module")
@@ -157,12 +158,16 @@ def test_solve_equilibrium_single_and_empty_grid(uniform_noise, alphas):
     rep = sg.solve_equilibrium([sg.KernelContext(2.0, uniform_noise)],
                                sg.UtilitySpec.from_spec({}), alphas)
     assert rep.eta_star == 2.0 and rep.eta_on_grid_boundary
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="at least one kernel context"):
+        build_envelopes([])
+    with pytest.raises(DomainError, match="at least one kernel context"):
         sg.solve_equilibrium([], sg.UtilitySpec.from_spec({}), alphas)
 
 
 def test_solve_equilibrium_refuses_mixed_noise_models(uniform_noise, alphas):
     ctxs = [sg.KernelContext(2.0, uniform_noise), sg.KernelContext(2.5, sg.uniform(1.0))]
+    with pytest.raises(DomainError, match="share one noise model"):
+        build_envelopes(ctxs)
     with pytest.raises(DomainError, match="share one noise model"):
         sg.solve_equilibrium(ctxs, sg.UtilitySpec.from_spec({}), alphas)
 
@@ -189,13 +194,13 @@ def test_report_serializes(uniform_noise, alphas):
 
 
 def test_build_adversary_touch(uniform_env, uniform_ctx):
-    adv = sg.build_adversary(uniform_env, uniform_ctx, 0.5)
+    adv = sg.build_adversary(uniform_env, 0.5)
     assert adv.atoms == ((-2.0, 0.5), (2.0, 0.5))
     np.testing.assert_allclose(adv.weights().sum(), 1.0)
 
 
 def test_build_adversary_chord(uniform_env, uniform_ctx):
-    adv = sg.build_adversary(uniform_env, uniform_ctx, 0.9)
+    adv = sg.build_adversary(uniform_env, 0.9)
     assert len(adv.atoms) == 4
     zs = adv.locations()
     # outer pair near k_inv(11/14) = 10/7, inner pair at the full-accept edge
@@ -207,7 +212,7 @@ def test_build_adversary_chord(uniform_env, uniform_ctx):
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 5.0 / 7.0, 0.85, 0.99, 1.0])
 def test_adversary_achieves_curve(uniform_env, uniform_ctx, alpha):
-    adv = sg.build_adversary(uniform_env, uniform_ctx, alpha)
+    adv = sg.build_adversary(uniform_env, alpha)
     pa = sum(w * uniform_ctx.accept_prob(z) for z, w in adv.atoms)
     mse = sum(w * uniform_ctx.error_moment(z) for z, w in adv.atoms) / (4 * pa)
     assert abs(pa - alpha) < 1e-8
@@ -294,6 +299,20 @@ def test_block_solver_matches_the_per_eta_solver(case, alphas):
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
+def test_one_builder_for_a_grid_and_for_one_eta(case, alphas):
+    noise, etas, _, grid_size = BLOCK_CASES[case]
+    envs = build_envelopes([sg.KernelContext(float(e), noise) for e in etas], grid_size)
+    for env in envs:
+        one = sg.build_envelope(env.ctx, grid_size)
+        assert np.array_equal(env.chord_ends, one.chord_ends), env.ctx.eta
+        assert env.touch_tolerance == one.touch_tolerance, env.ctx.eta
+    blocks = list(majorant_rows(envs, alphas))
+    assert [rows.shape[0] for rows in blocks[:-1]] == [BLOCK_ETAS] * (len(blocks) - 1)
+    for env, row in itertools.zip_longest(envs, np.concatenate(blocks)):
+        assert np.array_equal(row, env.evaluate(alphas)), env.ctx.eta
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
 def test_block_rows_are_the_per_eta_curves(case, alphas):
     noise, etas, _, grid_size = BLOCK_CASES[case]
     for levels in (level_grid(grid_size), alphas):
@@ -316,6 +335,19 @@ def test_other_adversary_family_does_not_take_the_default_params():
         sg.UtilitySpec.from_spec({"dc": {"family": "exp_penalty"}})
     default = sg.UtilitySpec.from_spec({"adversary": {"family": "scaled_product"}})
     assert default.adversary.params == {"c": 1.0}
+
+
+def test_default_family_params_merge_over_the_defaults(tmp_path):
+    # the API resolves a utility as a config file does: given params over the default ones
+    utility = {"adversary": {"params": {}}, "dc": {"params": {"gamma": 0.5}}}
+    spec = sg.UtilitySpec.from_spec(utility)
+    assert (spec.adversary.params, spec.dc.params) == ({"c": 1.0}, {"gamma": 0.5})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"utility": utility}))
+    cfg = cli.parse_config(config)
+    assert cfg.utility == spec
+    assert cfg.raw["utility"] == {"adversary": {"family": "scaled_product", "params": {"c": 1.0}},
+                                  "dc": {"family": "linear_penalty", "params": {"gamma": 0.5}}}
 
 
 @pytest.mark.parametrize("noise", [sg.uniform(1.0), sg.truncated_normal(1.0, 3.0)],

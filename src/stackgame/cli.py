@@ -31,11 +31,12 @@ from .simulator import (DEFAULT_CHUNK_SIZE, GameConfig, IidStrategy, ReplicatedS
 from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY, AtomicAdversary,
                        UtilitySpec, best_alpha_set, build_adversary, solve_equilibrium)
 from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, build_oracle_table,
-                       c_alpha, mixture_accept_prob, oracle_c2, zero_limit)
+                       c_alpha, oracle_c2, zero_limit)
 
 OUTPUT_DIR_ENV = "STACKGAME_OUTPUT_DIR"
 # a start/stop/step grid must span a whole number of steps, up to fp rounding
 _STEP_SLACK = 1e-9
+_DELTA_MIN = sys.float_info.min ** 0.25  # the scale rule's lower half: delta^4 stays normal
 
 DEFAULT_CONFIG = {
     "honest_noise": {"kind": "uniform", "params": {}},  # from_spec owns delta's default
@@ -216,6 +217,9 @@ class RunConfig:
             if failures:
                 problems.append("/honest_noise: tabulated noise fails validation: " + ", ".join(
                     f"{c.name} ({c.detail})" for c in failures))
+        if self.noise.delta < _DELTA_MIN:
+            problems.append(f"/honest_noise/delta: must be >= {_DELTA_MIN:.4g}, where delta^4 "
+                            f"underflows, got {self.noise.delta}")
         if self.eta_grid[0] < 2.0:
             problems.append(
                 "/eta_grid: every threshold multiple must satisfy eta >= 2; the "
@@ -325,10 +329,14 @@ def cmd_validate_noise(cfg: RunConfig, out: Path) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=None) -> int:
+def _envelope(cfg: RunConfig, eta: float | None = None):
+    """The envelope at eta, by default the eta grid's start."""
     ctx = KernelContext(float(cfg.eta_grid[0]) if eta is None else eta, cfg.noise)
-    _write_tradeoff(cfg, out, build_envelope(ctx, cfg.envelope_grid),
-                    cfg.report_alphas if alphas is None else alphas)
+    return build_envelope(ctx, cfg.envelope_grid)
+
+
+def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=None) -> int:
+    _write_tradeoff(cfg, out, _envelope(cfg, eta), cfg.report_alphas if alphas is None else alphas)
     return 0
 
 
@@ -381,16 +389,13 @@ def cmd_solve(cfg: RunConfig, out: Path, report=None) -> int:
 
 
 def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = None) -> int:
-    eta = float(cfg.eta_grid[0]) if eta is None else eta
-    ctx = KernelContext(eta, cfg.noise)
-    env = build_envelope(ctx, cfg.envelope_grid)
+    env = _envelope(cfg, eta)
     adv = build_adversary(env, alpha)
-    achieved_pa = mixture_accept_prob(ctx, adv.atoms)
-    achieved_mse = float(sum(w * ctx.error_moment(z) for z, w in adv.atoms)
-                         / (4.0 * achieved_pa))
+    achieved_mse = float(sum(w * env.ctx.error_moment(z) for z, w in adv.atoms)
+                         / (4.0 * adv.achieved_pa))
     payload = {
         **adv.to_json_dict(),
-        "achieved_pa": achieved_pa,
+        "achieved_pa": adv.achieved_pa,
         "achieved_mse": achieved_mse,
         "c_alpha": float(c_alpha(env, alpha)),
         **_stamp(cfg),
@@ -400,27 +405,25 @@ def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = N
 
 
 def _load_adversary(path, noise) -> AtomicAdversary:
-    """The adversary file at path: valid eta and alpha, met by its atoms against noise."""
+    """The adversary file at path: valid eta and alpha, and noise's delta, as AtomicAdversary."""
     try:
         raw = json.loads(Path(path).read_text())
         atoms = tuple((float(a["z"]), float(a["weight"])) for a in raw["atoms"])
-        adv = AtomicAdversary(atoms=atoms, alpha=float(raw["alpha"]),
-                              eta=float(raw["eta"]), delta=float(raw["delta"]))
+        eta, alpha, delta = (float(raw[key]) for key in ("eta", "alpha", "delta"))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"--adversary: cannot load {path}: {exc}") from exc
-    for name, value in (("eta", adv.eta), ("alpha", adv.alpha)):
+    for name, value in (("eta", eta), ("alpha", alpha)):
         accepts, need = _FLAG_DOMAINS[name]
         if not accepts(value):
             raise ConfigError(f"--adversary: {name} must be {need}, got {value}")
-    if not abs(adv.delta - noise.delta) <= 1e-9 * noise.delta:
-        raise ConfigError(f"--adversary: built for delta {adv.delta}, "
+    if not abs(delta - noise.delta) <= 1e-9 * noise.delta:
+        raise ConfigError(f"--adversary: built for delta {delta}, "
                           f"but the configured noise has delta {noise.delta}")
-    _check_scale("--adversary", adv.eta, noise.delta)
-    achieved = mixture_accept_prob(KernelContext(adv.eta, noise), adv.atoms)
-    if not abs(achieved - adv.alpha) <= 1e-8:
-        raise ConfigError(f"--adversary: the atoms achieve acceptance {achieved} at eta "
-                          f"{adv.eta}, but the file says alpha {adv.alpha}")
-    return adv
+    _check_scale("--adversary", eta, noise.delta)
+    try:
+        return AtomicAdversary(atoms, alpha, KernelContext(eta, noise))
+    except DomainError as exc:
+        raise ConfigError(f"--adversary: {exc}") from exc
 
 
 _SIM_HEADER = ["n_nodes", "eta", "alpha", "pa_hat", "mse_hat",
@@ -435,10 +438,10 @@ def _simulate_cells(cfg: RunConfig, cells):
     rows = []
     results = []
     for n, adv, seed in cells:
-        game = GameConfig(n_nodes=n, eta=adv.eta, data=cfg.data, noise=cfg.noise,
+        game = GameConfig(n_nodes=n, eta=adv.ctx.eta, data=cfg.data, noise=cfg.noise,
                           trials=cfg.trials, seed=seed, chunk_size=cfg.chunk_size)
         res = run_monte_carlo(game, ReplicatedStrategy.from_atomic(adv))
-        rows.append((n, adv.eta, adv.alpha, res.pa_hat, res.mse_hat,
+        rows.append((n, adv.ctx.eta, adv.alpha, res.pa_hat, res.mse_hat,
                      res.pa_stderr, res.mse_stderr, seed))
         results.append(res)
     return rows, results
@@ -479,17 +482,16 @@ def _random_candidates(ctx, rng, n_replicated: int, n_iid: int):
 
 def cmd_verify(cfg: RunConfig, out: Path, realizations: int = 100_000,
                candidates: int = 20, trials: int | None = None) -> int:
-    eta = float(cfg.eta_grid[0])
+    env = _envelope(cfg)
+    eta = env.ctx.eta
     scenario = run_scenario_suite(cfg.noise, eta, realizations,
                                   max(cfg.n_nodes) - 1, cfg.seed)
 
-    ctx = KernelContext(eta, cfg.noise)
-    env = build_envelope(ctx, cfg.envelope_grid)
     aset = best_alpha_set(env, cfg.utility, cfg.alpha_grid)
     alpha_star = float(aset[0])
     optimum = ReplicatedStrategy.from_atomic(build_adversary(env, alpha_star))
     rng = np.random.default_rng(cfg.seed)
-    cands = _random_candidates(ctx, rng, candidates, max(2, candidates // 10))
+    cands = _random_candidates(env.ctx, rng, candidates, max(2, candidates // 10))
     game = GameConfig(n_nodes=cfg.n_nodes[0], eta=eta, data=cfg.data, noise=cfg.noise,
                       trials=cfg.trials if trials is None else trials, seed=cfg.seed,
                       chunk_size=cfg.chunk_size)

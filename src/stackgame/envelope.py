@@ -16,8 +16,7 @@ their exact ends, [q1, q2, q1', q2', ...], and one rule serves every query: q
 is on a chord when it lies strictly inside one (chord_segments). The majorant
 is the curve, with the chord line in place of it there (chord_line), for one
 envelope or a block of them (majorant_rows). The touch tolerance is a
-constant rule: TOUCH_REL times the largest sample magnitude, or TOUCH_REL if
-that is below 1 (_touch_tolerance).
+constant rule: TOUCH_REL times the largest sample magnitude (_touch_tolerance).
 
 The chain's cross products for all consecutive sample triples are computed as
 one array, so the runs of samples it keeps without popping are appended in
@@ -63,8 +62,8 @@ def _triples_cross(qs, vals):
 
 
 def _touch_tolerance(vals):
-    """Per row of vals: TOUCH_REL times its largest magnitude, or TOUCH_REL if that is below 1."""
-    return TOUCH_REL * np.maximum(1.0, np.max(np.abs(vals), axis=-1))
+    """Per row of vals: TOUCH_REL times its largest magnitude, at every scale."""
+    return TOUCH_REL * np.max(np.abs(vals), axis=-1)
 
 
 def has_reflex_sample(qs: np.ndarray, vals: np.ndarray) -> np.ndarray:

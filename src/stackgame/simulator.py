@@ -60,7 +60,7 @@ class ReplicatedStrategy:
 
     @classmethod
     def from_atomic(cls, adv: AtomicAdversary) -> "ReplicatedStrategy":
-        return cls(adv.locations(), adv.weights())
+        return cls(*zip(*adv.atoms))
 
     def _atoms(self, rng: np.random.Generator, shape) -> np.ndarray:
         """The atoms rng.choice(K, shape, p=weights) picks from the same draws, by its own

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envelope import DEFAULT_GRID_SIZE, Envelope, build_envelopes, chord_segments, majorant_rows
-from .errors import DomainError, NumericalError
-from .tradeoff import c_alpha, check_levels, mixture_accept_prob
+from .errors import DomainError
+from .kernel import KernelContext
+from .tradeoff import c_alpha, check_levels
 
 TIE_TOL_REL = 1e-9
 # utility family -> (its parameter names, all numbers > 0; its value(params, mse, pa))
@@ -177,11 +178,15 @@ def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
 
 @dataclass(frozen=True)
 class AtomicAdversary:
-    """Symmetric atomic noise distribution attaining the trade-off curve."""
+    """Symmetric atomic noise distribution achieving acceptance alpha in ctx's game.
+
+    Constructing one is the one check of an adversary: 2 or 4 atoms, finite
+    offsets with |z| in [ctx.z_lo, ctx.z_hi], positive weights summing to 1,
+    mirror symmetry in offset and weight, and acceptance within 1e-8 of alpha.
+    """
     atoms: tuple  # ((offset, weight), ...) sorted by offset
     alpha: float
-    eta: float
-    delta: float
+    ctx: KernelContext
 
     def __post_init__(self):
         if len(self.atoms) not in (2, 4):
@@ -192,27 +197,27 @@ class AtomicAdversary:
             raise DomainError("atom offsets must be finite and weights positive")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise DomainError(f"atom weights sum to {np.sum(weights)}, expected 1")
-        slack = 1e-9 * self.delta
-        lo = (self.eta - 1.0) * self.delta
-        hi = (self.eta + 1.0) * self.delta
-        if np.any(np.abs(locs) < lo - slack) or np.any(np.abs(locs) > hi + slack):
-            raise DomainError("atom offsets must lie in the replicated-atom domain")
+        ctx, slack = self.ctx, 1e-9 * self.ctx.delta
+        if np.any(np.abs(locs) < ctx.z_lo - slack) or np.any(np.abs(locs) > ctx.z_hi + slack):
+            raise DomainError(f"|atom offsets| must lie in [{ctx.z_lo}, {ctx.z_hi}]")
         # mirror symmetry: each (+z, w) pairs with (-z, w)
         key = sorted(zip(np.abs(locs).tolist(), weights.tolist()))
         for (z1, w1), (z2, w2) in zip(key[::2], key[1::2]):
-            if abs(z1 - z2) > 1e-9 * max(1.0, self.delta) or abs(w1 - w2) > 1e-12:
+            if abs(z1 - z2) > slack or abs(w1 - w2) > 1e-12:
                 raise DomainError("atoms must be symmetric in offset and weight")
+        if not abs(self.achieved_pa - self.alpha) <= 1e-8:
+            raise DomainError(f"the atoms achieve acceptance {self.achieved_pa} at eta "
+                              f"{ctx.eta}, not alpha {self.alpha}")
 
-    def locations(self) -> np.ndarray:
-        return np.array([z for z, _ in self.atoms], dtype=float)
-
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=float)
+    @property
+    def achieved_pa(self) -> float:
+        """Acceptance probability of the atoms replicated across the nodes."""
+        return float(sum(w * self.ctx.accept_prob(z) for z, w in self.atoms))
 
     def to_json_dict(self) -> dict:
         return {
-            "eta": self.eta,
-            "delta": self.delta,
+            "eta": self.ctx.eta,
+            "delta": self.ctx.delta,
             "alpha": self.alpha,
             "atoms": [{"z": z, "weight": w} for z, w in self.atoms],
         }
@@ -240,9 +245,4 @@ def build_adversary(env: Envelope, alpha: float) -> AtomicAdversary:
         b2 = (alpha - q1) / (2.0 * (q2 - q1))
         pairs = sorted([(-z1, b1), (-z2, b2), (z2, b2), (z1, b1)])
         atoms = tuple(pairs)
-    adv = AtomicAdversary(atoms=atoms, alpha=alpha, eta=ctx.eta, delta=ctx.delta)
-    achieved = mixture_accept_prob(ctx, adv.atoms)
-    if abs(achieved - alpha) > 1e-8:
-        raise NumericalError(
-            f"constructed atoms achieve acceptance {achieved}, wanted {alpha}")
-    return adv
+    return AtomicAdversary(atoms=atoms, alpha=alpha, ctx=ctx)

@@ -57,11 +57,6 @@ def zero_limit(env: Envelope) -> float:
     return float((v1 - v0) / (ends[1] - ends[0]) / 4.0)
 
 
-def mixture_accept_prob(ctx: KernelContext, atoms) -> float:
-    """Acceptance probability of replicated atoms ((z, weight), ...) at any offsets."""
-    return float(sum(w * ctx.accept_prob(z) for z, w in atoms))
-
-
 @dataclass(frozen=True)
 class OracleTable:
     """Tabulated atom functionals on an offset grid over [0, (eta+1)*delta]."""

@@ -283,6 +283,28 @@ def test_level_curve_has_one_row_per_grid_point(tmp_path):
     assert rows[0] == "q,h,h_star,is_touch" and len(rows) == 1 + 4096
 
 
+# the touch tolerance is relative at every scale: a narrow noise has a wide one's chords,
+# and its c_alpha is the wide one's times delta^2
+@pytest.mark.parametrize("kind, sigma", [("uniform", None), ("truncated-normal", 3.0)])
+def test_narrow_noise_keeps_its_chords(tmp_path, kind, sigma):
+    def tradeoff(delta):
+        params = {} if sigma is None else {"sigma": sigma * delta}
+        config = write_config(tmp_path, {"honest_noise": {"kind": kind, "delta": delta,
+                                                          "params": params}})
+        code, out = run(["tradeoff", "--eta", "2.0"], tmp_path, name=f"{delta}", config=config)
+        assert code == 0
+        rows = (out / "tradeoff.csv").read_text().strip().splitlines()[1:]
+        return (json.loads((out / "tradeoff_summary.json").read_text())["chords"],
+                [float(row.split(",")[1]) / delta ** 2 for row in rows])
+
+    chords, cs = tradeoff(1.0)
+    assert chords
+    for delta in (1e-4, 1e-50):
+        narrow_chords, narrow_cs = tradeoff(delta)
+        np.testing.assert_allclose(narrow_chords, chords, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(narrow_cs, cs, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("spec, alphas", [("0.9,0.2,0.5,0.2", [0.2, 0.5, 0.9]),
                                            ("1.0", [1.0])])
 def test_tradeoff_reports_each_level_once_in_ascending_order(tmp_path, spec, alphas):
@@ -425,6 +447,7 @@ def test_typed_params_fail_at_the_boundary(tmp_path, capsys, config, pointer):
     ('{"honest_noise": {"delta": 1%s}}' % ("0" * 400), "/honest_noise/delta"),
     ('{"honest_noise": {"delta": 1e200}, "data": {"m": 1e203}}', "/eta_grid"),
     ('{"eta_grid": {"values": [1e307]}}', "/eta_grid"),
+    ('{"honest_noise": {"delta": 1e-80}}', "/honest_noise/delta"),  # delta^4 underflows
     ('{"honest_noise": {"kind": "tabulated", "params": {"xs": [-1, 0, 1], "pdf": [1, NaN, 1]}}}',
      "/honest_noise/params/pdf/1"),
 ])

@@ -196,13 +196,13 @@ def test_report_serializes(uniform_noise, alphas):
 def test_build_adversary_touch(uniform_env, uniform_ctx):
     adv = sg.build_adversary(uniform_env, 0.5)
     assert adv.atoms == ((-2.0, 0.5), (2.0, 0.5))
-    np.testing.assert_allclose(adv.weights().sum(), 1.0)
+    np.testing.assert_allclose(sum(w for _, w in adv.atoms), 1.0)
 
 
 def test_build_adversary_chord(uniform_env, uniform_ctx):
     adv = sg.build_adversary(uniform_env, 0.9)
     assert len(adv.atoms) == 4
-    zs = adv.locations()
+    zs = np.array([z for z, _ in adv.atoms])
     # outer pair near k_inv(11/14) = 10/7, inner pair at the full-accept edge
     np.testing.assert_allclose(np.abs(zs), [10.0 / 7.0, 1.0, 1.0, 10.0 / 7.0],
                                atol=1e-10)
@@ -222,13 +222,17 @@ def test_adversary_achieves_curve(uniform_env, uniform_ctx, alpha):
 def test_atomic_adversary_validation():
     with pytest.raises(DomainError):
         sg.AtomicAdversary(atoms=((-1.0, 0.6), (1.0, 0.6)), alpha=0.5,
-                           eta=2.0, delta=1.0)  # weights exceed 1
+                           ctx=sg.KernelContext(2.0, sg.uniform(1.0)))  # weights exceed 1
     with pytest.raises(DomainError):
         sg.AtomicAdversary(atoms=((-1.0, 0.5), (2.0, 0.5)), alpha=0.5,
-                           eta=2.0, delta=1.0)  # not mirror-symmetric
+                           ctx=sg.KernelContext(2.0, sg.uniform(1.0)))  # not mirror-symmetric
     with pytest.raises(DomainError):  # the same shape near the float limit
         sg.AtomicAdversary(atoms=((-2e296, 0.5), (2.5e296, 0.5)), alpha=0.5,
-                           eta=2.0, delta=1e296)
+                           ctx=sg.KernelContext(2.0, sg.uniform(1e296)))
+    # and far below 1: these atoms achieve alpha 0.5, but their offsets differ by 2 delta
+    with pytest.raises(DomainError, match="symmetric"):
+        sg.AtomicAdversary(atoms=((-1e-10, 0.5), (3e-10, 0.5)), alpha=0.5,
+                           ctx=sg.KernelContext(2.0, sg.uniform(1e-10)))
 
 
 def reference_solve_equilibrium(ctxs, spec, alpha_grid, grid_size=DEFAULT_GRID_SIZE,

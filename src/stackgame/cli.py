@@ -354,12 +354,11 @@ def _write_tradeoff(cfg: RunConfig, out: Path, env, alphas) -> None:
                    env.is_touch(env.source_qs)))
     _write_csv(out / "tradeoff.csv", ["alpha", "c_formula", "c_oracle", "abs_diff"],
                zip(levels, values, oracle_vals, diffs))
-    rel_scale = np.maximum(1.0, np.abs(values))
     summary = {
         "eta": float(ctx.eta),
         "n_alphas": int(levels.size),
         "max_abs_diff": float(np.max(diffs)),
-        "max_rel_diff": float(np.max(diffs / rel_scale)),
+        "max_rel_diff": float(np.max(diffs / values)),
         "zero_limit": zero_limit(env),
         "chords": [[c.q1, c.q2] for c in env.chords()],
         **_stamp(cfg),

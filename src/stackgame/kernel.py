@@ -7,7 +7,10 @@ exactly when the honest noise lands within eta*delta of it. This defines:
   error_moment(z)  -- integral of (x + z)^2 f(x) over the accepting x;
                       note (x + z)/2 is the midrange estimation error, so
                       error_moment(z)/4 is the unnormalized conditional MSE
-  moment_at_level(q) -- error_moment at the offset whose acceptance is q
+  moment_at_level(q) -- error_moment at the offset whose acceptance is q:
+                        with L = F^-1(1 - q) and z = eta*delta + L it is
+                        z^2 M0(L) + 2z M1(L) + M2(L), and neither L nor the
+                        partial moments depend on eta
   slope_at_level(q)  -- its derivative in q
 
 moment_at_level is the curve whose least concave majorant drives the whole
@@ -25,10 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .noise_model import HonestNoiseModel
-from .numerics import adaptive_simpson
 
-# fp slack when checking offsets against the closed domain
-_EDGE_SLACK = 1e-9
 # absolute tolerance of every adaptive_simpson quadrature of the noise density
 QUAD_TOL = 1e-10
 
@@ -59,15 +59,6 @@ class KernelContext:
     def z_hi(self) -> float:
         return (self.eta + 1.0) * self.delta
 
-    def _check_z(self, z) -> None:
-        """The quadrature oracles' input check: z on [(eta-1)*delta, (eta+1)*delta]."""
-        arr = np.asarray(z, dtype=float)
-        lo, hi = self.z_lo, self.z_hi
-        slack = _EDGE_SLACK * self.delta
-        if np.any(arr < lo - slack) or np.any(arr > hi + slack):
-            raise DomainError(
-                f"offset outside [{lo}, {hi}] for eta={self.eta}, delta={self.delta}")
-
     # --- forward kernel ----------------------------------------------------
 
     def accept_prob(self, z):
@@ -89,17 +80,26 @@ class KernelContext:
 
     # --- inverse kernel ------------------------------------------------------
 
-    def accept_prob_inv(self, q):
-        """Offset achieving acceptance probability q: eta*delta + F^-1(1 - q)."""
+    def _level(self, q):
+        """F^-1(1 - q): the noise value from which acceptance is q, for q in [0, 1]."""
         arr = np.asarray(q, dtype=float)
         if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
             raise DomainError("acceptance level must lie in [0, 1]")
-        out = self.eta * self.delta + self.noise.law.inv_cdf(1.0 - arr)
-        return float(out) if arr.ndim == 0 else out
+        return self.noise.law.inv_cdf(1.0 - arr)
+
+    def accept_prob_inv(self, q):
+        """Offset achieving acceptance probability q: eta*delta + F^-1(1 - q)."""
+        out = self.eta * self.delta + self._level(q)
+        return float(out) if np.ndim(q) == 0 else out
 
     def moment_at_level(self, q):
-        """error_moment at the offset whose acceptance probability is q."""
-        return self.error_moment(self.accept_prob_inv(q))
+        """error_moment at the offset whose acceptance probability is q, from the
+        partial moments at L = F^-1(1 - q) itself: one set for a column of etas."""
+        level = self._level(q)
+        m0, m1, m2 = self.noise.partial_moments(level)
+        z = self.eta * self.delta + level
+        out = np.maximum(z * (z * m0 + 2.0 * m1) + m2, 0.0)
+        return float(out) if np.ndim(out) == 0 else out
 
     def slope_at_level(self, q):
         """Derivative of moment_at_level in q, in closed form.
@@ -121,19 +121,3 @@ class KernelContext:
         out = (z + level) ** 2 - quotient
         return float(out) if np.ndim(out) == 0 else out
 
-
-# --- direct quadrature (independent cross-check of the closed forms) --------
-
-def accept_prob_quad(ctx: KernelContext, z: float) -> float:
-    """accept_prob by adaptive Simpson on the density itself."""
-    ctx._check_z(z)
-    return adaptive_simpson(ctx.noise.pdf_scalar, z - ctx.eta * ctx.delta,
-                            ctx.delta, QUAD_TOL)
-
-
-def error_moment_quad(ctx: KernelContext, z: float) -> float:
-    """error_moment by adaptive Simpson on (x+z)^2 f(x)."""
-    ctx._check_z(z)
-    pdf = ctx.noise.pdf_scalar
-    return adaptive_simpson(lambda x: (x + z) ** 2 * pdf(x),
-                            z - ctx.eta * ctx.delta, ctx.delta, QUAD_TOL)

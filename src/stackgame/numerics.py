@@ -74,36 +74,6 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     return sign * total
 
 
-def bisect_scalar(f, lo: float, hi: float, *, xtol: float = 1e-12,
-                  max_iter: int = 200) -> float:
-    """Root of a monotone f on [lo, hi] by bisection.
-
-    Requires f(lo) and f(hi) to bracket zero (either orientation).
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NumericalError(
-            f"bisection bracket does not straddle a root: f({lo})={flo}, f({hi})={fhi}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol:
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo = mid
-            flo = fmid
-    return 0.5 * (lo + hi)
-
-
 def bisect_monotone_vec(fn, lo, hi, *, xtol: float = 1e-12) -> np.ndarray:
     """Vectorized bisection: the root of a decreasing fn in each bracket [lo, hi].
 

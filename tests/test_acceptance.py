@@ -15,11 +15,10 @@ import pytest
 
 import stackgame as sg
 from stackgame import cli
-from stackgame.kernel import accept_prob_quad, error_moment_quad
-from stackgame.numerics import bisect_scalar
 from stackgame.tradeoff import build_oracle_table
 
 from conftest import record_criterion
+from oracles import accept_prob_quad, bisect_scalar, error_moment_quad
 
 
 def _finish(number, title, budget, t0, ok, detail):

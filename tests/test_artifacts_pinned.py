@@ -29,7 +29,8 @@ NOISES = {
 }
 
 # SHA-256 of each artifact, recorded from the parent of the change that added this file;
-# those that read chord ends or zero_limit re-recorded when both became exact
+# those that read chord ends or zero_limit re-recorded when both became exact, and those
+# that read the level curve when it took its partial moments at the level itself
 PINS = {
     "uniform": {
         "adversary.json":
@@ -39,7 +40,7 @@ PINS = {
         "eta_utility.csv":
             "00ff96c927f6664a00d2279db030ee057483bf97833e18315643432df25f2aac",
         "level_curve.csv":
-            "c54586c94cfafbca108a610f391abf75eba18180dad56c5077cacda23fa03c60",
+            "a99a76ba9a27ca0947fb6e27cd07a621ee98088c8b30cd255066598af6dbc94f",
         "resolved_config.json":
             "cf7a932273a9e7e11909b9c34090e4aecad00bede6f0621885640b7e4fa19f47",
         "sweep_report.json":
@@ -47,19 +48,19 @@ PINS = {
         "sweep_simulations.csv":
             "e1092c78c0b74362d8ebcd79bc48d091f13b212963cfa5cb784b0953ebc5ae64",
         "tradeoff.csv":
-            "2c596713ca1a41d02a4e86ec1451ddd008c2e6ec8a13f129582d10451a57977a",
+            "e8b299dd974849dcea3fc717c6639bd0763b0b964de48875a514ad2ad3664786",
         "tradeoff_summary.json":
-            "09df22a79a31174df26ffdb196ac470e5098dbaa18e2fa8203001b5726aa683c",
+            "712d603a23ac8fe4ac0d29695fdf351738bc89d11c03e57dc1f946bf79a63639",
     },
     "truncated-normal": {
         "adversary.json":
             "17d73c987c66f6af5958b71d2e4fe8bbbbba81df2d6fc5ea36d54745bea2a6a8",
         "equilibrium.json":
-            "78937a3cc159079251ab17e2a3b7af9f0d6767e270cb3575a4bb5f8fac39b3dc",
+            "3763f6ca0ea27b9562142bed7e877fcc806cdc971e28ed7f852935cdf4cc85f1",
         "eta_utility.csv":
-            "2b144658e03d8d5c7971088f55ab85b310aebad697b6da6894c92cd0de3a2848",
+            "26fb1e5d9c9fba6ae03646e8fb60a5c5e3de0dc1d4f7bcdd20ffd8fef2e55f55",
         "level_curve.csv":
-            "37a43383afca0a505961a87b1fd31f5454727c6ca84e034f6130ed8cdfdf50fe",
+            "260ffe831371046f60493f21f66bd19eac028c465c7dab7b007d778662531711",
         "resolved_config.json":
             "d01758f4a08576a402a3f970382550dcf31b6793374286a2c409849a44cb7fcd",
         "sweep_report.json":
@@ -67,29 +68,29 @@ PINS = {
         "sweep_simulations.csv":
             "4059c41a298ce45f6e7b42b2a17c093910cd6458c9ad975b211070f261604878",
         "tradeoff.csv":
-            "6c82defd11a942da937e860eb98dabe2c4cf2c3f913018047db8ef6c9ad9e1d1",
+            "7f6d44cab515f1fe408d36d3bb49407206f807fd308785455fba63c4466520c1",
         "tradeoff_summary.json":
-            "6ef188c47b1c0e7d727ef4f55d20105afb0232d1623d5d6e106d076b29ac0e84",
+            "cfff0d59e0427df57fadd4c1dfcf9352094ad6c31d602258d254577466f00f85",
     },
     "triangular": {
         "adversary.json":
             "be3227b81182ac32deac06858db6a2b21626a0e08becf751f3b34d29fde25f61",
         "equilibrium.json":
-            "106999d4bcb2fb1f6e68dd90c2833d1b408487fb80c367e4b8affcc7bdaa3a43",
+            "e87fdb278a3ce2570ff666a4c218521273b97f55f9db2a68a1e8bc23e74cf716",
         "eta_utility.csv":
-            "ee574e8c69516285f8d56111b3b68661f465dedcbea863a756073826058b9176",
+            "4ea3de732eeb3a88229c719498eb2657d4f54626377c5a2c12eeef3805c7dcc5",
         "level_curve.csv":
-            "e4c5c6d0c416cfea9f4b7c41e0dd39729e72e244ec57ce98138f7851449ea2a2",
+            "95ddd167a2a9061062b98e8f9b89b5cbc44516b4b833234092c6af3c3e8d7666",
         "resolved_config.json":
             "088ab8b5c25745ecb24f52560ed738b39c4c92898dbca55f91b70d86cab9f377",
         "sweep_report.json":
-            "42c814c3c9aa94eef9ac3c2c4dda33c1b2e0b52a95e93818029c56fe73426cce",
+            "f038991a6ec4ff603d8a51bbaa7b9c849c3b0efd9da84a1645c3337407284cbc",
         "sweep_simulations.csv":
             "cd09f60e2ea0b465b2adabee3e83633e908ad31eba6e65c16499efd29ccee9cd",
         "tradeoff.csv":
-            "df974fa0a769114473d604a5564665e44f15c965ac5efabcc249609b9d35d188",
+            "da6569aad372570a84f53a5217ec0d551c7f08cbe269f29092d577fd98d041dd",
         "tradeoff_summary.json":
-            "159287d74b3d54857a6b95f3e697e77f5ab9715954a8d45baa4a53a52c00c81d",
+            "604a4d27331c928731c5e8406c8e6417f5529efaff2a6d1c0ceff5d05975f21c",
     },
     "tabulated": {
         "adversary.json":
@@ -99,17 +100,17 @@ PINS = {
         "eta_utility.csv":
             "3b0f230169921ac6a93aaf5a5da903105f2872f749dcc9b59ac59027f3c902a7",
         "level_curve.csv":
-            "81600102f4c066fa3b78fed8ca931f7f776b7f49c04c7cee1464dff6c6ccd00d",
+            "b8ffdcf285fae6976ab8356bbacabc693fb0edbdafe046b1aa3303df3e7283f6",
         "resolved_config.json":
             "50d814260c2b4284344d1dea2043579a6c5b7adaf6e19e7aaab098c6afa70f14",
         "sweep_report.json":
-            "509a464a1e1f8ce460cce1046e3e2e7560ea2240b08d88668b71de6649196666",
+            "bff2d6a3a8f34e4b91371c8bffb46743f43241a5fbe598343e8d76679704b6ef",
         "sweep_simulations.csv":
             "9ddf6ac24c087839a9181cd5b0cb7ac12e79196ac1b1d25e474c492c057a2e57",
         "tradeoff.csv":
-            "33669fd416dbde49a6c2048712cb6c7bd08c76fdcc5fa02520da4685f0dbb120",
+            "56b95476781e39acf085956803fb80f569d1da1adc792c73ed4c76210f6996d5",
         "tradeoff_summary.json":
-            "bd86ed46bd7f77a2662a60daa60d28109ba16bcb844f3f87bdfd3fa83e3e640c",
+            "8774534ae910955ad81108bc987df59adcfac53ed8f1f3bda875f8db7cd9fb6e",
     },
 }
 

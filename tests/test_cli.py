@@ -390,19 +390,22 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 def test_oracle_table_scales_its_quadrature_with_delta(tmp_path):
     # an absolute tolerance of 1e-10 on moments of size delta^2 = 1e80 never converges;
-    # scaled by delta^k, the table is the delta = 1 table scaled
+    # scaled by delta^k, the table is the delta = 1 table scaled. The gap is relative
+    # to c itself, so on narrow noise it does not vanish with c ~ delta^2
     summaries = []
     for name, extra in (("unit", {}),
-                        ("huge", {"honest_noise": {"delta": 1e40}, "data": {"m": 1e300}})):
+                        ("huge", {"honest_noise": {"delta": 1e40}, "data": {"m": 1e300}}),
+                        ("tiny", {"honest_noise": {"delta": 1e-4}})):
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(extra))
         out = tmp_path / name
         proc = run_module(["tradeoff", "--config", str(config), "--output", str(out)])
         assert proc.returncode == 0, proc.stderr
         summaries.append(json.loads((out / "tradeoff_summary.json").read_text()))
-    unit, huge = summaries
+    unit, huge, tiny = summaries
     assert huge["chords"] == unit["chords"]
     assert huge["max_rel_diff"] == pytest.approx(unit["max_rel_diff"], rel=1e-6)
+    assert tiny["max_rel_diff"] == pytest.approx(unit["max_rel_diff"], rel=1e-6)
 
 
 def test_simulate_takes_a_value_range_near_the_float_limit(tmp_path):

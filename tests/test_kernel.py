@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 import stackgame as sg
+from stackgame import envelope
 from stackgame.errors import DomainError
-from stackgame.kernel import accept_prob_quad, error_moment_quad
+
+from oracles import accept_prob_quad, error_moment_quad
 
 
 def test_domain_bounds(uniform_ctx):
@@ -79,6 +81,51 @@ def test_moment_at_level(uniform_ctx):
     # q=0.5 -> z=2 -> nu = 19/6
     assert abs(uniform_ctx.moment_at_level(0.5) - 19.0 / 6.0) < 1e-12
     assert abs(uniform_ctx.moment_at_level(1.0) - 4.0 / 3.0) < 1e-12
+
+
+def cos2_table():
+    """A wavy 4096-point tabulated noise: pdf proportional to (1 - |x|)(1 + 0.5 cos^2(40x))."""
+    xs = np.linspace(-1.0, 1.0, 4096)
+    return sg.tabulated(xs, (1.0 - np.abs(xs)) * (1.0 + 0.5 * np.cos(40.0 * xs) ** 2))
+
+
+LEVEL_CURVE_NOISES = {
+    "uniform": sg.uniform(1.0),
+    "triangular": sg.triangular(1.0),
+    "truncated-normal-0.5": sg.truncated_normal(1.0, 0.5),
+    "truncated-normal-3": sg.truncated_normal(1.0, 3.0),
+    "truncated-normal-10": sg.truncated_normal(1.0, 10.0),  # the wide-normal series
+    "tabulated": cos2_table(),
+    "uniform-1e-4": sg.uniform(1e-4),
+}
+LEVEL_CURVE_ETAS = [2.0, 2.37, 3.0, 4.5, 5.25, 6.0, 7.1, 7.5, 8.0, 9.99]  # two blocks
+
+
+@pytest.mark.parametrize("kind", list(LEVEL_CURVE_NOISES))
+def test_moment_at_level_is_the_error_moment_at_the_inverse(kind):
+    # the partial moments at L = F^-1(1 - q) itself, not at fl(eta*delta + L) - eta*delta
+    noise = LEVEL_CURVE_NOISES[kind]
+    if kind == "truncated-normal-10":
+        assert type(noise.law).__name__ == "_WideNormal"
+    qs = envelope.level_grid(envelope.DEFAULT_GRID_SIZE)
+    ctxs = [sg.KernelContext(eta, noise) for eta in LEVEL_CURVE_ETAS]
+    checked = 0
+    for start, block in envelope._curve_blocks(ctxs, qs):
+        for ctx, row in zip(ctxs[start:], block):
+            # a block's row is its eta's own curve to the bit
+            assert np.array_equal(row, ctx.moment_at_level(qs))
+            want = ctx.error_moment(ctx.accept_prob_inv(qs))
+            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
+            checked += 1
+    assert checked == len(ctxs)
+
+
+@pytest.mark.parametrize("q", [-1e-300, 1.0 + 1e-15, np.nan, [0.5, np.nan], [0.0, 2.0]])
+def test_moment_at_level_refuses_levels_outside_the_unit_interval(uniform_ctx, q):
+    with pytest.raises(DomainError):
+        uniform_ctx.moment_at_level(q)
+    with pytest.raises(DomainError):
+        uniform_ctx.accept_prob_inv(q)
 
 
 def test_scale_invariance():

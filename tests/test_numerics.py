@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from stackgame.errors import NumericalError
-from stackgame.numerics import adaptive_simpson, bisect_monotone_vec, bisect_scalar
+from stackgame.numerics import adaptive_simpson, bisect_monotone_vec
+
+from oracles import bisect_scalar
 
 
 def test_simpson_polynomial_exact():

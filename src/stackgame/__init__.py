@@ -11,9 +11,9 @@ oracles and Monte Carlo simulation.
 from .envelope import Chord, Envelope, build_envelope
 from .errors import ConfigError, DomainError, NumericalError
 from .kernel import KernelContext
-from .noise_model import (DataModel, HonestNoiseModel, ValidationReport, from_spec,
-                          tabulated, tabulated_from_csv, triangular,
-                          truncated_normal, uniform, validate)
+from .noise_model import (HonestNoiseModel, ValidationReport, from_spec, tabulated,
+                          tabulated_from_csv, triangular, truncated_normal, uniform,
+                          validate)
 from .simulator import (CustomJointStrategy, DominanceReport, GameConfig, IidStrategy,
                         ReplicatedStrategy, SimulationResult, dominance_check,
                         run_monte_carlo, run_scenario_suite)

@@ -25,7 +25,6 @@ from . import noise_model
 from .envelope import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, build_envelope
 from .errors import ConfigError, DomainError
 from .kernel import KernelContext
-from .noise_model import DataModel
 from .simulator import (DEFAULT_CHUNK_SIZE, GameConfig, IidStrategy, ReplicatedStrategy,
                         dominance_check, run_monte_carlo, run_scenario_suite)
 from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY, AtomicAdversary,
@@ -40,7 +39,6 @@ _DELTA_MIN = sys.float_info.min ** 0.25  # the scale rule's lower half: delta^4 
 
 DEFAULT_CONFIG = {
     "honest_noise": {"kind": "uniform", "params": {}},  # from_spec owns delta's default
-    "data": {"m": 1000.0},
     "eta_grid": {"start": 2.0, "stop": 8.0, "step": 0.01},
     "alpha_grid": {"start": ALPHA_MIN, "stop": 1.0, "num": 1000},
     "report_alphas": {"start": 0.1, "stop": 1.0, "num": 10},
@@ -81,7 +79,6 @@ def _choice(key: str, params_of: dict, default: str, **rules):
 _RULES = {
     "honest_noise": _choice("kind", {k: names for k, (names, _) in noise_model.KINDS.items()},
                             DEFAULT_CONFIG["honest_noise"]["kind"], delta=_POSITIVE),
-    "data": {"m": _POSITIVE},
     "eta_grid": _GRID,
     "alpha_grid": _GRID,
     "report_alphas": _GRID,
@@ -182,7 +179,6 @@ class RunConfig:
     def __init__(self, resolved: dict, base_dir=None, output_override=None,
                  check_noise: bool = True):
         self.noise = noise_model.from_spec(resolved["honest_noise"], base_dir=base_dir)
-        self.data = DataModel(resolved["data"]["m"])
         self.eta_grid = _resolve_grid(resolved["eta_grid"], "/eta_grid")
         self.alpha_grid = _resolve_grid(resolved["alpha_grid"], "/alpha_grid")
         self.report_alphas = _resolve_grid(resolved["report_alphas"], "/report_alphas")
@@ -227,9 +223,6 @@ class RunConfig:
         for key, grid in (("alpha_grid", self.alpha_grid), ("report_alphas", self.report_alphas)):
             if grid[0] < ALPHA_MIN - 1e-15 or grid[-1] > 1.0:
                 problems.append(f"/{key}: acceptance levels must lie in [{ALPHA_MIN}, 1]")
-        if self.data.m < 100.0 * self.noise.delta:
-            problems.append(
-                "/data/m: the value range must dominate the noise (m >= 100 * delta)")
         try:
             _check_scale("/eta_grid", self.eta_grid[-1], self.noise.delta)
         except ConfigError as exc:
@@ -437,8 +430,7 @@ def _simulate_cells(cfg: RunConfig, cells):
     rows = []
     results = []
     for n, adv, seed in cells:
-        game = GameConfig(n_nodes=n, eta=adv.ctx.eta, data=cfg.data, noise=cfg.noise,
-                          trials=cfg.trials, seed=seed, chunk_size=cfg.chunk_size)
+        game = GameConfig(adv.ctx, n, cfg.trials, seed, cfg.chunk_size)
         res = run_monte_carlo(game, ReplicatedStrategy.from_atomic(adv))
         rows.append((n, adv.ctx.eta, adv.alpha, res.pa_hat, res.mse_hat,
                      res.pa_stderr, res.mse_stderr, seed))
@@ -482,25 +474,22 @@ def _random_candidates(ctx, rng, n_replicated: int, n_iid: int):
 def cmd_verify(cfg: RunConfig, out: Path, realizations: int = 100_000,
                candidates: int = 20, trials: int | None = None) -> int:
     env = _envelope(cfg)
-    eta = env.ctx.eta
-    scenario = run_scenario_suite(cfg.noise, eta, realizations,
-                                  max(cfg.n_nodes) - 1, cfg.seed)
+    scenario = run_scenario_suite(env.ctx, realizations, max(cfg.n_nodes) - 1, cfg.seed)
 
     aset = best_alpha_set(env, cfg.utility, cfg.alpha_grid)
     alpha_star = float(aset[0])
     optimum = ReplicatedStrategy.from_atomic(build_adversary(env, alpha_star))
     rng = np.random.default_rng(cfg.seed)
     cands = _random_candidates(env.ctx, rng, candidates, max(2, candidates // 10))
-    game = GameConfig(n_nodes=cfg.n_nodes[0], eta=eta, data=cfg.data, noise=cfg.noise,
-                      trials=cfg.trials if trials is None else trials, seed=cfg.seed,
-                      chunk_size=cfg.chunk_size)
+    game = GameConfig(env.ctx, cfg.n_nodes[0], cfg.trials if trials is None else trials,
+                      cfg.seed, cfg.chunk_size)
     dom = dominance_check(game, cfg.utility, cands, optimum)
 
     payload = {
         "scenario_suite": scenario,
         "dominance": dom.to_json_dict(),
         "alpha_star": alpha_star,
-        "eta": eta,
+        "eta": env.ctx.eta,
         **_stamp(cfg),
     }
     _write_json(out / "verify_report.json", payload)
@@ -574,7 +563,7 @@ COMMANDS = {
 # flag -> (accepts the parsed value, what it must be); checked before any output
 _FLAG_DOMAINS = {
     "eta": (lambda v: 2.0 <= v < np.inf, "a finite threshold multiple >= 2"),
-    "alpha": (lambda v: 0.0 < v <= 1.0, "an acceptance level in (0, 1]"),
+    "alpha": (lambda v: ALPHA_MIN <= v <= 1.0, f"an acceptance level in [{ALPHA_MIN}, 1]"),
     "alphas": (lambda v: v.size > 0 and bool(np.all((v >= ALPHA_MIN) & (v <= 1.0))),
                f"one or more acceptance levels in [{ALPHA_MIN}, 1]"),
     "realizations": (lambda v: v >= 1, "at least 1"),

@@ -104,16 +104,17 @@ class KernelContext:
     def slope_at_level(self, q):
         """Derivative of moment_at_level in q, in closed form.
 
-        With z = accept_prob_inv(q) and L = z - eta*delta, error_moment has
-        z-derivative 2(z M0(L) + M1(L)) - f(L)(z + L)^2 and dz/dq = -1/f(L), so
+        With L = F^-1(1 - q) and z = eta*delta + L, the level and offset
+        moment_at_level takes, error_moment has z-derivative
+        2(z M0(L) + M1(L)) - f(L)(z + L)^2 and dz/dq = -1/f(L), so
 
           h'(q) = (z + L)^2 - 2(z M0(L) + M1(L)) / f(L).
 
         At q = 0 (L = delta) the quotient's limit 0 is taken.
         """
         arr = np.asarray(q, dtype=float)
-        z = self.accept_prob_inv(arr)
-        level = z - self.eta * self.delta
+        level = self._level(arr)
+        z = self.eta * self.delta + level
         m0, m1, _ = self.noise.partial_moments(level)
         pull = 2.0 * (z * m0 + m1)
         quotient = np.divide(pull, self.noise.pdf(level), out=np.zeros(np.shape(pull)),

@@ -464,7 +464,7 @@ def validate(model: HonestNoiseModel) -> ValidationReport:
     min_pdf = float(np.min(pdf_grid))
     checks.append(CheckResult("nonnegative", min_pdf >= 0.0, f"min pdf = {min_pdf}"))
 
-    sym_tol = 1e-12 * max(1.0, float(np.max(np.abs(pdf_grid))))
+    sym_tol = 1e-12 * float(np.max(np.abs(pdf_grid)))  # relative: the verdict ignores the scale
     sym_gap = float(np.max(np.abs(pdf_grid - model.pdf(-grid))))
     checks.append(CheckResult("symmetry", sym_gap <= sym_tol,
                               f"max |pdf(x) - pdf(-x)| = {sym_gap}"))
@@ -485,18 +485,3 @@ def validate(model: HonestNoiseModel) -> ValidationReport:
 
     return ValidationReport(tuple(checks))
 
-
-# --- the scalar being estimated ---------------------------------------------
-
-@dataclass(frozen=True)
-class DataModel:
-    """The collected value: uniform on [-m, m], with m far above the noise."""
-    m: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise DomainError(f"data half-range m must be positive, got {self.m}")
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        # scaled after the draw: the width 2m of uniform(-m, m) overflows above about 9e307
-        return self.m * rng.uniform(-1.0, 1.0, count)

@@ -2,25 +2,22 @@
 
 One honest node draws from the noise model; the other n-1 nodes are the
 adversary's. The collector accepts when the report spread is within
-eta*delta (inclusive) and estimates by the midrange. Acceptance and the
-estimation error depend only on the noise vector (the collected value shifts
-every report equally), so statistics are accumulated in noise space where
-that identity is exact and independent of the data magnitude.
+eta*delta (inclusive) and estimates by the midrange. Every report carries the
+same collected value, which shifts every report equally, so acceptance and
+the estimation error depend only on the noise vector: the game is played in
+noise space, on the kernel's context (eta and the honest noise).
 
 Trials are split into fixed-size chunks; each chunk draws from its own
 counter-based substream (Philox keyed by the seed, jumped by the chunk
 index) and partial sums are merged in chunk order, so results are bitwise
 reproducible for a given (seed, trials, chunk size). Within a chunk the
-draw order is fixed: collected values, honest noise, adversary noise. No
-statistic reads the collected values, but they are still drawn first: the
-draw is part of the pinned stream, and dropping it would move every noise
-draw after it.
+draw order is fixed: honest noise, then adversary noise.
 
-The collected values and the honest noise are common to every strategy run
-on one config. The dominance check draws them once per chunk, keeps the
-honest noise (8 bytes per trial) and the generator state after it, and
-replays each strategy's adversary draw from that state, so each of its runs
-equals a standalone run of the same strategy to the bit.
+The honest noise is common to every strategy run on one config. The
+dominance check draws it once per chunk, keeps it (8 bytes per trial) and
+the generator state after it, and replays each strategy's adversary draw
+from that state, so each of its runs equals a standalone run of the same
+strategy to the bit.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .noise_model import DataModel, HonestNoiseModel
+from .kernel import KernelContext
 from .strategy import AtomicAdversary
 
 DEFAULT_CHUNK_SIZE = 65536
@@ -107,10 +104,9 @@ class CustomJointStrategy:
 
 @dataclass(frozen=True)
 class GameConfig:
+    """The kernel's game (eta and the honest noise) among n_nodes, and its Monte Carlo budget."""
+    ctx: KernelContext
     n_nodes: int
-    eta: float
-    data: DataModel
-    noise: HonestNoiseModel
     trials: int
     seed: int
     chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -118,8 +114,6 @@ class GameConfig:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise DomainError(f"need at least 2 nodes, got {self.n_nodes}")
-        if self.eta < 2.0:
-            raise DomainError(f"threshold multiple eta must be >= 2, got {self.eta}")
         if self.trials < 1:
             raise DomainError(f"need at least one trial, got {self.trials}")
         if self.chunk_size < 1:
@@ -140,23 +134,19 @@ class SimulationResult:
 
 
 def _common_draws(cfg: GameConfig):
-    """Per chunk, in order: its generator, the state after the common draws, the honest noise.
-
-    The common draws, collected values (never read) then honest noise, precede the adversary's.
-    """
+    """Per chunk, in order: its generator, the state after the honest noise, the honest noise."""
     for index, offset in enumerate(range(0, cfg.trials, cfg.chunk_size)):
         count = min(cfg.chunk_size, cfg.trials - offset)
         bitgen = np.random.Philox(key=cfg.seed)
         rng = np.random.Generator(bitgen.jumped(index) if index else bitgen)
-        cfg.data.sample(rng, count)
-        honest = cfg.noise.sample(rng, count)
+        honest = cfg.ctx.noise.sample(rng, count)
         yield rng, rng.bit_generator.state, honest
 
 
 def _chunk_stats(cfg: GameConfig, honest: np.ndarray, adv: np.ndarray):
     nmax = np.maximum(honest, adv.max(axis=0))
     nmin = np.minimum(honest, adv.min(axis=0))
-    mask = (nmax - nmin) <= cfg.eta * cfg.noise.delta
+    mask = (nmax - nmin) <= cfg.ctx.eta * cfg.ctx.delta
     err = 0.5 * (nmax + nmin)[mask]
     e2 = err * err
     return int(np.count_nonzero(mask)), float(np.sum(e2)), float(np.sum(e2 * e2))
@@ -194,8 +184,8 @@ def run_monte_carlo(cfg: GameConfig, strategy, common=None) -> SimulationResult:
 
 # --- scenario reductions (exact, noise-space) ---------------------------------
 
-def run_scenario_suite(noise: HonestNoiseModel, eta: float, n_realizations: int,
-                       n_adv: int, seed: int) -> dict:
+def run_scenario_suite(ctx: KernelContext, n_realizations: int, n_adv: int,
+                       seed: int) -> dict:
     """Vectorized scenario-reduction suite over random valid realizations.
 
     Adversarial noises are drawn as a common center plus offsets within
@@ -204,13 +194,12 @@ def run_scenario_suite(noise: HonestNoiseModel, eta: float, n_realizations: int,
     """
     if n_realizations < 1 or n_adv < 1:
         raise DomainError("need at least one realization and one adversarial node")
-    delta = noise.delta
-    bound = eta * delta
+    bound = ctx.eta * ctx.delta
     rng = np.random.default_rng(seed)
-    center = rng.uniform(-(eta + 1.0) * delta, (eta + 1.0) * delta, n_realizations)
+    center = rng.uniform(-ctx.z_hi, ctx.z_hi, n_realizations)
     offsets = rng.uniform(-0.5 * bound, 0.5 * bound, (n_adv, n_realizations))
     adv = center + offsets
-    honest = noise.sample(rng, n_realizations)
+    honest = ctx.noise.sample(rng, n_realizations)
 
     amax = adv.max(axis=0)
     amin = adv.min(axis=0)
@@ -290,10 +279,10 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceRepo
     """Monte Carlo test that no candidate beats the optimum's utility.
 
     All runs share the same seed, so candidate-vs-optimum comparisons use
-    common random numbers. The common part of each chunk (collected values,
-    honest noise) is drawn once and held, 8 bytes per trial; each strategy
-    replays its adversary draw from the generator state saved after it, so
-    every entry equals a standalone run_monte_carlo of its strategy. A
+    common random numbers. The common part of each chunk, the honest noise,
+    is drawn once and held, 8 bytes per trial; each strategy replays its
+    adversary draw from the generator state saved after it, so every entry
+    equals a standalone run_monte_carlo of its strategy. A
     candidate is flagged only when its estimated utility exceeds the
     optimum's by more than 4 combined standard errors. Candidates with no
     accepted trials have undefined utility and cannot be flagged; they are

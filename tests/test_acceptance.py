@@ -120,8 +120,7 @@ def test_criterion_4_adversary_achievability(uniform_ctx, uniform_env):
 def test_criterion_5_monte_carlo_equilibrium(uniform_ctx, uniform_env):
     t0 = time.perf_counter()
     adv = sg.build_adversary(uniform_env, 0.5)
-    cfg = sg.GameConfig(n_nodes=2, eta=2.0, data=sg.DataModel(1000.0),
-                        noise=sg.uniform(1.0), trials=10**6, seed=20260814)
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=2, trials=10**6, seed=20260814)
     res = sg.run_monte_carlo(cfg, sg.ReplicatedStrategy.from_atomic(adv))
     pa_tol = 4.0 * np.sqrt(0.25 / 10**6)
     pa_ok = abs(res.pa_hat - 0.5) <= pa_tol
@@ -138,8 +137,7 @@ def test_criterion_6_sybil_resistance(uniform_ctx, uniform_env):
     strat = sg.ReplicatedStrategy.from_atomic(adv)
     results = {}
     for n in (2, 3, 5, 8):
-        cfg = sg.GameConfig(n_nodes=n, eta=2.0, data=sg.DataModel(1000.0),
-                            noise=sg.uniform(1.0), trials=10**6, seed=777 + n)
+        cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=n, trials=10**6, seed=777 + n)
         results[n] = sg.run_monte_carlo(cfg, strat)
     ok = True
     worst = 0.0
@@ -162,9 +160,9 @@ def test_criterion_6_sybil_resistance(uniform_ctx, uniform_env):
                 f"{structural}")
 
 
-def test_criterion_7_scenario_reductions(uniform_noise):
+def test_criterion_7_scenario_reductions(uniform_ctx):
     t0 = time.perf_counter()
-    suite = sg.run_scenario_suite(uniform_noise, 2.0, 10**5, 4, seed=31337)
+    suite = sg.run_scenario_suite(uniform_ctx, 10**5, 4, seed=31337)
     ok = (suite["passed"] and suite["acceptance_mismatches"] == 0
           and suite["error_bound_violations"] == 0 and suite["pair_mismatches"] == 0)
     _finish(7, "scenario reductions exact on 1e5 realizations", 30.0, t0, ok,
@@ -213,8 +211,7 @@ def test_criterion_8_dominance(uniform_ctx, uniform_env, family, params):
     rng = np.random.default_rng({"scaled_product": 101, "weighted_sum": 202}[family])
     cands = (_random_replicated(rng, uniform_ctx.z_hi, 100)
              + _random_iid(rng, uniform_ctx.z_hi, 10, n_adv=2))
-    cfg = sg.GameConfig(n_nodes=3, eta=2.0, data=sg.DataModel(1000.0),
-                        noise=sg.uniform(1.0), trials=10**5, seed=4242)
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=10**5, seed=4242)
     report = sg.dominance_check(cfg, spec, cands, opt)
     _finish(8, f"no candidate beats the optimum [{family}]", 300.0, t0,
             report.passed, f"110 candidates, violations: "

@@ -30,87 +30,91 @@ NOISES = {
 
 # SHA-256 of each artifact, recorded from the parent of the change that added this file;
 # those that read chord ends or zero_limit re-recorded when both became exact, and those
-# that read the level curve when it took its partial moments at the level itself
+# that read the level curve when it took its partial moments at the level itself. Every
+# JSON artifact re-recorded when the resolved config stopped echoing a range for the
+# collected values (a new config_hash), the Monte Carlo ones when the simulator stopped
+# drawing those values (a new stream), and the tabulated level_curve.csv and
+# tradeoff_summary.json when the curve's slope took its moments at the curve's own level
 PINS = {
     "uniform": {
         "adversary.json":
-            "a2f3565f92f7153dab9b012cd5769a4c0f226c10c9841e4983ab66dca143520b",
+            "58c84d45a015f0b61ab13c5bd4777558d90353032c4f2b8050c72a54b74aa9dc",
         "equilibrium.json":
-            "cabeb0a22154cda011923b3c717d6999f3a9b03543042f945d9fa040570127c3",
+            "f3b87ed1485fec52009ccf8d7492ce77d0249b7d573d894d47acbeb40910fe75",
         "eta_utility.csv":
             "00ff96c927f6664a00d2279db030ee057483bf97833e18315643432df25f2aac",
         "level_curve.csv":
             "a99a76ba9a27ca0947fb6e27cd07a621ee98088c8b30cd255066598af6dbc94f",
         "resolved_config.json":
-            "cf7a932273a9e7e11909b9c34090e4aecad00bede6f0621885640b7e4fa19f47",
+            "57009b7c3bb0c7a9e8bc8f59154ed97cc0569fc36415cc026f1aa78768adcbe5",
         "sweep_report.json":
-            "a9f4837e32e085013ab8e0137e57c0a1b5445dd37a7ef764b09113951454425b",
+            "503d1ab08652a7cd94344e2ef35f1dd5cdaa48bfdc6610fdcf6a312f3fc54a94",
         "sweep_simulations.csv":
-            "e1092c78c0b74362d8ebcd79bc48d091f13b212963cfa5cb784b0953ebc5ae64",
+            "6ca8e3aa14254931f9ce65a1f4019a9d1a9f56bfc4d6d8ba6b359897a1ccf22a",
         "tradeoff.csv":
             "e8b299dd974849dcea3fc717c6639bd0763b0b964de48875a514ad2ad3664786",
         "tradeoff_summary.json":
-            "712d603a23ac8fe4ac0d29695fdf351738bc89d11c03e57dc1f946bf79a63639",
+            "001b09fcd44f1a2e96be743bf2bfc8e20902028730df30e942c0f001f640224d",
     },
     "truncated-normal": {
         "adversary.json":
-            "17d73c987c66f6af5958b71d2e4fe8bbbbba81df2d6fc5ea36d54745bea2a6a8",
+            "396e15b9a9742bb64d9bc7dc163dcdc48eda5bc6097db57b111041dfee26a0c8",
         "equilibrium.json":
-            "3763f6ca0ea27b9562142bed7e877fcc806cdc971e28ed7f852935cdf4cc85f1",
+            "f6bbe14270c01580ddb76e01fa33d3d24af5f89ea0e011578da36c9e40cc4c86",
         "eta_utility.csv":
             "26fb1e5d9c9fba6ae03646e8fb60a5c5e3de0dc1d4f7bcdd20ffd8fef2e55f55",
         "level_curve.csv":
             "260ffe831371046f60493f21f66bd19eac028c465c7dab7b007d778662531711",
         "resolved_config.json":
-            "d01758f4a08576a402a3f970382550dcf31b6793374286a2c409849a44cb7fcd",
+            "eabec63b777adbe564a6136e4181d601cb72a7b59ce5e8eb4b49bb5142f43d3c",
         "sweep_report.json":
-            "dd8a5bf4101e6d166b388b6f769e25a73f0f0285a5656dec0ff4dee0dec2a0bf",
+            "539cd90912e9a8b918135c8b513c1b13a5e496f94dba3cccf1acc56729e43b19",
         "sweep_simulations.csv":
-            "4059c41a298ce45f6e7b42b2a17c093910cd6458c9ad975b211070f261604878",
+            "f412b81f0d0404d6e39fbadb7d67beb713f017616f7eda2fdeb6b50003fc182e",
         "tradeoff.csv":
             "7f6d44cab515f1fe408d36d3bb49407206f807fd308785455fba63c4466520c1",
         "tradeoff_summary.json":
-            "cfff0d59e0427df57fadd4c1dfcf9352094ad6c31d602258d254577466f00f85",
+            "779003ada7bb7b48ebaf3463cd8fe7be8a8c6ed44d48851cc111f1032c4cbe57",
     },
     "triangular": {
         "adversary.json":
-            "be3227b81182ac32deac06858db6a2b21626a0e08becf751f3b34d29fde25f61",
+            "725866652584fc47d4e02eb287111e32c29240513ca8fe9a6c98a03e5f6f113d",
         "equilibrium.json":
-            "e87fdb278a3ce2570ff666a4c218521273b97f55f9db2a68a1e8bc23e74cf716",
+            "fcda96547cfe8d5103c3cd9e6af42ca5d04fd615f253353b9c95f7cd25c24193",
         "eta_utility.csv":
             "4ea3de732eeb3a88229c719498eb2657d4f54626377c5a2c12eeef3805c7dcc5",
         "level_curve.csv":
             "95ddd167a2a9061062b98e8f9b89b5cbc44516b4b833234092c6af3c3e8d7666",
         "resolved_config.json":
-            "088ab8b5c25745ecb24f52560ed738b39c4c92898dbca55f91b70d86cab9f377",
+            "474f3933cebc2885f6d7a51ff0a98552af99392878895d98f200c8400b720605",
         "sweep_report.json":
-            "f038991a6ec4ff603d8a51bbaa7b9c849c3b0efd9da84a1645c3337407284cbc",
+            "e0a59b9279b74b86c007a38b8e675c5336fac51c01f0a2d81e6ca05c4ac73610",
         "sweep_simulations.csv":
-            "cd09f60e2ea0b465b2adabee3e83633e908ad31eba6e65c16499efd29ccee9cd",
+            "fc4901491afc61dba82304d153358484c2f5b8831b11ff09a66f14ff6fdf1e6b",
         "tradeoff.csv":
             "da6569aad372570a84f53a5217ec0d551c7f08cbe269f29092d577fd98d041dd",
         "tradeoff_summary.json":
-            "604a4d27331c928731c5e8406c8e6417f5529efaff2a6d1c0ceff5d05975f21c",
+            "eca74f32940b947f7df8f54bab37c3b978371ab393748b367e78b110879d801f",
     },
     "tabulated": {
         "adversary.json":
-            "f92581e0d5b90318aae5c6e114e98a1e37e124bee0c9939a2dab5db72410d8f4",
+            "d14439d72e8e0a8de45ee27edb2ff52db3912ab8d4caa24036271ebf7ad3af5d",
         "equilibrium.json":
-            "8f18ff5f676e07450eca4059bb3705ac3916197b65ca58dcd03ada8705555708",
+            "d4115710abe14a109e060c0f915772845e840072210fd52bc020cc203a2a36fb",
         "eta_utility.csv":
             "3b0f230169921ac6a93aaf5a5da903105f2872f749dcc9b59ac59027f3c902a7",
         "level_curve.csv":
-            "b8ffdcf285fae6976ab8356bbacabc693fb0edbdafe046b1aa3303df3e7283f6",
+            "60f72bb383ea1300614035b1c026a28ce21edf419b68f1eca51839422b117447",
         "resolved_config.json":
-            "50d814260c2b4284344d1dea2043579a6c5b7adaf6e19e7aaab098c6afa70f14",
+            "9e2766901e5a4820a10c2aaea84b371c587b44ba69b9c2f5928b1dae4868fc03",
         "sweep_report.json":
-            "bff2d6a3a8f34e4b91371c8bffb46743f43241a5fbe598343e8d76679704b6ef",
+            "b8145c58c056e34262308cf026c02978ac033ecbc5a999ce4e159dc05f245831",
         "sweep_simulations.csv":
-            "9ddf6ac24c087839a9181cd5b0cb7ac12e79196ac1b1d25e474c492c057a2e57",
+            "6911200bfa35e175f21715a6690be293af646f2aa2063b10fe4924aefadd6930",
         "tradeoff.csv":
             "56b95476781e39acf085956803fb80f569d1da1adc792c73ed4c76210f6996d5",
         "tradeoff_summary.json":
-            "8774534ae910955ad81108bc987df59adcfac53ed8f1f3bda875f8db7cd9fb6e",
+            "d541f9857ce6d0a1b163fe9d84d62b860366e5ee6a1151c3d58fdcc5eab59b05",
     },
 }
 
@@ -137,25 +141,25 @@ def test_sweep_artifacts_are_pinned(name, tmp_path, monkeypatch):
 
 
 # SHA-256 of each `verify` artifact, recorded before the dominance check drew its
-# common random numbers once per chunk
+# common random numbers once per chunk; re-recorded with the stream and config_hash above
 VERIFY_PINS = {
     "uniform": {
         "resolved_config.json":
-            "9a4c7c08d9a82bcaf7934f1eba0f8bd7ffcfc6e93371bfb7c722a3a9561602df",
+            "60c0aeebb62ee16bd8e60f8576288a0f4edc1aaa1169b60398a5bc72267293da",
         "verify_report.json":
-            "48a505d3fb1dab4e3340b68eab5120a9fdea8a539d1c1c24ce35bdd57a37fc0e",
+            "4f2256ad502aaf05922b0a47858551022f533a4c15658912dc9b6c69c1312eed",
     },
     "truncated-normal": {
         "resolved_config.json":
-            "88b216b5240ecf5fd4f17a52ae4b9502460497bf5e80854e225c0cccab06ebba",
+            "3e82f0c11e5a0ec531e6d232f8e6bb4904d3f1c08252adb5b5e10b6d5b29af67",
         "verify_report.json":
-            "dfb550b03a2aeeb3bfc9ebfb45d96feae77dac354c707fd18fbf1ef2ac485592",
+            "db721cf347f8381cce0848690b9186be934f2f13e8f54607232c49fc0bffe8e4",
     },
     "tabulated": {
         "resolved_config.json":
-            "a2871621e6a90408513d72c5d3faf71c02cb2257c2408e79229aa92771d40e69",
+            "13bd34b0eb76c2563eb25b870fdf009754ea717072045d0d873a8e49c6b47167",
         "verify_report.json":
-            "e3e86620354d5661563af6d86f482434afc44de7f69cf06561eafe9a30921fcf",
+            "291607a0ad74518554b2c243659add9eaaff920de3b51f6a851a7b6efd40b261",
     },
 }
 
@@ -185,32 +189,32 @@ def test_verify_artifacts_are_pinned(name, tmp_path, monkeypatch):
 
 
 # SHA-256 of each standalone `adversary` artifact at eta 2, recorded before the
-# envelope kept its chords as one array of ends; per noise, one alpha off a
-# chord (two atoms) and one on a chord (four atoms)
+# envelope kept its chords as one array of ends, and re-recorded with the config_hash
+# above; per noise, one alpha off a chord (two atoms) and one on a chord (four atoms)
 ADVERSARY_PINS = {
     ("uniform", 0.5, False): {
         "adversary.json":
-            "5eb73721dbc66d1ad4ea917e70eadce0fe92d409fcf35205a2de1c556a209c29",
+            "a056d27eb6e779b880d1df0426fd25833bd337308823985a7d1770862fb921ce",
         "resolved_config.json":
-            "e1b5bc0967fd718239cac6d03174a07ca63b682dab4dbdbc7b042f7eee1c1670",
+            "e8ad2431450cb05ecbbbe9683b7c4438218d082dfd9234de030f743c57f40057",
     },
     ("uniform", 0.9, True): {
         "adversary.json":
-            "5fa96f14c8e68ad3b4afc4c6f34c37e04369094e6e614fcc9bc9d1a21fa65a06",
+            "30ba02f5c48e518cada7db669d95e18dcc51733d7a79d6aba69d7de0b50ffe72",
         "resolved_config.json":
-            "e1b5bc0967fd718239cac6d03174a07ca63b682dab4dbdbc7b042f7eee1c1670",
+            "e8ad2431450cb05ecbbbe9683b7c4438218d082dfd9234de030f743c57f40057",
     },
     ("tabulated", 0.25, False): {
         "adversary.json":
-            "5d76076c471d218e3230618551f6177d92e8cf80e131515830cc205d5ab8e90c",
+            "7e8810ae7a068c015bd53903d6998f31c2cdc53c073977af9315f28e9c7b7264",
         "resolved_config.json":
-            "a8c4d0ddf412ae1876152baa4f2a52c0df8631efb7a98b1e2891ad245b73b705",
+            "1f9c32636c9850fcec9858ac0e75a67c582b940536590838e8775363a1563ada",
     },
     ("tabulated", 0.9, True): {
         "adversary.json":
-            "1d2d44fc7ccf6fa8703387fbd718c062f3909e9c4a198a4f405aeaaa3ff56b86",
+            "527550b4cec9b1ba8c850bf2218a98e2ab0db5195bcd19fb26cfbf10fa68f21a",
         "resolved_config.json":
-            "a8c4d0ddf412ae1876152baa4f2a52c0df8631efb7a98b1e2891ad245b73b705",
+            "1f9c32636c9850fcec9858ac0e75a67c582b940536590838e8775363a1563ada",
     },
 }
 

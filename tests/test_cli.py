@@ -9,6 +9,7 @@ import pytest
 
 from stackgame import cli
 from stackgame.errors import ConfigError
+from stackgame.tradeoff import ALPHA_MIN
 
 
 def write_config(tmp_path: Path, extra: dict | None = None) -> Path:
@@ -61,8 +62,8 @@ def test_config_error_paths(tmp_path):
     bad.write_text(json.dumps({"eta_grid": {"values": [1.5]}}))
     with pytest.raises(ConfigError, match="/eta_grid"):
         cli.parse_config(bad)
-    bad.write_text(json.dumps({"data": {"m": 1.0}}))
-    with pytest.raises(ConfigError, match="/data/m"):
+    bad.write_text(json.dumps({"data": {"m": 1000.0}}))  # no statistic reads the collected values
+    with pytest.raises(ConfigError, match=r"^/: unknown keys \['data'\]$"):
         cli.parse_config(bad)
     bad.write_text(json.dumps({"unknown_key": 1}))
     with pytest.raises(ConfigError, match="unknown_key"):
@@ -107,7 +108,7 @@ def test_other_utility_family_takes_only_its_own_params(tmp_path, capsys, monkey
     default.write_text(json.dumps({"utility": {"adversary": {"family": "scaled_product"},
                                                "dc": {"family": "linear_penalty"}}}))
     assert cli.parse_config(default).config_hash == (
-        "6856adb9fe1e5764446533fcbf1ae5a172cf387736fad5b287cc2db61221c16e")
+        "8f17ce6eabd829907b1c0f8142e097319c0c1a1f2cd440c77c6a6ace570e5b3f")
 
 
 def test_grid_step_must_divide_the_range(tmp_path):
@@ -231,6 +232,8 @@ def test_exit_codes(tmp_path, capsys):
     (["verify", "--candidates", "-1"], "--candidates"),
     (["verify", "--trials", "0"], "--trials"),
     (["tradeoff", "--eta", "1e307"], "--eta"),  # ((eta + 2) delta)^2 overflows
+    (["adversary", "--alpha", "1e-300"], "--alpha"),  # its atoms' acceptance reads 0
+    (["adversary", "--alpha", "0.0005"], "--alpha"),  # below the lowest reported level
 ])
 def test_bad_flags_fail_at_the_boundary(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"
@@ -394,7 +397,7 @@ def test_oracle_table_scales_its_quadrature_with_delta(tmp_path):
     # to c itself, so on narrow noise it does not vanish with c ~ delta^2
     summaries = []
     for name, extra in (("unit", {}),
-                        ("huge", {"honest_noise": {"delta": 1e40}, "data": {"m": 1e300}}),
+                        ("huge", {"honest_noise": {"delta": 1e40}}),
                         ("tiny", {"honest_noise": {"delta": 1e-4}})):
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(extra))
@@ -406,12 +409,6 @@ def test_oracle_table_scales_its_quadrature_with_delta(tmp_path):
     assert huge["chords"] == unit["chords"]
     assert huge["max_rel_diff"] == pytest.approx(unit["max_rel_diff"], rel=1e-6)
     assert tiny["max_rel_diff"] == pytest.approx(unit["max_rel_diff"], rel=1e-6)
-
-
-def test_simulate_takes_a_value_range_near_the_float_limit(tmp_path):
-    code, out = run(["simulate"], tmp_path, config=write_config(tmp_path, {"data": {"m": 1e308}}))
-    assert code == 0
-    assert (out / "simulation.json").exists()
 
 
 def _noise(kind, **params):
@@ -445,10 +442,9 @@ def test_typed_params_fail_at_the_boundary(tmp_path, capsys, config, pointer):
     ('{"eta_grid": {"start": 2, "stop": 3, "step": Infinity}}', "/eta_grid/step"),
     ('{"eta_grid": {"values": [2, -Infinity]}}', "/eta_grid/values/1"),
     ('{"utility": {"adversary": {"params": {"c": Infinity}}}}', "/utility/adversary/params/c"),
-    ('{"data": {"m": NaN}}', "/data/m"),
     ('{"honest_noise": {"delta": NaN}}', "/honest_noise/delta"),
     ('{"honest_noise": {"delta": 1%s}}' % ("0" * 400), "/honest_noise/delta"),
-    ('{"honest_noise": {"delta": 1e200}, "data": {"m": 1e203}}', "/eta_grid"),
+    ('{"honest_noise": {"delta": 1e200}}', "/eta_grid"),
     ('{"eta_grid": {"values": [1e307]}}', "/eta_grid"),
     ('{"honest_noise": {"delta": 1e-80}}', "/honest_noise/delta"),  # delta^4 underflows
     ('{"honest_noise": {"kind": "tabulated", "params": {"xs": [-1, 0, 1], "pdf": [1, NaN, 1]}}}',
@@ -559,23 +555,24 @@ def test_only_the_truncated_normal_loads_scipy(tmp_path, noise, loads_scipy):
 
 
 def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
-    # the default config, and the benchmark workloads' configs at seed 11
+    # the default config, and the benchmark workloads' configs at seed 11; re-recorded
+    # when the resolved config stopped echoing a range for the collected values
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     assert cli.parse_config(None).config_hash == (
-        "6856adb9fe1e5764446533fcbf1ae5a172cf387736fad5b287cc2db61221c16e")
+        "8f17ce6eabd829907b1c0f8142e097319c0c1a1f2cd440c77c6a6ace570e5b3f")
     uniform = {"kind": "uniform", "delta": 1.0}
     workloads = [
         ({"honest_noise": uniform,
           "utility": {"dc": {"family": "linear_penalty", "params": {"gamma": 0.02}}},
           "simulation": {"seed": 11}},
-         "5e6ce1be77c184b948bee3619eee3ca5f9cd1cf2765b30db158ef9228a539a0b"),
+         "68b0b51847cf96edc224c08692c2f0bfe84ce61614caad4149097c25f630ec0e"),
         ({"honest_noise": {"kind": "truncated-normal", "delta": 1.0, "params": {"sigma": 0.5}},
           "eta_grid": {"start": 2.0, "stop": 3.0, "step": 0.25},
           "simulation": {"n_nodes": [2, 5], "trials": 100_000, "seed": 11}},
-         "5731c102484b21552b44d9725bf36c152b8c58578125d560065f3af375eef189"),
+         "39e3e616305a98fc904b9f3aa9c8ff753726592dfe4bb190a81b86cb0f174e65"),
         ({"honest_noise": uniform,
           "simulation": {"n_nodes": [2, 5], "trials": 200_000, "seed": 11}},
-         "b0d27dba9a97a37306081a406e89047bca63bba9dadff51f1362361ab3996e21"),
+         "82b068b76c9ac2e0a5da27fd021530cf74ef4676ce385bf5e4642da4fa0d39d3"),
     ]
     path = tmp_path / "config.json"
     for config, digest in workloads:
@@ -583,10 +580,10 @@ def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
         assert cli.parse_config(path).config_hash == digest
 
 
-# an alpha outside (0, 1] is refused as the --alpha flag refuses it, and so is
+# an alpha outside [ALPHA_MIN, 1] is refused as the --alpha flag refuses it, and so is
 # one the atoms do not achieve: at +/-1.2 they are accepted with probability 0.9
 @pytest.mark.parametrize("field, value, config", [
-    ("delta", 1.0, {"honest_noise": {"kind": "uniform", "delta": 2.0}, "data": {"m": 1000.0}}),
+    ("delta", 1.0, {"honest_noise": {"kind": "uniform", "delta": 2.0}}),
     ("eta", 1.5, {}),
     ("eta", float("nan"), {}),
     ("alpha", float("nan"), {}),
@@ -607,6 +604,22 @@ def test_simulate_rejects_an_adversary_built_for_another_game(tmp_path, capsys, 
     assert code == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError" and error["message"].startswith("--adversary:")
+    assert not out.exists()
+
+
+def test_simulate_rejects_an_adversary_below_the_lowest_level(tmp_path, capsys):
+    # atoms at z_hi = 3 are never accepted, so they achieve alpha 1e-300 within 1e-8
+    adversary = {"eta": 2.0, "delta": 1.0, "alpha": 1e-300,
+                 "atoms": [{"z": -3.0, "weight": 0.5}, {"z": 3.0, "weight": 0.5}]}
+    path = tmp_path / "adversary.json"
+    path.write_text(json.dumps(adversary))
+    out = tmp_path / "sim"
+    code = cli.main(["simulate", "--adversary", str(path), "--output", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == (f"--adversary: alpha must be an acceptance level in "
+                                f"[{ALPHA_MIN}, 1], got 1e-300")
     assert not out.exists()
 
 

@@ -60,11 +60,6 @@ REFERENCE_SCHEMA = {
         "honest_noise": _choice_schema("kind", {k: names for k, (names, _)
                                                 in noise_model.KINDS.items()}, "uniform",
                                        delta={"type": "number", "exclusiveMinimum": 0}),
-        "data": {
-            "type": "object",
-            "properties": {"m": {"type": "number", "exclusiveMinimum": 0}},
-            "additionalProperties": False,
-        },
         "eta_grid": _GRID_SCHEMA,
         "alpha_grid": _GRID_SCHEMA,
         "report_alphas": _GRID_SCHEMA,
@@ -115,7 +110,6 @@ def _full(kind, adversary, dc):
     """A config that sets every key, with the given noise kind and utility families."""
     return copy.deepcopy({  # no list or object shared between keys
         "honest_noise": {"kind": kind, "delta": 1.0, "params": _PARAMS[kind]},
-        "data": {"m": 1000.0},
         **{key: copy.deepcopy(_GRID) for key in ("eta_grid", "alpha_grid", "report_alphas")},
         "utility": {"adversary": {"family": adversary, "params": _PARAMS[adversary]},
                     "dc": {"family": dc, "params": _PARAMS[dc]}},

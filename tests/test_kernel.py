@@ -120,6 +120,24 @@ def test_moment_at_level_is_the_error_moment_at_the_inverse(kind):
     assert checked == len(ctxs)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "triangular", "truncated-normal-3", "tabulated"])
+def test_the_curve_and_its_slope_take_their_moments_at_one_level(kind, monkeypatch):
+    # both at L = F^-1(1 - q) itself: the tangency solve pairs the curve with its slope
+    noise = LEVEL_CURVE_NOISES[kind]
+    moments, levels = noise.partial_moments, []
+
+    def recorded(level):
+        levels.append(np.array(level, dtype=float))
+        return moments(level)
+
+    monkeypatch.setattr(noise, "partial_moments", recorded)
+    ctx = sg.KernelContext(2.37, noise)
+    qs = envelope.level_grid(envelope.DEFAULT_GRID_SIZE)[:-1]  # f(-delta) may vanish at q = 1
+    ctx.moment_at_level(qs)
+    ctx.slope_at_level(qs)
+    assert len(levels) == 2 and np.array_equal(levels[0], levels[1])
+
+
 @pytest.mark.parametrize("q", [-1e-300, 1.0 + 1e-15, np.nan, [0.5, np.nan], [0.0, 2.0]])
 def test_moment_at_level_refuses_levels_outside_the_unit_interval(uniform_ctx, q):
     with pytest.raises(DomainError):

@@ -94,6 +94,17 @@ def test_validate_flags_asymmetric_table():
     assert "symmetry" in failed
 
 
+@pytest.mark.parametrize("tilt, symmetric", [(0.0, True), (1e-9, False)])
+def test_the_symmetry_verdict_does_not_depend_on_the_scale(tilt, symmetric):
+    # a tilt of 1e-9 of the peak is an asymmetry at every delta, the density's peak
+    # near 1/delta
+    xs = np.linspace(-1.0, 1.0, 101)
+    ps = 1.0 - 0.5 * np.abs(xs) + tilt * xs
+    for delta in (1e-6, 1.0, 1e6):
+        checks = {c.name: c.passed for c in sg.validate(sg.tabulated(delta * xs, ps)).checks}
+        assert checks["symmetry"] is symmetric, delta
+
+
 def test_validate_flags_flat_cdf_segment():
     xs = np.linspace(-1.0, 1.0, 401)
     ps = np.where(np.abs(xs) < 0.3, 0.0, 1.0)  # dead zone -> flat cdf inside
@@ -164,15 +175,6 @@ def test_from_spec_and_the_factory_agree_to_the_bit(kind):
 @pytest.mark.parametrize("kind", [k for k in KINDS if k != "tabulated"])
 def test_an_analytic_kind_defaults_to_delta_one(kind):
     assert sg.from_spec({"kind": kind, "params": _SPECS[kind][0]}).delta == 1.0
-
-
-def test_data_model():
-    d = sg.DataModel(1000.0)
-    rng = np.random.default_rng(1)
-    u = d.sample(rng, 1000)
-    assert np.all(np.abs(u) <= 1000.0)
-    with pytest.raises(DomainError):
-        sg.DataModel(-1.0)
 
 
 def _nested_where_cdf(model, x):

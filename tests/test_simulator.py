@@ -6,9 +6,8 @@ from stackgame.errors import DomainError
 
 
 @pytest.fixture(scope="module")
-def base_cfg():
-    return sg.GameConfig(n_nodes=2, eta=2.0, data=sg.DataModel(1000.0),
-                         noise=sg.uniform(1.0), trials=50_000, seed=123)
+def base_cfg(uniform_ctx):
+    return sg.GameConfig(ctx=uniform_ctx, n_nodes=2, trials=50_000, seed=123)
 
 
 def test_replicated_strategy_shape(rng):
@@ -69,8 +68,7 @@ def test_chunk_size_changes_stream_but_stays_reproducible(base_cfg):
     # the chunk layout is part of the stream contract: a different chunk size
     # is a different (but itself reproducible) experiment
     strat = sg.ReplicatedStrategy([-2.0, 2.0], [0.5, 0.5])
-    alt = sg.GameConfig(n_nodes=2, eta=2.0, data=base_cfg.data, noise=base_cfg.noise,
-                        trials=50_000, seed=123, chunk_size=1024)
+    alt = sg.GameConfig(ctx=base_cfg.ctx, n_nodes=2, trials=50_000, seed=123, chunk_size=1024)
     res_a = sg.run_monte_carlo(alt, strat)
     assert sg.run_monte_carlo(alt, strat) == res_a
     base = sg.run_monte_carlo(base_cfg, strat)
@@ -78,16 +76,15 @@ def test_chunk_size_changes_stream_but_stays_reproducible(base_cfg):
                                                              base.pa_stderr)
 
 
-def test_monte_carlo_stream_is_pinned():
-    # the per-chunk draw order (collected values, honest noise, adversary
-    # noise) is the stream contract: dropping or reordering a draw moves these
-    cfg = sg.GameConfig(n_nodes=3, eta=2.0, data=sg.DataModel(1000.0),
-                        noise=sg.uniform(1.0), trials=10_000, seed=2024, chunk_size=4096)
+def test_monte_carlo_stream_is_pinned(uniform_ctx):
+    # the per-chunk draw order (honest noise, then adversary noise) is the
+    # stream contract: adding, dropping or reordering a draw moves these
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=10_000, seed=2024, chunk_size=4096)
     locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]
     replicated = sg.ReplicatedStrategy(locs, weights)
     iid = sg.CustomJointStrategy(
         lambda r, count, n_adv: locs[r.choice(3, size=(n_adv, count), p=weights)], n_adv=2)
-    pinned = [(replicated, 8764, 0.4024820209192035), (iid, 7261, 0.4033434523851715)]
+    pinned = [(replicated, 8743, 0.3959893641049866), (iid, 7212, 0.4044687968748035)]
     for strategy, accepted, mse in pinned:
         res = sg.run_monte_carlo(cfg, strategy)
         assert (res.accepted_count, res.mse_hat) == (accepted, mse)
@@ -104,26 +101,27 @@ def estimate(y) -> float:
 
 
 @pytest.mark.parametrize("iid", [False, True])
-def test_monte_carlo_matches_a_per_trial_reference(iid):
+def test_monte_carlo_matches_a_per_trial_reference(uniform_ctx, iid):
     """Every trial replayed from the same substreams in the same draw order,
-    accepted and estimated one report vector at a time in value space."""
+    accepted and estimated one report vector at a time in value space. The
+    collected values come from a generator of their own: no statistic reads them."""
     locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]  # +/-1.5: accepted 3/4
     strategy = (sg.CustomJointStrategy(
         lambda r, count, n_adv: locs[r.choice(3, size=(n_adv, count), p=weights)], n_adv=2)
         if iid else sg.ReplicatedStrategy(locs, weights))
-    cfg = sg.GameConfig(n_nodes=3, eta=2.0, data=sg.DataModel(1000.0),
-                        noise=sg.uniform(1.0), trials=2500, seed=31, chunk_size=1000)
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=2500, seed=31, chunk_size=1000)
+    values = np.random.default_rng(8)
     accepted, s2 = 0, 0.0
     for index, start in enumerate(range(0, cfg.trials, cfg.chunk_size)):
         count = min(cfg.chunk_size, cfg.trials - start)
         bitgen = np.random.Philox(key=cfg.seed)
         rng = np.random.Generator(bitgen.jumped(index) if index else bitgen)
-        u = cfg.data.sample(rng, count)
-        honest = cfg.noise.sample(rng, count)
+        u = values.uniform(-1000.0, 1000.0, count)
+        honest = cfg.ctx.noise.sample(rng, count)
         adv = strategy.sample(rng, count, cfg.n_nodes - 1)
         for i in range(count):
             noise = [float(honest[i])] + [float(a) for a in adv[:, i]]
-            if accept(noise, cfg.eta, cfg.noise.delta):
+            if accept(noise, cfg.ctx.eta, cfg.ctx.delta):
                 accepted += 1
                 s2 += (estimate([float(u[i]) + n for n in noise]) - float(u[i])) ** 2
     res = sg.run_monte_carlo(cfg, strategy)
@@ -139,30 +137,28 @@ def test_monte_carlo_matches_kernel_prediction(base_cfg, uniform_ctx, uniform_en
     assert abs(res.mse_hat - sg.c_alpha(uniform_env, 0.9)) <= 4.0 * res.mse_stderr
 
 
-def test_zero_acceptance_flagged():
-    cfg = sg.GameConfig(n_nodes=2, eta=2.0, data=sg.DataModel(1000.0),
-                        noise=sg.uniform(1.0), trials=2000, seed=3)
+def test_zero_acceptance_flagged(uniform_ctx):
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=2, trials=2000, seed=3)
     never = sg.ReplicatedStrategy([50.0], [1.0])  # spread always > eta*delta
     res = sg.run_monte_carlo(cfg, never)
     assert res.accepted_count == 0 and res.pa_hat == 0.0
     assert res.mse_hat is None and res.mse_stderr is None
 
 
-def test_custom_joint_strategy_arity(rng):
+def test_custom_joint_strategy_arity(rng, uniform_ctx):
     sampler = lambda r, count, n_adv: r.normal(0.0, 0.1, (n_adv, count))
     strat = sg.CustomJointStrategy(sampler, n_adv=2)
     out = strat.sample(rng, 50, 2)
     assert out.shape == (2, 50)
     with pytest.raises(DomainError):
         strat.sample(rng, 50, 3)
-    cfg = sg.GameConfig(n_nodes=2, eta=2.0, data=sg.DataModel(1000.0),
-                        noise=sg.uniform(1.0), trials=1000, seed=9)
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=2, trials=1000, seed=9)
     with pytest.raises(DomainError):
         sg.run_monte_carlo(cfg, strat)  # needs n_adv == n_nodes-1 == 1
 
 
-def test_scenario_suite_exact(uniform_noise):
-    suite = sg.run_scenario_suite(uniform_noise, 2.0, 20_000, 3, seed=17)
+def test_scenario_suite_exact(uniform_ctx):
+    suite = sg.run_scenario_suite(uniform_ctx, 20_000, 3, seed=17)
     assert suite["passed"]
     assert suite["acceptance_mismatches"] == 0
     assert suite["error_bound_violations"] == 0
@@ -172,8 +168,7 @@ def test_scenario_suite_exact(uniform_noise):
 
 def test_dominance_smoke(uniform_ctx, uniform_env):
     spec = sg.UtilitySpec.from_spec({})
-    cfg = sg.GameConfig(n_nodes=3, eta=2.0, data=sg.DataModel(1000.0),
-                        noise=sg.uniform(1.0), trials=20_000, seed=21)
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=20_000, seed=21)
     aset = sg.best_alpha_set(uniform_env, spec, np.linspace(1e-3, 1.0, 1000))
     opt = sg.ReplicatedStrategy.from_atomic(
         sg.build_adversary(uniform_env, float(aset[0])))
@@ -197,9 +192,8 @@ def test_dominance_entries_equal_standalone_runs():
     """The dominance check draws each chunk's common part once; every entry still
     equals a standalone run of its strategy, to the bit."""
     spec = sg.UtilitySpec.from_spec({})
-    cfg = sg.GameConfig(n_nodes=3, eta=2.0, data=sg.DataModel(1000.0),
-                        noise=sg.truncated_normal(1.0, 0.5), trials=7000, seed=5,
-                        chunk_size=2000)
+    cfg = sg.GameConfig(ctx=sg.KernelContext(2.0, sg.truncated_normal(1.0, 0.5)), n_nodes=3,
+                        trials=7000, seed=5, chunk_size=2000)
     locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]
     optimum = sg.ReplicatedStrategy([-1.2, 1.2], [0.5, 0.5])
     candidates = [

@@ -14,9 +14,9 @@ from .kernel import KernelContext
 from .noise_model import (HonestNoiseModel, ValidationReport, from_spec, tabulated,
                           tabulated_from_csv, triangular, truncated_normal, uniform,
                           validate)
-from .simulator import (CustomJointStrategy, DominanceReport, GameConfig, IidStrategy,
-                        ReplicatedStrategy, SimulationResult, dominance_check,
-                        run_monte_carlo, run_scenario_suite)
+from .simulator import (DominanceReport, GameConfig, IidStrategy, ReplicatedStrategy,
+                        SimulationResult, dominance_check, run_monte_carlo,
+                        run_scenario_suite)
 from .strategy import (AdversaryUtility, AtomicAdversary, DCUtility,
                        EquilibriumReport, UtilitySpec, best_alpha_set,
                        build_adversary, solve_equilibrium)

@@ -472,7 +472,7 @@ def _random_candidates(ctx, rng, n_replicated: int, n_iid: int):
 
 
 def cmd_verify(cfg: RunConfig, out: Path, realizations: int = 100_000,
-               candidates: int = 20, trials: int | None = None) -> int:
+               candidates: int = 20) -> int:
     env = _envelope(cfg)
     scenario = run_scenario_suite(env.ctx, realizations, max(cfg.n_nodes) - 1, cfg.seed)
 
@@ -481,8 +481,7 @@ def cmd_verify(cfg: RunConfig, out: Path, realizations: int = 100_000,
     optimum = ReplicatedStrategy.from_atomic(build_adversary(env, alpha_star))
     rng = np.random.default_rng(cfg.seed)
     cands = _random_candidates(env.ctx, rng, candidates, max(2, candidates // 10))
-    game = GameConfig(env.ctx, cfg.n_nodes[0], cfg.trials if trials is None else trials,
-                      cfg.seed, cfg.chunk_size)
+    game = GameConfig(env.ctx, cfg.n_nodes[0], cfg.trials, cfg.seed, cfg.chunk_size)
     dom = dominance_check(game, cfg.utility, cands, optimum)
 
     payload = {
@@ -568,7 +567,6 @@ _FLAG_DOMAINS = {
                f"one or more acceptance levels in [{ALPHA_MIN}, 1]"),
     "realizations": (lambda v: v >= 1, "at least 1"),
     "candidates": (lambda v: v >= 0, "at least 0"),
-    "trials": (lambda v: v >= 1, "at least 1"),
 }
 
 
@@ -608,7 +606,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=int, help="scenario realizations (default: 100000)")
     p.add_argument("--candidates", type=int,
                    help="random replicated candidates (default: 20)")
-    p.add_argument("--trials", type=int)
 
     common(sub.add_parser("sweep", help="full pipeline with a combined report"))
     return parser

@@ -29,9 +29,6 @@ import numpy as np
 from .errors import DomainError
 from .noise_model import HonestNoiseModel
 
-# absolute tolerance of every adaptive_simpson quadrature of the noise density
-QUAD_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class KernelContext:
@@ -110,15 +107,17 @@ class KernelContext:
 
           h'(q) = (z + L)^2 - 2(z M0(L) + M1(L)) / f(L).
 
-        At q = 0 (L = delta) the quotient's limit 0 is taken.
+        At q = 0 (L = delta) the quotient's limit 0 is taken; where f(L) = 0
+        inside (0, 1], the slope's limit -inf.
         """
         arr = np.asarray(q, dtype=float)
         level = self._level(arr)
         z = self.eta * self.delta + level
         m0, m1, _ = self.noise.partial_moments(level)
         pull = 2.0 * (z * m0 + m1)
-        quotient = np.divide(pull, self.noise.pdf(level), out=np.zeros(np.shape(pull)),
-                             where=arr > 0.0)
+        with np.errstate(divide="ignore"):  # a zero density gives the limit, -inf
+            quotient = np.divide(pull, self.noise.pdf(level), out=np.zeros(np.shape(pull)),
+                                 where=arr > 0.0)
         out = (z + level) ** 2 - quotient
         return float(out) if np.ndim(out) == 0 else out
 

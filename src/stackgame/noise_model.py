@@ -45,7 +45,7 @@ _WIDE_SERIES = [[1.0 / (math.factorial(k) * (2 * k + j + 1)) for k in range(11, 
 
 # --- per-family laws --------------------------------------------------------
 #
-# Each law gives pdf, pdf_scalar, cdf, inv_cdf and partial_moments for
+# Each law gives pdf, cdf, inv_cdf and partial_moments for
 # arguments inside its support (the model clamps and masks), plus the support
 # and the density's maximum. The three analytic families are symmetric on
 # [-delta, delta].
@@ -68,9 +68,6 @@ class _Uniform(_Symmetric):
     def pdf(self, x):
         return self.pdf_max
 
-    def pdf_scalar(self, x: float) -> float:
-        return self.pdf_max
-
     def cdf(self, x):
         return (x + self._d) / (2.0 * self._d)
 
@@ -91,9 +88,6 @@ class _Triangular(_Symmetric):
 
     def pdf(self, x):
         return (self._d - np.abs(x)) / (self._d * self._d)
-
-    def pdf_scalar(self, x: float) -> float:
-        return (self._d - abs(x)) / (self._d * self._d)
 
     def cdf(self, x):
         d = self._d
@@ -139,9 +133,6 @@ class _TruncatedNormal(_Symmetric):
 
     def pdf(self, x):
         return np.exp(-0.5 * (x / self._s) ** 2) / self._norm
-
-    def pdf_scalar(self, x: float) -> float:
-        return math.exp(-0.5 * (x / self._s) ** 2) / self._norm
 
     def cdf(self, x):
         return (self._erf(x / self._scale) + self._mass) / (2.0 * self._mass)
@@ -231,9 +222,6 @@ class _Tabulated:
     def pdf(self, x):
         return np.interp(x, self._x, self._p, left=0.0, right=0.0)
 
-    def pdf_scalar(self, x: float) -> float:
-        return float(np.interp(x, self._x, self._p))
-
     def cdf(self, x):
         idx = self._cell(self._x, x)
         t = x - self._x[idx]
@@ -286,9 +274,9 @@ class HonestNoiseModel:
         return float(out) if arr.ndim == 0 else out
 
     def pdf_scalar(self, x: float) -> float:
-        """Fast scalar density for quadrature inner loops."""
+        """Density at one float: the oracle table's quadrature integrand."""
         lo, hi = self.support
-        return self.law.pdf_scalar(x) if lo <= x <= hi else 0.0
+        return float(self.law.pdf(x)) if lo <= x <= hi else 0.0
 
     def cdf(self, x):
         """Cumulative distribution, clamped to [0, 1] outside the support."""

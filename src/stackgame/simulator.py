@@ -79,28 +79,13 @@ class IidStrategy(ReplicatedStrategy):
         return self._atoms(rng, (n_adv, count))
 
 
-class CustomJointStrategy:
-    """Arbitrary joint noise sampler for a fixed number of controlled nodes.
-
-    sampler(rng, count, n_adv) -> array (n_adv, count).
-    """
-
-    def __init__(self, sampler, n_adv: int):
-        if n_adv < 1:
-            raise DomainError(f"need at least one controlled node, got {n_adv}")
-        self.sampler = sampler
-        self.n_adv = int(n_adv)
-
-    def sample(self, rng: np.random.Generator, count: int, n_adv: int) -> np.ndarray:
-        if n_adv != self.n_adv:
-            raise DomainError(f"strategy is for {self.n_adv} controlled nodes, asked {n_adv}")
-        out = np.asarray(self.sampler(rng, count, n_adv), dtype=float)
-        if out.shape != (n_adv, count):
-            raise DomainError(f"sampler returned shape {out.shape}, expected {(n_adv, count)}")
-        return out
-
-
 # --- the simulation loop ------------------------------------------------------
+
+def _check_one_game(ctx: KernelContext) -> None:
+    """The simulator plays one game: a context with a column of etas is refused."""
+    if np.ndim(ctx.eta) != 0:
+        raise DomainError(f"the simulator needs one threshold multiple eta, got {ctx.eta}")
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -112,6 +97,7 @@ class GameConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
+        _check_one_game(self.ctx)
         if self.n_nodes < 2:
             raise DomainError(f"need at least 2 nodes, got {self.n_nodes}")
         if self.trials < 1:
@@ -155,6 +141,9 @@ def _chunk_stats(cfg: GameConfig, honest: np.ndarray, adv: np.ndarray):
 def run_monte_carlo(cfg: GameConfig, strategy, common=None) -> SimulationResult:
     """Estimate acceptance probability and conditional MSE for a strategy.
 
+    strategy is any object whose sample(rng, count, n_adv) returns the n_adv
+    controlled nodes' noises as an (n_adv, count) array; a draw of another
+    shape raises DomainError rather than simulating another node count.
     When no trial is accepted the conditional MSE is reported as absent
     (None) rather than zero. pa_stderr is the binomial standard error;
     mse_stderr is the sample standard error of the squared errors among
@@ -166,7 +155,10 @@ def run_monte_carlo(cfg: GameConfig, strategy, common=None) -> SimulationResult:
     s4 = 0.0
     for rng, state, honest in _common_draws(cfg) if common is None else common:
         rng.bit_generator.state = state  # replay the adversary's draw from the common state
-        adv = strategy.sample(rng, honest.size, cfg.n_nodes - 1)
+        n_adv, count = cfg.n_nodes - 1, honest.size
+        adv = np.asarray(strategy.sample(rng, count, n_adv), dtype=float)
+        if adv.shape != (n_adv, count):
+            raise DomainError(f"strategy drew shape {adv.shape}, expected {(n_adv, count)}")
         acc, p2, p4 = _chunk_stats(cfg, honest, adv)  # merged in chunk order
         accepted += acc
         s2 += p2
@@ -192,6 +184,7 @@ def run_scenario_suite(ctx: KernelContext, n_realizations: int, n_adv: int,
     +/- eta*delta/2, which guarantees the pairwise-spread precondition, with
     centers wide enough to exercise both accepted and rejected realizations.
     """
+    _check_one_game(ctx)
     if n_realizations < 1 or n_adv < 1:
         raise DomainError("need at least one realization and one adversarial node")
     bound = ctx.eta * ctx.delta
@@ -253,7 +246,10 @@ class DominanceEntry:
 class DominanceReport:
     optimum: DominanceEntry
     entries: tuple
-    violation_labels: tuple
+
+    @property
+    def violation_labels(self) -> tuple:
+        return tuple(e.label for e in self.entries if e.violation)
 
     @property
     def passed(self) -> bool:
@@ -282,36 +278,28 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceRepo
     common random numbers. The common part of each chunk, the honest noise,
     is drawn once and held, 8 bytes per trial; each strategy replays its
     adversary draw from the generator state saved after it, so every entry
-    equals a standalone run_monte_carlo of its strategy. A
-    candidate is flagged only when its estimated utility exceeds the
-    optimum's by more than 4 combined standard errors. Candidates with no
-    accepted trials have undefined utility and cannot be flagged; they are
-    recorded with a note.
+    equals a standalone run_monte_carlo of its strategy. One loop scores the
+    optimum first, then each candidate. A candidate is flagged only when its
+    estimated utility exceeds the optimum's by more than 4 combined standard
+    errors. Candidates with no accepted trials have undefined utility and
+    cannot be flagged; they are recorded with a note. An optimum with none
+    raises NumericalError.
     """
     common = list(_common_draws(cfg))
-    opt_res = run_monte_carlo(cfg, optimum, common)
-    if opt_res.mse_hat is None:
-        raise NumericalError("optimum strategy produced no accepted trials")
-    opt_util = float(spec.adversary.value(opt_res.mse_hat, opt_res.pa_hat))
-    opt_sigma = _utility_sigma(spec.adversary, opt_res.mse_hat, opt_res.pa_hat,
-                               opt_res.mse_stderr, opt_res.pa_stderr)
-    opt_entry = DominanceEntry("optimum", opt_res.pa_hat, opt_res.mse_hat,
-                               opt_util, opt_sigma, False)
-
-    entries = []
-    violations = []
-    for label, strat in candidates:
+    scored = []  # the optimum's entry, then each candidate's
+    for label, strat in [("optimum", optimum), *candidates]:
         res = run_monte_carlo(cfg, strat, common)
         if res.mse_hat is None:
-            entries.append(DominanceEntry(label, res.pa_hat, None, None, None,
-                                          False, note="no accepted trials"))
+            if not scored:
+                raise NumericalError("optimum strategy produced no accepted trials")
+            scored.append(DominanceEntry(label, res.pa_hat, None, None, None,
+                                         False, note="no accepted trials"))
             continue
         util = float(spec.adversary.value(res.mse_hat, res.pa_hat))
         sigma = _utility_sigma(spec.adversary, res.mse_hat, res.pa_hat,
                                res.mse_stderr, res.pa_stderr)
-        combined = math.sqrt(sigma * sigma + opt_sigma * opt_sigma)
-        bad = util > opt_util + 4.0 * combined
-        entries.append(DominanceEntry(label, res.pa_hat, res.mse_hat, util, sigma, bad))
-        if bad:
-            violations.append(label)
-    return DominanceReport(opt_entry, tuple(entries), tuple(violations))
+        opt = scored[0] if scored else None
+        bad = opt is not None and util > opt.utility + 4.0 * math.sqrt(
+            sigma * sigma + opt.utility_stderr * opt.utility_stderr)
+        scored.append(DominanceEntry(label, res.pa_hat, res.mse_hat, util, sigma, bad))
+    return DominanceReport(scored[0], tuple(scored[1:]))

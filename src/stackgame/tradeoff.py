@@ -20,13 +20,14 @@ import numpy as np
 
 from .envelope import Envelope
 from .errors import DomainError
-from .kernel import QUAD_TOL, KernelContext
+from .kernel import KernelContext
 from .numerics import adaptive_simpson
 
 ALPHA_MIN = 1e-3  # lowest reported level: below it the conditional MSE means little
 DEFAULT_ORACLE_GRID = 2048
 MIN_ORACLE_GRID = 64
 ORACLE_BLOCK = 64  # hi rows per block of the pair search: its memory is O(64 * grid)
+QUAD_TOL = 1e-10  # absolute tolerance of the oracle table's quadrature, scaled by delta^k
 
 
 def check_levels(alpha) -> np.ndarray:

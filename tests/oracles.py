@@ -2,8 +2,8 @@
 the kernel and a scalar bisection. The package itself never calls them."""
 
 from stackgame.errors import DomainError, NumericalError
-from stackgame.kernel import QUAD_TOL
 from stackgame.numerics import adaptive_simpson
+from stackgame.tradeoff import QUAD_TOL
 
 # fp slack when checking offsets against the closed domain
 _EDGE_SLACK = 1e-9

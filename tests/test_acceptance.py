@@ -183,18 +183,13 @@ def _random_replicated(rng, z_hi, count):
     return out
 
 
-def _random_iid(rng, z_hi, count, n_adv):
+def _random_iid(rng, z_hi, count):
     out = []
     for i in range(count):
         n_atoms = int(rng.integers(2, 5))
         locs = rng.uniform(-z_hi, z_hi, n_atoms)
         w = rng.dirichlet(np.ones(n_atoms))
-
-        def sampler(r, cnt, na, locs=locs, w=w):
-            idx = r.choice(locs.size, size=(na, cnt), p=w)
-            return locs[idx]
-
-        out.append((f"iid_{i}", sg.CustomJointStrategy(sampler, n_adv)))
+        out.append((f"iid_{i}", sg.IidStrategy(locs, w)))
     return out
 
 
@@ -210,7 +205,7 @@ def test_criterion_8_dominance(uniform_ctx, uniform_env, family, params):
         sg.build_adversary(uniform_env, float(aset[0])))
     rng = np.random.default_rng({"scaled_product": 101, "weighted_sum": 202}[family])
     cands = (_random_replicated(rng, uniform_ctx.z_hi, 100)
-             + _random_iid(rng, uniform_ctx.z_hi, 10, n_adv=2))
+             + _random_iid(rng, uniform_ctx.z_hi, 10))
     cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=10**5, seed=4242)
     report = sg.dominance_check(cfg, spec, cands, opt)
     _finish(8, f"no candidate beats the optimum [{family}]", 300.0, t0,

@@ -230,7 +230,7 @@ def test_exit_codes(tmp_path, capsys):
     (["tradeoff", "--alphas", "0.1,x"], "--alphas"),
     (["verify", "--realizations", "0"], "--realizations"),
     (["verify", "--candidates", "-1"], "--candidates"),
-    (["verify", "--trials", "0"], "--trials"),
+    (["tradeoff", "--eta", "inf"], "--eta"),
     (["tradeoff", "--eta", "1e307"], "--eta"),  # ((eta + 2) delta)^2 overflows
     (["adversary", "--alpha", "1e-300"], "--alpha"),  # its atoms' acceptance reads 0
     (["adversary", "--alpha", "0.0005"], "--alpha"),  # below the lowest reported level
@@ -345,10 +345,13 @@ def test_adversary_and_simulate_roundtrip(tmp_path):
 
 
 def test_verify_command(tmp_path):
-    config = write_config(tmp_path)
-    code, out = run(["verify", "--realizations", "5000", "--candidates", "4",
-                     "--trials", "4000"], tmp_path, config=config)
+    # the dominance game's budget is simulation.trials; verify has no flag of its own for it
+    config = write_config(tmp_path, {"simulation": {"n_nodes": [2], "trials": 4000, "seed": 9}})
+    code, out = run(["verify", "--realizations", "5000", "--candidates", "4"],
+                    tmp_path, config=config)
     assert code == 0
+    with pytest.raises(SystemExit):
+        run(["verify", "--trials", "4000"], tmp_path, config=config)
     rep = json.loads((out / "verify_report.json").read_text())
     assert rep["scenario_suite"]["passed"] is True
     assert "dominance" in rep

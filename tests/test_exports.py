@@ -12,10 +12,8 @@ import stackgame
 
 PACKAGE = Path(stackgame.__file__).resolve().parent
 
-# public names no package module reads, each kept for a stated reason
-UNREAD_BY_DESIGN = {
-    "CustomJointStrategy": "the arbitrary joint sampler criterion 8 draws its iid candidates with",
-}
+# public names no package module reads, each kept for a stated reason: none today
+UNREAD_BY_DESIGN: dict = {}
 
 
 def _exports() -> set:

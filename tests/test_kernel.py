@@ -132,7 +132,7 @@ def test_the_curve_and_its_slope_take_their_moments_at_one_level(kind, monkeypat
 
     monkeypatch.setattr(noise, "partial_moments", recorded)
     ctx = sg.KernelContext(2.37, noise)
-    qs = envelope.level_grid(envelope.DEFAULT_GRID_SIZE)[:-1]  # f(-delta) may vanish at q = 1
+    qs = envelope.level_grid(envelope.DEFAULT_GRID_SIZE)  # q = 1 too, where f(-delta) may vanish
     ctx.moment_at_level(qs)
     ctx.slope_at_level(qs)
     assert len(levels) == 2 and np.array_equal(levels[0], levels[1])
@@ -250,3 +250,18 @@ def test_uniform_slope_against_mpmath(eta):
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
     # at q = 0 the quotient's limit is taken: h'(0+) = (eta + 2)^2 delta^2
     assert ctx.slope_at_level(0.0) == (eta + 2.0) ** 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("noise, q", [
+    (sg.triangular(1.0), 1.0),  # f(-delta) = 0
+    (sg.tabulated([-1.0, -0.5, 0.0, 0.5, 1.0], [0.2, 1.0, 0.0, 1.0, 0.2]), 0.5),  # f(0) = 0
+])
+def test_slope_at_a_level_of_zero_density_is_its_limit(noise, q):
+    # the quotient 2(z M0 + M1) / f(L) grows without bound: the limit -inf, with no warning
+    ctx = sg.KernelContext(2.0, noise)
+    assert noise.pdf(ctx.accept_prob_inv(q) - 2.0 * noise.delta) == 0.0
+    assert ctx.slope_at_level(q) == -np.inf
+    assert ctx.slope_at_level(np.array([0.0, q]))[1] == -np.inf
+    # uniform noise keeps f(-delta) > 0: its slope at q = 1 is finite
+    assert np.isfinite(sg.KernelContext(2.0, sg.uniform(1.0)).slope_at_level(1.0))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -82,8 +84,7 @@ def test_monte_carlo_stream_is_pinned(uniform_ctx):
     cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=10_000, seed=2024, chunk_size=4096)
     locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]
     replicated = sg.ReplicatedStrategy(locs, weights)
-    iid = sg.CustomJointStrategy(
-        lambda r, count, n_adv: locs[r.choice(3, size=(n_adv, count), p=weights)], n_adv=2)
+    iid = sg.IidStrategy(locs, weights)
     pinned = [(replicated, 8743, 0.3959893641049866), (iid, 7212, 0.4044687968748035)]
     for strategy, accepted, mse in pinned:
         res = sg.run_monte_carlo(cfg, strategy)
@@ -106,9 +107,7 @@ def test_monte_carlo_matches_a_per_trial_reference(uniform_ctx, iid):
     accepted and estimated one report vector at a time in value space. The
     collected values come from a generator of their own: no statistic reads them."""
     locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]  # +/-1.5: accepted 3/4
-    strategy = (sg.CustomJointStrategy(
-        lambda r, count, n_adv: locs[r.choice(3, size=(n_adv, count), p=weights)], n_adv=2)
-        if iid else sg.ReplicatedStrategy(locs, weights))
+    strategy = (sg.IidStrategy if iid else sg.ReplicatedStrategy)(locs, weights)
     cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=2500, seed=31, chunk_size=1000)
     values = np.random.default_rng(8)
     accepted, s2 = 0, 0.0
@@ -145,16 +144,28 @@ def test_zero_acceptance_flagged(uniform_ctx):
     assert res.mse_hat is None and res.mse_stderr is None
 
 
-def test_custom_joint_strategy_arity(rng, uniform_ctx):
-    sampler = lambda r, count, n_adv: r.normal(0.0, 0.1, (n_adv, count))
-    strat = sg.CustomJointStrategy(sampler, n_adv=2)
-    out = strat.sample(rng, 50, 2)
-    assert out.shape == (2, 50)
-    with pytest.raises(DomainError):
-        strat.sample(rng, 50, 3)
+@pytest.mark.parametrize("shape", [lambda count, n_adv: (2, count),
+                                   lambda count, n_adv: (n_adv, count + 1),
+                                   lambda count, n_adv: (count,)],
+                         ids=["node-count", "trial-count", "one-axis"])
+def test_run_monte_carlo_refuses_a_wrong_shaped_draw(uniform_ctx, shape):
+    """Any object with sample(rng, count, n_adv) is a strategy; its draw must be (n_adv, count)."""
+    strategy = SimpleNamespace(
+        sample=lambda r, count, n_adv: r.normal(0.0, 0.1, shape(count, n_adv)))
     cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=2, trials=1000, seed=9)
-    with pytest.raises(DomainError):
-        sg.run_monte_carlo(cfg, strat)  # needs n_adv == n_nodes-1 == 1
+    with pytest.raises(DomainError, match="shape"):
+        sg.run_monte_carlo(cfg, strategy)  # two nodes: each chunk must draw (1, count)
+    right = SimpleNamespace(sample=lambda r, count, n_adv: r.normal(0.0, 0.1, (n_adv, count)))
+    assert sg.run_monte_carlo(cfg, right).trials == 1000
+
+
+def test_the_simulator_refuses_a_column_of_etas(uniform_noise):
+    """A KernelContext may hold a column of etas for the envelope; a game has one."""
+    grid = sg.KernelContext(np.array([[2.0], [3.0]]), uniform_noise)
+    with pytest.raises(DomainError, match="eta"):
+        sg.GameConfig(ctx=grid, n_nodes=2, trials=1000, seed=1)
+    with pytest.raises(DomainError, match="eta"):
+        sg.run_scenario_suite(grid, 1000, 2, seed=1)
 
 
 def test_scenario_suite_exact(uniform_ctx):
@@ -199,8 +210,8 @@ def test_dominance_entries_equal_standalone_runs():
     candidates = [
         ("replicated", sg.ReplicatedStrategy(locs, weights)),
         ("iid", sg.IidStrategy(locs, weights)),
-        ("joint", sg.CustomJointStrategy(
-            lambda r, count, n_adv: r.normal(0.0, 0.8, (n_adv, count)), n_adv=2)),
+        ("joint", SimpleNamespace(
+            sample=lambda r, count, n_adv: r.normal(0.0, 0.8, (n_adv, count)))),
         ("never", sg.ReplicatedStrategy([50.0], [1.0])),
     ]
     report = sg.dominance_check(cfg, spec, candidates, optimum)
@@ -212,3 +223,25 @@ def test_dominance_entries_equal_standalone_runs():
         assert (entry.pa_hat, entry.mse_hat) == (res.pa_hat, res.mse_hat), entry.label
         if res.mse_hat is not None:
             assert entry.utility == float(spec.adversary.value(res.mse_hat, res.pa_hat))
+
+
+def test_dominance_refuses_an_optimum_with_no_accepted_trials(uniform_ctx):
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=2, trials=2000, seed=3)
+    never = sg.ReplicatedStrategy([50.0], [1.0])  # spread always > eta*delta
+    candidates = [("zero", sg.ReplicatedStrategy([0.0], [1.0]))]
+    with pytest.raises(sg.NumericalError, match="optimum"):
+        sg.dominance_check(cfg, sg.UtilitySpec.from_spec({}), candidates, never)
+
+
+def test_violation_labels_are_the_flagged_entries(uniform_ctx):
+    """A candidate that beats the planted optimum by far is flagged, and the report's
+    violation labels are read from the entries' flags."""
+    spec = sg.UtilitySpec.from_spec({})
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=2, trials=20_000, seed=4)
+    weak = sg.ReplicatedStrategy([0.0], [1.0])
+    candidates = [("strong", sg.ReplicatedStrategy([-2.0, 2.0], [0.5, 0.5])),
+                  ("same", weak)]
+    report = sg.dominance_check(cfg, spec, candidates, weak)
+    assert [e.violation for e in report.entries] == [True, False]
+    assert report.violation_labels == ("strong",) and not report.passed
+    assert report.to_json_dict()["violations"] == ["strong"]

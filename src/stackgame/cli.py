@@ -27,8 +27,9 @@ from .errors import ConfigError, DomainError
 from .kernel import KernelContext
 from .simulator import (DEFAULT_CHUNK_SIZE, GameConfig, IidStrategy, ReplicatedStrategy,
                         dominance_check, run_monte_carlo, run_scenario_suite)
-from .strategy import (ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY, AtomicAdversary,
-                       UtilitySpec, best_alpha_set, build_adversary, solve_equilibrium)
+from .strategy import (ACCEPT_TOL, ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY,
+                       AtomicAdversary, UtilitySpec, best_alpha_set, build_adversary,
+                       solve_equilibrium)
 from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, build_oracle_table,
                        c_alpha, oracle_c2, zero_limit)
 
@@ -162,15 +163,20 @@ def _resolve_grid(spec: dict, path: str) -> np.ndarray:
     return grid
 
 
-def _check_scale(where: str, eta: float, delta: float) -> None:
-    """The scale rule: ((eta + 2) delta)^2, the largest MSE at eta, and its square,
-    which the Monte Carlo sums, must be finite: a ConfigError at the pointer or flag
-    where if not."""
+def _check_scale(where: str, eta: float, noise) -> None:
+    """The scale rule at eta, a ConfigError at the pointer or flag where if broken:
+    ((eta + 2) delta)^2, the largest MSE, and its square, which the Monte Carlo sums,
+    are finite, and an atom's offset, a float near (eta + 1) delta, places acceptance
+    to ACCEPT_TOL: pdf_max * spacing((eta + 1) delta) <= ACCEPT_TOL."""
     with np.errstate(over="ignore"):
-        m_max = np.float64((eta + 2.0) * delta) ** 2
+        m_max = np.float64((eta + 2.0) * noise.delta) ** 2
         if not np.isfinite(m_max * m_max):
-            raise ConfigError(f"{where}: eta {eta} with delta {delta} puts the largest MSE, "
-                              "((eta + 2) delta)^2, or its square beyond the float range")
+            raise ConfigError(f"{where}: eta {eta} with delta {noise.delta} puts the largest "
+                              "MSE, ((eta + 2) delta)^2, or its square beyond the float range")
+    resolution = noise.law.pdf_max * np.spacing((eta + 1.0) * noise.delta)
+    if resolution > ACCEPT_TOL:
+        raise ConfigError(f"{where}: eta {eta} places acceptance only to pdf_max * "
+                          f"spacing((eta + 1) delta) = {resolution:.3g} > {ACCEPT_TOL}")
 
 
 class RunConfig:
@@ -221,10 +227,10 @@ class RunConfig:
                 "/eta_grid: every threshold multiple must satisfy eta >= 2; the "
                 "acceptance window must cover the worst honest-only spread of 2*delta")
         for key, grid in (("alpha_grid", self.alpha_grid), ("report_alphas", self.report_alphas)):
-            if grid[0] < ALPHA_MIN - 1e-15 or grid[-1] > 1.0:
+            if not _DOMAINS["alpha"][0](grid):
                 problems.append(f"/{key}: acceptance levels must lie in [{ALPHA_MIN}, 1]")
         try:
-            _check_scale("/eta_grid", self.eta_grid[-1], self.noise.delta)
+            _check_scale("/eta_grid", self.eta_grid[-1], self.noise)
         except ConfigError as exc:
             problems.append(str(exc))
         if problems:
@@ -281,7 +287,6 @@ def _np_default(obj):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=_np_default) + "\n")
 
 
@@ -295,12 +300,9 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header, rows, append: bool = False) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fresh = not (append and path.exists() and path.stat().st_size > 0)
-    with open(path, "a" if append else "w") as fh:
-        if fresh:
-            fh.write(",".join(header) + "\n")
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -322,21 +324,20 @@ def cmd_validate_noise(cfg: RunConfig, out: Path) -> int:
     return 0 if report.passed else 1
 
 
-def _envelope(cfg: RunConfig, eta: float | None = None):
-    """The envelope at eta, by default the eta grid's start."""
-    ctx = KernelContext(float(cfg.eta_grid[0]) if eta is None else eta, cfg.noise)
-    return build_envelope(ctx, cfg.envelope_grid)
+def _envelope(cfg: RunConfig):
+    """The envelope at the eta grid's start."""
+    return build_envelope(KernelContext(float(cfg.eta_grid[0]), cfg.noise), cfg.envelope_grid)
 
 
-def cmd_tradeoff(cfg: RunConfig, out: Path, eta: float | None = None, alphas=None) -> int:
-    _write_tradeoff(cfg, out, _envelope(cfg, eta), cfg.report_alphas if alphas is None else alphas)
+def cmd_tradeoff(cfg: RunConfig, out: Path) -> int:
+    _write_tradeoff(cfg, out, _envelope(cfg))
     return 0
 
 
-def _write_tradeoff(cfg: RunConfig, out: Path, env, alphas) -> None:
-    """level_curve.csv, tradeoff.csv and tradeoff_summary.json for the envelope env."""
+def _write_tradeoff(cfg: RunConfig, out: Path, env) -> None:
+    """level_curve.csv, tradeoff.csv and tradeoff_summary.json for env at report_alphas."""
     ctx = env.ctx
-    levels = np.unique(alphas)  # sorted, distinct
+    levels = cfg.report_alphas
     values = c_alpha(env, levels)
     table = build_oracle_table(ctx, cfg.oracle_grid)
     oracle_vals = np.array([oracle_c2(ctx, a, table=table) for a in levels])
@@ -380,8 +381,8 @@ def cmd_solve(cfg: RunConfig, out: Path, report=None) -> int:
     return 0
 
 
-def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, eta: float | None = None) -> int:
-    env = _envelope(cfg, eta)
+def cmd_adversary(cfg: RunConfig, out: Path, alpha: float) -> int:
+    env = _envelope(cfg)
     adv = build_adversary(env, alpha)
     achieved_mse = float(sum(w * env.ctx.error_moment(z) for z, w in adv.atoms)
                          / (4.0 * adv.achieved_pa))
@@ -405,13 +406,13 @@ def _load_adversary(path, noise) -> AtomicAdversary:
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"--adversary: cannot load {path}: {exc}") from exc
     for name, value in (("eta", eta), ("alpha", alpha)):
-        accepts, need = _FLAG_DOMAINS[name]
+        accepts, need = _DOMAINS[name]
         if not accepts(value):
             raise ConfigError(f"--adversary: {name} must be {need}, got {value}")
     if not abs(delta - noise.delta) <= 1e-9 * noise.delta:
         raise ConfigError(f"--adversary: built for delta {delta}, "
                           f"but the configured noise has delta {noise.delta}")
-    _check_scale("--adversary", eta, noise.delta)
+    _check_scale("--adversary", eta, noise)
     try:
         return AtomicAdversary(atoms, alpha, KernelContext(eta, noise))
     except DomainError as exc:
@@ -445,7 +446,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, adversary: AtomicAdversary | None = 
         adv = build_adversary(report.envelope, report.equilibrium_pa)
     rows, results = _simulate_cells(
         cfg, [(n, adv, cfg.seed + i) for i, n in enumerate(cfg.n_nodes)])
-    _write_csv(out / "simulations.csv", _SIM_HEADER, rows, append=True)
+    _write_csv(out / "simulations.csv", _SIM_HEADER, rows)
     payload = {"adversary": adv.to_json_dict(),
                "results": [{"n_nodes": row[0], "seed": row[-1], **res.to_json_dict()}
                            for row, res in zip(rows, results)],
@@ -501,7 +502,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
     eta_star = report.eta_star
     env = report.envelope
-    _write_tradeoff(cfg, out, env, cfg.report_alphas)
+    _write_tradeoff(cfg, out, env)
     adv_eq = build_adversary(env, report.equilibrium_pa)
     _write_json(out / "adversary.json", {**adv_eq.to_json_dict(), **_stamp(cfg)})
 
@@ -538,17 +539,6 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 # --- argument parsing ------------------------------------------------------------
 
-def _parse_alpha_spec(spec: str) -> np.ndarray:
-    """Either comma-separated values or start:stop:count."""
-    try:
-        if ":" in spec:
-            start, stop, num = spec.split(":")
-            return np.linspace(float(start), float(stop), int(num))
-        return np.array([float(tok) for tok in spec.split(",") if tok.strip()])
-    except ValueError as exc:
-        raise ConfigError(f"--alphas: bad spec {spec!r}: {exc}") from exc
-
-
 COMMANDS = {
     "validate-noise": cmd_validate_noise,
     "tradeoff": cmd_tradeoff,
@@ -559,12 +549,12 @@ COMMANDS = {
     "sweep": cmd_sweep,
 }
 
-# flag -> (accepts the parsed value, what it must be); checked before any output
-_FLAG_DOMAINS = {
+# flag, or number of an adversary file -> (accepts the parsed value, what it must be);
+# checked before any output. The levels' rule is also the config's level grids' rule.
+_DOMAINS = {
     "eta": (lambda v: 2.0 <= v < np.inf, "a finite threshold multiple >= 2"),
-    "alpha": (lambda v: ALPHA_MIN <= v <= 1.0, f"an acceptance level in [{ALPHA_MIN}, 1]"),
-    "alphas": (lambda v: v.size > 0 and bool(np.all((v >= ALPHA_MIN) & (v <= 1.0))),
-               f"one or more acceptance levels in [{ALPHA_MIN}, 1]"),
+    "alpha": (lambda v: bool(np.all((v >= ALPHA_MIN) & (v <= 1.0))),
+              f"an acceptance level in [{ALPHA_MIN}, 1]"),
     "realizations": (lambda v: v >= 1, "at least 1"),
     "candidates": (lambda v: v >= 0, "at least 0"),
 }
@@ -584,17 +574,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("validate-noise", help="check the noise model assumptions"))
 
-    p = sub.add_parser("tradeoff", help="formula-vs-oracle trade-off curve")
-    common(p)
-    p.add_argument("--eta", type=float, help="threshold multiple (default: grid start)")
-    p.add_argument("--alphas", help="acceptance levels: 'a,b,c' or 'start:stop:count'")
+    common(sub.add_parser("tradeoff", help="formula-vs-oracle trade-off curve"))
 
     common(sub.add_parser("solve", help="equilibrium threshold and best responses"))
 
     p = sub.add_parser("adversary", help="optimal atoms at a given acceptance level")
     common(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eta", type=float, help="threshold multiple (default: grid start)")
 
     p = sub.add_parser("simulate", help="Monte Carlo runs of a replicated adversary")
     common(p)
@@ -617,15 +603,11 @@ def main(argv=None) -> int:
     command, config, output = options.pop("command"), options.pop("config"), options.pop("output")
     options = {flag: value for flag, value in options.items() if value is not None}
     try:
-        if "alphas" in options:
-            options["alphas"] = _parse_alpha_spec(options["alphas"])
-        for flag, (accepts, need) in _FLAG_DOMAINS.items():
+        for flag, (accepts, need) in _DOMAINS.items():
             if flag in options and not accepts(options[flag]):
                 raise ConfigError(f"--{flag}: must be {need}, got {options[flag]}")
         cfg = parse_config(config, output_override=output,
                            check_noise=command != "validate-noise")
-        if "eta" in options:
-            _check_scale("--eta", options["eta"], cfg.noise.delta)
         if "adversary" in options:
             options["adversary"] = _load_adversary(options["adversary"], cfg.noise)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)

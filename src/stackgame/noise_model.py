@@ -129,7 +129,7 @@ class _TruncatedNormal(_Symmetric):
         self._tail = math.erfc(d / self._scale)
         self._norm = s * _SQRT2PI * self._mass
         self.pdf_max = 1.0 / self._norm
-        self._phi_d = math.exp(-0.5 * (d / s) ** 2) / (_SQRT2PI * self._mass)
+        self._phi_d = math.exp(-0.5 * (d / s) * (d / s)) / (_SQRT2PI * self._mass)
 
     def pdf(self, x):
         return np.exp(-0.5 * (x / self._s) ** 2) / self._norm

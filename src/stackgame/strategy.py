@@ -21,6 +21,7 @@ from .kernel import KernelContext
 from .tradeoff import c_alpha, check_levels
 
 TIE_TOL_REL = 1e-9
+ACCEPT_TOL = 1e-8  # how close an AtomicAdversary's acceptance must come to its alpha
 # utility family -> (its parameter names, all numbers > 0; its value(params, mse, pa))
 ADVERSARY_FAMILIES = {
     "weighted_sum": (("a", "b"), lambda p, mse, pa: p["a"] * mse + p["b"] * pa),
@@ -182,7 +183,7 @@ class AtomicAdversary:
 
     Constructing one is the one check of an adversary: 2 or 4 atoms, finite
     offsets with |z| in [ctx.z_lo, ctx.z_hi], positive weights summing to 1,
-    mirror symmetry in offset and weight, and acceptance within 1e-8 of alpha.
+    mirror symmetry in offset and weight, and acceptance within ACCEPT_TOL of alpha.
     """
     atoms: tuple  # ((offset, weight), ...) sorted by offset
     alpha: float
@@ -205,7 +206,7 @@ class AtomicAdversary:
         for (z1, w1), (z2, w2) in zip(key[::2], key[1::2]):
             if abs(z1 - z2) > slack or abs(w1 - w2) > 1e-12:
                 raise DomainError("atoms must be symmetric in offset and weight")
-        if not abs(self.achieved_pa - self.alpha) <= 1e-8:
+        if not abs(self.achieved_pa - self.alpha) <= ACCEPT_TOL:
             raise DomainError(f"the atoms achieve acceptance {self.achieved_pa} at eta "
                               f"{ctx.eta}, not alpha {self.alpha}")
 

@@ -228,7 +228,7 @@ def test_adversary_artifacts_are_pinned(name, alpha, on_chord, tmp_path, monkeyp
     env = build_envelope(KernelContext(2.0, cli.parse_config("config.json").noise), 512)
     assert (not env.is_touch(alpha)[0]) == on_chord
     assert cli.main(["adversary", "--config", "config.json", "--output", "out",
-                     "--eta", "2", "--alpha", str(alpha)]) == 0
+                     "--alpha", str(alpha)]) == 0
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
               for p in sorted((tmp_path / "out").iterdir())}
     assert hashes == ADVERSARY_PINS[name, alpha, on_chord]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stackgame import cli
+from stackgame import cli, noise_model
 from stackgame.errors import ConfigError
 from stackgame.tradeoff import ALPHA_MIN
 
@@ -196,8 +196,7 @@ def test_valid_tabulated_noise_runs(tmp_path):
     pdf = 1.0 - 0.6 * np.abs(xs) + 0.3 * np.cos(9.0 * np.pi * xs)
     wavy = {"kind": "tabulated", "delta": 1.0,
             "params": {"xs": xs.tolist(), "pdf": pdf.tolist()}}
-    code, out = run(["tradeoff", "--eta", "2.0"], tmp_path,
-                    config=write_config(tmp_path, {"honest_noise": wavy}))
+    code, out = run(["tradeoff"], tmp_path, config=write_config(tmp_path, {"honest_noise": wavy}))
     assert code == 0
     summary = json.loads((out / "tradeoff_summary.json").read_text())
     assert summary["max_rel_diff"] <= 5e-3
@@ -217,21 +216,11 @@ def test_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["tradeoff", "--eta", "1.5"], "--eta"),
-    (["tradeoff", "--eta", "nan"], "--eta"),
-    (["adversary", "--alpha", "0.5", "--eta", "1.9"], "--eta"),
-    (["adversary", "--alpha", "0"], "--alpha"),
-    (["adversary", "--alpha", "1.5"], "--alpha"),
-    (["tradeoff", "--alphas", ""], "--alphas"),
-    (["tradeoff", "--alphas", "0.5:0.9:0"], "--alphas"),
-    (["tradeoff", "--alphas", "0.5,1.5"], "--alphas"),
-    (["tradeoff", "--alphas", "0,0.5"], "--alphas"),
-    (["tradeoff", "--alphas", "0.1:0.9"], "--alphas"),
-    (["tradeoff", "--alphas", "0.1,x"], "--alphas"),
     (["verify", "--realizations", "0"], "--realizations"),
     (["verify", "--candidates", "-1"], "--candidates"),
-    (["tradeoff", "--eta", "inf"], "--eta"),
-    (["tradeoff", "--eta", "1e307"], "--eta"),  # ((eta + 2) delta)^2 overflows
+    (["adversary", "--alpha", "nan"], "--alpha"),
+    (["adversary", "--alpha", "0"], "--alpha"),
+    (["adversary", "--alpha", "1.5"], "--alpha"),
     (["adversary", "--alpha", "1e-300"], "--alpha"),  # its atoms' acceptance reads 0
     (["adversary", "--alpha", "0.0005"], "--alpha"),  # below the lowest reported level
 ])
@@ -241,6 +230,31 @@ def test_bad_flags_fail_at_the_boundary(tmp_path, capsys, argv, flag):
     assert code == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError" and error["message"].startswith(flag + ":")
+    assert not out.exists()
+
+
+# a run's eta is its eta_grid's start, and tradeoff reports at report_alphas: no flag sets them
+@pytest.mark.parametrize("argv", [["tradeoff", "--eta", "2"], ["tradeoff", "--alphas", "0.5"],
+                                  ["adversary", "--eta", "2", "--alpha", "0.5"]])
+def test_eta_and_the_reported_levels_are_no_flags(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:3]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the config's level grids take the --alpha flag's domain, [ALPHA_MIN, 1], with no slack
+@pytest.mark.parametrize("key", ["alpha_grid", "report_alphas"])
+@pytest.mark.parametrize("level", [0.0005, 0.0, 1.5, float("nan"),
+                                   float(np.nextafter(ALPHA_MIN, 0.0))])
+def test_levels_outside_the_domain_fail_at_their_grid(tmp_path, capsys, key, level):
+    out = tmp_path / "o"
+    config = write_config(tmp_path, {key: {"values": [level]}})
+    assert cli.main(["solve", "--config", str(config), "--output", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith(f"/{key}")
     assert not out.exists()
 
 
@@ -264,8 +278,8 @@ def test_solve_artifacts(tmp_path):
 
 
 def test_tradeoff_artifacts(tmp_path):
-    code, out = run(["tradeoff", "--eta", "2.0", "--alphas", "0.3,0.8"],
-                    tmp_path, config=write_config(tmp_path))
+    code, out = run(["tradeoff"], tmp_path,
+                    config=write_config(tmp_path, {"report_alphas": {"values": [0.3, 0.8]}}))
     assert code == 0
     rows = (out / "tradeoff.csv").read_text().strip().splitlines()
     assert rows[0] == "alpha,c_formula,c_oracle,abs_diff"
@@ -279,7 +293,7 @@ def test_tradeoff_artifacts(tmp_path):
 def test_level_curve_has_one_row_per_grid_point(tmp_path):
     # uniform noise at eta = 2 has a chord, whose exact ends are not grid points
     config = write_config(tmp_path, {"envelope": {"grid_size": 4096}})
-    code, out = run(["tradeoff", "--eta", "2.0"], tmp_path, config=config)
+    code, out = run(["tradeoff"], tmp_path, config=config)
     assert code == 0
     assert len(json.loads((out / "tradeoff_summary.json").read_text())["chords"]) == 1
     rows = (out / "level_curve.csv").read_text().splitlines()
@@ -294,7 +308,7 @@ def test_narrow_noise_keeps_its_chords(tmp_path, kind, sigma):
         params = {} if sigma is None else {"sigma": sigma * delta}
         config = write_config(tmp_path, {"honest_noise": {"kind": kind, "delta": delta,
                                                           "params": params}})
-        code, out = run(["tradeoff", "--eta", "2.0"], tmp_path, name=f"{delta}", config=config)
+        code, out = run(["tradeoff"], tmp_path, name=f"{delta}", config=config)
         assert code == 0
         rows = (out / "tradeoff.csv").read_text().strip().splitlines()[1:]
         return (json.loads((out / "tradeoff_summary.json").read_text())["chords"],
@@ -308,20 +322,9 @@ def test_narrow_noise_keeps_its_chords(tmp_path, kind, sigma):
         np.testing.assert_allclose(narrow_cs, cs, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("spec, alphas", [("0.9,0.2,0.5,0.2", [0.2, 0.5, 0.9]),
-                                           ("1.0", [1.0])])
-def test_tradeoff_reports_each_level_once_in_ascending_order(tmp_path, spec, alphas):
-    code, out = run(["tradeoff", "--alphas", spec], tmp_path, config=write_config(tmp_path))
-    assert code == 0
-    rows = (out / "tradeoff.csv").read_text().strip().splitlines()[1:]
-    assert [float(row.split(",")[0]) for row in rows] == alphas
-    assert json.loads((out / "tradeoff_summary.json").read_text())["n_alphas"] == len(alphas)
-
-
 def test_adversary_and_simulate_roundtrip(tmp_path):
     config = write_config(tmp_path)
-    code, out = run(["adversary", "--eta", "2.0", "--alpha", "0.9"],
-                    tmp_path, config=config)
+    code, out = run(["adversary", "--alpha", "0.9"], tmp_path, config=config)
     assert code == 0
     adv = json.loads((out / "adversary.json").read_text())
     assert abs(adv["achieved_pa"] - 0.9) < 1e-8
@@ -333,15 +336,14 @@ def test_adversary_and_simulate_roundtrip(tmp_path):
     sim = json.loads((out2 / "simulation.json").read_text())
     res = sim["results"][0]
     assert abs(res["pa_hat"] - 0.9) <= 4.0 * res["pa_stderr"]
-    csv_lines = (out2 / "simulations.csv").read_text().strip().splitlines()
-    assert len(csv_lines) == 2  # header + one N
+    first = {p.name: p.read_bytes() for p in out2.iterdir()}
+    assert len(first["simulations.csv"].decode().strip().splitlines()) == 2  # header + one N
 
-    # append semantics on rerun
+    # a rerun rewrites every artifact, byte for byte
     code3, _ = run(["simulate", "--adversary", str(out / "adversary.json")],
                    tmp_path, name="sim", config=config)
     assert code3 == 0
-    csv_lines = (out2 / "simulations.csv").read_text().strip().splitlines()
-    assert len(csv_lines) == 3
+    assert {p.name: p.read_bytes() for p in out2.iterdir()} == first
 
 
 def test_verify_command(tmp_path):
@@ -464,6 +466,30 @@ def test_non_finite_numbers_fail_at_their_pointer(tmp_path, capsys, text, pointe
     assert not out.exists()
 
 
+# an atom's offset, a float near (eta + 1) delta, places its acceptance only to
+# pdf_max * spacing((eta + 1) delta), the figure on each case; above 1e-8, the tolerance an
+# AtomicAdversary holds acceptance to, the config is refused, even where a run's atoms land
+# within it by luck (sigma 1e-8) and for solve, which builds no atoms
+@pytest.mark.parametrize("config, refused", [
+    ({"eta_grid": {"values": [1e8]}}, False),  # 7.5e-9
+    ({**_noise("truncated-normal", sigma=3e-8), "eta_grid": {"values": [2.0]}}, False),  # 5.9e-9
+    ({"eta_grid": {"values": [1e9]}}, True),  # 6.0e-8
+    ({**_noise("truncated-normal", sigma=3e-9), "eta_grid": {"values": [2.0, 8.0]}}, True),
+    ({**_noise("truncated-normal", sigma=1e-8), "eta_grid": {"values": [2.0]}}, True),  # 1.8e-8
+    # a density of 4e154 at 0, whose model builds although (delta / sigma)^2 overflows
+    ({**_noise("truncated-normal", sigma=1e-155), "eta_grid": {"values": [2.0]}}, True),
+])
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+def test_offsets_must_resolve_acceptance_to_1e_8(tmp_path, capsys, config, refused, command):
+    code, out = run([command], tmp_path, config=write_config(tmp_path, config))
+    assert code == (2 if refused else 0)
+    if refused:
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError" and error["message"].startswith("/eta_grid: eta ")
+        assert "pdf_max * spacing((eta + 1) delta)" in error["message"]
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("config, start", [
     (_noise("truncated-normal"), "/honest_noise/params: truncated-normal noise requires sigma"),
     (_noise("tabulated", xs=[], pdf=[]), "/honest_noise/params: tabulated grid needs"),
@@ -583,6 +609,14 @@ def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
         assert cli.parse_config(path).config_hash == digest
 
 
+# the benchmark workloads: uniform noise up to the default grid's eta 8, and sigma 0.5 up to
+# eta 3; each resolves acceptance far finer than the rule's 1e-8
+@pytest.mark.parametrize("noise, eta", [(noise_model.uniform(1.0), 8.0),
+                                        (noise_model.truncated_normal(1.0, 0.5), 3.0)])
+def test_the_workloads_resolve_acceptance_to_1e_15(noise, eta):
+    assert noise.law.pdf_max * np.spacing((eta + 1.0) * noise.delta) < 1e-15
+
+
 # an alpha outside [ALPHA_MIN, 1] is refused as the --alpha flag refuses it, and so is
 # one the atoms do not achieve: at +/-1.2 they are accepted with probability 0.9
 @pytest.mark.parametrize("field, value, config", [
@@ -593,6 +627,7 @@ def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
     ("alpha", 0.0, {}),
     ("alpha", 7.5, {}),
     ("alpha", 0.5, {}),
+    ("eta", 1e9, {}),  # its offsets place acceptance only to 6e-8
 ])
 def test_simulate_rejects_an_adversary_built_for_another_game(tmp_path, capsys, field, value,
                                                                 config):

@@ -41,7 +41,8 @@ class KernelContext:
     noise: HonestNoiseModel
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.eta)) and np.all(np.asarray(self.eta) >= 2.0)):
+        e = np.asarray(self.eta)
+        if not np.all((e >= 2.0) & (e < np.inf)):  # NaN fails both
             raise DomainError(f"threshold multiple eta must be >= 2, got {self.eta}")
 
     @property

@@ -18,6 +18,9 @@ dominance check draws it once per chunk, keeps it (8 bytes per trial) and
 the generator state after it, and replays each strategy's adversary draw
 from that state, so each of its runs equals a standalone run of the same
 strategy to the bit.
+
+The scenario suite holds its adversarial offsets whole (8 bytes per node and
+realization) and takes everything else in blocks of _SUITE_BLOCK realizations.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .kernel import KernelContext
 from .strategy import AtomicAdversary
 
 DEFAULT_CHUNK_SIZE = 65536
+_SUITE_BLOCK = 8192  # realizations the scenario suite takes at a time
 
 
 # --- adversary strategies ----------------------------------------------------
@@ -130,12 +134,16 @@ def _common_draws(cfg: GameConfig):
 
 
 def _chunk_stats(cfg: GameConfig, honest: np.ndarray, adv: np.ndarray):
-    nmax = np.maximum(honest, adv.max(axis=0))
-    nmin = np.minimum(honest, adv.min(axis=0))
+    nmax = adv.max(axis=0)
+    np.maximum(honest, nmax, out=nmax)
+    nmin = adv.min(axis=0)
+    np.minimum(honest, nmin, out=nmin)
     mask = (nmax - nmin) <= cfg.ctx.eta * cfg.ctx.delta
-    err = 0.5 * (nmax + nmin)[mask]
-    e2 = err * err
-    return int(np.count_nonzero(mask)), float(np.sum(e2)), float(np.sum(e2 * e2))
+    nmax += nmin  # in place from here: the midrange, then its square
+    err = nmax[mask]
+    err *= 0.5
+    err *= err
+    return int(np.count_nonzero(mask)), float(np.sum(err)), float(np.sum(err * err))
 
 
 def run_monte_carlo(cfg: GameConfig, strategy, common=None) -> SimulationResult:
@@ -178,11 +186,15 @@ def run_monte_carlo(cfg: GameConfig, strategy, common=None) -> SimulationResult:
 
 def run_scenario_suite(ctx: KernelContext, n_realizations: int, n_adv: int,
                        seed: int) -> dict:
-    """Vectorized scenario-reduction suite over random valid realizations.
+    """Scenario-reduction suite over random valid realizations, in blocks.
 
     Adversarial noises are drawn as a common center plus offsets within
     +/- eta*delta/2, which guarantees the pairwise-spread precondition, with
     centers wide enough to exercise both accepted and rejected realizations.
+    The offsets are held whole, 8*n_adv bytes per realization; the honest
+    noise and every scenario are taken _SUITE_BLOCK realizations at a time,
+    and only the four counts are kept. The blocks' honest draws continue one
+    stream, so the result is the same for any block size.
     """
     _check_one_game(ctx)
     if n_realizations < 1 or n_adv < 1:
@@ -190,38 +202,42 @@ def run_scenario_suite(ctx: KernelContext, n_realizations: int, n_adv: int,
     bound = ctx.eta * ctx.delta
     rng = np.random.default_rng(seed)
     center = rng.uniform(-ctx.z_hi, ctx.z_hi, n_realizations)
-    offsets = rng.uniform(-0.5 * bound, 0.5 * bound, (n_adv, n_realizations))
-    adv = center + offsets
-    honest = ctx.noise.sample(rng, n_realizations)
+    adv = rng.uniform(-0.5 * bound, 0.5 * bound, (n_adv, n_realizations))
+    adv += center  # center + offsets, in the offsets' buffer
+    del center
 
-    amax = adv.max(axis=0)
-    amin = adv.min(axis=0)
-    fmax = np.maximum(honest, amax)
-    fmin = np.minimum(honest, amin)
-    acc1 = (fmax - fmin) <= bound
-    mid1 = 0.5 * (fmax + fmin)
+    accepted = acceptance_mismatch = error_violations = pair_mismatch = 0
+    for start in range(0, n_realizations, _SUITE_BLOCK):
+        block = adv[:, start:start + _SUITE_BLOCK]
+        honest = ctx.noise.sample(rng, block.shape[1])
 
-    pick = np.argmax(np.abs(adv), axis=0)
-    n_abs = np.take_along_axis(adv, pick[None, :], axis=0)[0]
-    rmax = np.maximum(honest, n_abs)
-    rmin = np.minimum(honest, n_abs)
-    acc2 = (rmax - rmin) <= bound
-    mid2 = 0.5 * (rmax + rmin)
+        fmax = np.maximum(honest, block.max(axis=0))
+        fmin = np.minimum(honest, block.min(axis=0))
+        acc1 = (fmax - fmin) <= bound
+        mid1 = 0.5 * (fmax + fmin)
 
-    # two-node pair: identical extremes as the reduced scenario, so equality
-    # checks below compare independently recomputed values
-    pmax = np.where(honest >= n_abs, honest, n_abs)
-    pmin = np.where(honest >= n_abs, n_abs, honest)
-    acc3 = (pmax - pmin) <= bound
-    mid3 = 0.5 * (pmax + pmin)
+        pick = np.argmax(np.abs(block), axis=0)
+        n_abs = np.take_along_axis(block, pick[None, :], axis=0)[0]
+        rmax = np.maximum(honest, n_abs)
+        rmin = np.minimum(honest, n_abs)
+        acc2 = (rmax - rmin) <= bound
+        mid2 = 0.5 * (rmax + rmin)
 
-    acceptance_mismatch = int(np.count_nonzero(acc1 != acc2))
-    error_violations = int(np.count_nonzero(acc1 & (np.abs(mid1) > np.abs(mid2))))
-    pair_mismatch = int(np.count_nonzero((acc2 != acc3) | (acc2 & (mid2 != mid3))))
+        # two-node pair: identical extremes as the reduced scenario, so equality
+        # checks below compare independently recomputed values
+        pmax = np.where(honest >= n_abs, honest, n_abs)
+        pmin = np.where(honest >= n_abs, n_abs, honest)
+        acc3 = (pmax - pmin) <= bound
+        mid3 = 0.5 * (pmax + pmin)
+
+        accepted += int(np.count_nonzero(acc1))
+        acceptance_mismatch += int(np.count_nonzero(acc1 != acc2))
+        error_violations += int(np.count_nonzero(acc1 & (np.abs(mid1) > np.abs(mid2))))
+        pair_mismatch += int(np.count_nonzero((acc2 != acc3) | (acc2 & (mid2 != mid3))))
     return {
         "realizations": int(n_realizations),
         "adversarial_nodes": int(n_adv),
-        "accepted": int(np.count_nonzero(acc1)),
+        "accepted": accepted,
         "acceptance_mismatches": acceptance_mismatch,
         "error_bound_violations": error_violations,
         "pair_mismatches": pair_mismatch,

@@ -1,5 +1,8 @@
 """Independent oracles the tests check the package against: direct quadrature of
-the kernel and a scalar bisection. The package itself never calls them."""
+the kernel, a scalar bisection and the scenario suite on whole arrays. The
+package itself never calls them."""
+
+import numpy as np
 
 from stackgame.errors import DomainError, NumericalError
 from stackgame.numerics import adaptive_simpson
@@ -59,3 +62,44 @@ def bisect_scalar(f, lo: float, hi: float, *, xtol: float = 1e-12,
             lo = mid
             flo = fmid
     return 0.5 * (lo + hi)
+
+
+def scenario_suite_full(ctx, n_realizations: int, n_adv: int, seed: int) -> dict:
+    """run_scenario_suite's counts from whole (n_adv, R) and R-length arrays:
+    the same draws in the same order, with no blocks."""
+    bound = ctx.eta * ctx.delta
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-ctx.z_hi, ctx.z_hi, n_realizations)
+    offsets = rng.uniform(-0.5 * bound, 0.5 * bound, (n_adv, n_realizations))
+    adv = center + offsets
+    honest = ctx.noise.sample(rng, n_realizations)
+
+    fmax = np.maximum(honest, adv.max(axis=0))
+    fmin = np.minimum(honest, adv.min(axis=0))
+    acc1 = (fmax - fmin) <= bound
+    mid1 = 0.5 * (fmax + fmin)
+
+    pick = np.argmax(np.abs(adv), axis=0)
+    n_abs = np.take_along_axis(adv, pick[None, :], axis=0)[0]
+    rmax = np.maximum(honest, n_abs)
+    rmin = np.minimum(honest, n_abs)
+    acc2 = (rmax - rmin) <= bound
+    mid2 = 0.5 * (rmax + rmin)
+
+    pmax = np.where(honest >= n_abs, honest, n_abs)
+    pmin = np.where(honest >= n_abs, n_abs, honest)
+    acc3 = (pmax - pmin) <= bound
+    mid3 = 0.5 * (pmax + pmin)
+
+    acceptance_mismatch = int(np.count_nonzero(acc1 != acc2))
+    error_violations = int(np.count_nonzero(acc1 & (np.abs(mid1) > np.abs(mid2))))
+    pair_mismatch = int(np.count_nonzero((acc2 != acc3) | (acc2 & (mid2 != mid3))))
+    return {
+        "realizations": int(n_realizations),
+        "adversarial_nodes": int(n_adv),
+        "accepted": int(np.count_nonzero(acc1)),
+        "acceptance_mismatches": acceptance_mismatch,
+        "error_bound_violations": error_violations,
+        "pair_mismatches": pair_mismatch,
+        "passed": acceptance_mismatch == 0 and error_violations == 0 and pair_mismatch == 0,
+    }

@@ -19,6 +19,21 @@ def test_domain_bounds(uniform_ctx):
         accept_prob_quad(uniform_ctx, 3.5)
 
 
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, np.nextafter(2.0, 0.0)],
+                         ids=["nan", "inf", "-inf", "below-2"])
+def test_eta_outside_the_domain_is_refused(uniform_noise, eta):
+    """The one check refuses NaN, +-inf and the float below 2, alone or in a column of etas."""
+    for value in (eta, np.array([[2.0], [eta]])):
+        with pytest.raises(DomainError, match="eta must be >= 2"):
+            sg.KernelContext(value, uniform_noise)
+
+
+def test_eta_at_the_domain_edge_is_accepted(uniform_noise):
+    assert sg.KernelContext(2.0, uniform_noise).eta == 2.0
+    column = np.array([[2.0], [3.0]])
+    assert sg.KernelContext(column, uniform_noise).eta is column
+
+
 def test_uniform_closed_forms(uniform_ctx):
     # k(z) = (3 - z)/2 and nu via the cubic difference, both hand-derived
     zs = np.linspace(1.0, 3.0, 201)

@@ -1,10 +1,14 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import stackgame as sg
+from stackgame import simulator
 from stackgame.errors import DomainError
+
+from oracles import scenario_suite_full
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +179,36 @@ def test_scenario_suite_exact(uniform_ctx):
     assert suite["error_bound_violations"] == 0
     assert suite["pair_mismatches"] == 0
     assert 0 < suite["accepted"] < suite["realizations"]
+
+
+_XS = np.linspace(-1.0, 1.0, 9)
+_SUITE_NOISES = {
+    "uniform": sg.uniform(1.0),
+    "truncated-normal-0.5": sg.truncated_normal(1.0, 0.5),
+    "tabulated": sg.tabulated(_XS, 1.0 - 0.6 * np.abs(_XS)),
+}
+_B = simulator._SUITE_BLOCK
+
+
+@pytest.mark.parametrize("realizations", [1, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("n_adv", [1, 4, 7])
+@pytest.mark.parametrize("kind", list(_SUITE_NOISES))
+def test_scenario_suite_blocks_match_the_whole_arrays(kind, n_adv, realizations):
+    """Blocks that end short, exactly at, or just past a block edge give the whole-array counts."""
+    ctx = sg.KernelContext(2.0, _SUITE_NOISES[kind])
+    assert (sg.run_scenario_suite(ctx, realizations, n_adv, seed=5)
+            == scenario_suite_full(ctx, realizations, n_adv, seed=5))
+
+
+def test_scenario_suite_memory_is_bounded(uniform_ctx):
+    """Only the offsets grow with the realizations (3.2 MB here); the rest is per block."""
+    tracemalloc.start()
+    try:
+        sg.run_scenario_suite(uniform_ctx, 100_000, 4, seed=31337)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_dominance_smoke(uniform_ctx, uniform_env):

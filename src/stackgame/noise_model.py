@@ -36,6 +36,8 @@ _INV_CDF_XTOL = 1e-12
 _CDF_ROUNDING = 1e-15
 # points of the grid on which validate checks symmetry and strict CDF increase
 _VALIDATE_GRID = 1025
+# draws sample transforms at a time: its temporaries hold this many, not all of them
+_SAMPLE_BLOCK = 8192
 # sigma / delta from which a truncated normal takes the forms of _WideNormal
 WIDE_SIGMA = 8.0
 # row j: 1 / (k! (2k + j + 1)), k = 11 down to 0, the series of the j-th partial moment
@@ -304,10 +306,20 @@ class HonestNoiseModel:
         return float(out) if arr.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw count variates via the inverse-CDF transform of rng.random."""
+        """Draw count variates via the inverse-CDF transform of rng.random.
+
+        The uniforms are drawn at once and transformed in place, _SAMPLE_BLOCK
+        at a time, each block round-trip checked by inv_cdf: the values are
+        inv_cdf(rng.random(count)) to the bit, and beyond the output the
+        temporaries hold one block.
+        """
         if count < 0:
             raise DomainError(f"sample count must be nonnegative, got {count}")
-        return np.atleast_1d(self.inv_cdf(rng.random(count)))
+        out = rng.random(count)
+        for start in range(0, count, _SAMPLE_BLOCK):
+            block = out[start:start + _SAMPLE_BLOCK]
+            block[...] = self.inv_cdf(block)
+        return out
 
     def partial_moments(self, L):
         """(M0, M1, M2): integrals of x^k f(x) over [L, delta], L clamped to the support."""

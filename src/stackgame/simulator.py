@@ -14,13 +14,14 @@ reproducible for a given (seed, trials, chunk size). Within a chunk the
 draw order is fixed: honest noise, then adversary noise.
 
 The honest noise is common to every strategy run on one config. The
-dominance check draws it once per chunk, keeps it (8 bytes per trial) and
-the generator state after it, and replays each strategy's adversary draw
-from that state, so each of its runs equals a standalone run of the same
-strategy to the bit.
+dominance check runs its strategies chunk by chunk: it draws a chunk's honest
+noise once, keeps the generator state after it, and replays each strategy's
+adversary draw from that state, so each of its runs equals a standalone run
+of the same strategy to the bit.
 
-The scenario suite holds its adversarial offsets whole (8 bytes per node and
-realization) and takes everything else in blocks of _SUITE_BLOCK realizations.
+The scenario suite reads each of its streams block by block, _SUITE_BLOCK
+realizations at a time. So memory grows with chunk_size and the block sizes,
+never with the trials or the realizations.
 """
 
 from __future__ import annotations
@@ -139,14 +140,50 @@ def _chunk_stats(cfg: GameConfig, honest: np.ndarray, adv: np.ndarray):
     nmin = adv.min(axis=0)
     np.minimum(honest, nmin, out=nmin)
     mask = (nmax - nmin) <= cfg.ctx.eta * cfg.ctx.delta
-    nmax += nmin  # in place from here: the midrange, then its square
+    nmax += nmin  # in place from here: the midrange, then its square and fourth power
     err = nmax[mask]
     err *= 0.5
     err *= err
-    return int(np.count_nonzero(mask)), float(np.sum(err)), float(np.sum(err * err))
+    s2 = float(np.sum(err))
+    err *= err
+    return int(np.count_nonzero(mask)), s2, float(np.sum(err))
 
 
-def run_monte_carlo(cfg: GameConfig, strategy, common=None) -> SimulationResult:
+def _result(trials: int, accepted: int, s2: float, s4: float) -> SimulationResult:
+    pa_hat = accepted / trials
+    pa_stderr = math.sqrt(pa_hat * (1.0 - pa_hat) / trials)
+    if accepted == 0:
+        return SimulationResult(trials, 0, pa_hat, pa_stderr, None, None)
+    mse_hat = s2 / accepted
+    var_e2 = max(s4 / accepted - mse_hat * mse_hat, 0.0)
+    mse_stderr = math.sqrt(var_e2 / accepted)
+    return SimulationResult(trials, accepted, pa_hat, pa_stderr, mse_hat, mse_stderr)
+
+
+def _run_strategies(cfg: GameConfig, strategies) -> list:
+    """Each strategy's SimulationResult, the strategies run chunk by chunk on common draws.
+
+    Each chunk's honest noise is drawn once; every strategy draws its
+    adversary from the state after it, and its sums are merged in chunk order,
+    so each result equals a run of that strategy alone to the bit.
+    """
+    sums = [[0, 0.0, 0.0] for _ in strategies]  # accepted, s2, s4 per strategy
+    n_adv = cfg.n_nodes - 1
+    for rng, state, honest in _common_draws(cfg):
+        count = honest.size
+        for strategy, acc in zip(strategies, sums):
+            rng.bit_generator.state = state  # replay the adversary's draw from the common state
+            # adv is held until the next draw replaces it: freed before that draw, its
+            # pages went back to the OS and were faulted in again (5x verify's minor faults)
+            adv = np.asarray(strategy.sample(rng, count, n_adv), dtype=float)
+            if adv.shape != (n_adv, count):
+                raise DomainError(f"strategy drew shape {adv.shape}, expected {(n_adv, count)}")
+            for k, part in enumerate(_chunk_stats(cfg, honest, adv)):
+                acc[k] += part
+    return [_result(cfg.trials, *acc) for acc in sums]
+
+
+def run_monte_carlo(cfg: GameConfig, strategy) -> SimulationResult:
     """Estimate acceptance probability and conditional MSE for a strategy.
 
     strategy is any object whose sample(rng, count, n_adv) returns the n_adv
@@ -155,31 +192,9 @@ def run_monte_carlo(cfg: GameConfig, strategy, common=None) -> SimulationResult:
     When no trial is accepted the conditional MSE is reported as absent
     (None) rather than zero. pa_stderr is the binomial standard error;
     mse_stderr is the sample standard error of the squared errors among
-    accepted trials. common, which only dominance_check passes, is the list
-    of _common_draws(cfg) already drawn; without it each chunk draws its own.
+    accepted trials. Memory holds one chunk, whatever the trials.
     """
-    accepted = 0
-    s2 = 0.0
-    s4 = 0.0
-    for rng, state, honest in _common_draws(cfg) if common is None else common:
-        rng.bit_generator.state = state  # replay the adversary's draw from the common state
-        n_adv, count = cfg.n_nodes - 1, honest.size
-        adv = np.asarray(strategy.sample(rng, count, n_adv), dtype=float)
-        if adv.shape != (n_adv, count):
-            raise DomainError(f"strategy drew shape {adv.shape}, expected {(n_adv, count)}")
-        acc, p2, p4 = _chunk_stats(cfg, honest, adv)  # merged in chunk order
-        accepted += acc
-        s2 += p2
-        s4 += p4
-
-    pa_hat = accepted / cfg.trials
-    pa_stderr = math.sqrt(pa_hat * (1.0 - pa_hat) / cfg.trials)
-    if accepted == 0:
-        return SimulationResult(cfg.trials, 0, pa_hat, pa_stderr, None, None)
-    mse_hat = s2 / accepted
-    var_e2 = max(s4 / accepted - mse_hat * mse_hat, 0.0)
-    mse_stderr = math.sqrt(var_e2 / accepted)
-    return SimulationResult(cfg.trials, accepted, pa_hat, pa_stderr, mse_hat, mse_stderr)
+    return _run_strategies(cfg, [strategy])[0]
 
 
 # --- scenario reductions (exact, noise-space) ---------------------------------
@@ -191,25 +206,29 @@ def run_scenario_suite(ctx: KernelContext, n_realizations: int, n_adv: int,
     Adversarial noises are drawn as a common center plus offsets within
     +/- eta*delta/2, which guarantees the pairwise-spread precondition, with
     centers wide enough to exercise both accepted and rejected realizations.
-    The offsets are held whole, 8*n_adv bytes per realization; the honest
-    noise and every scenario are taken _SUITE_BLOCK realizations at a time,
-    and only the four counts are kept. The blocks' honest draws continue one
-    stream, so the result is the same for any block size.
+    default_rng(seed) would draw the centers, then each node's offsets, then
+    the honest noise, R = n_realizations doubles each. Here each of those
+    n_adv + 2 streams has its own generator, PCG64(seed) advanced by k*R
+    doubles, read block by block; uniform and random take one 64-bit output
+    per double, so every block gets the values of the whole arrays. Only the
+    four counts are kept, and memory holds one block of _SUITE_BLOCK
+    realizations, whatever n_realizations.
     """
     _check_one_game(ctx)
     if n_realizations < 1 or n_adv < 1:
         raise DomainError("need at least one realization and one adversarial node")
     bound = ctx.eta * ctx.delta
-    rng = np.random.default_rng(seed)
-    center = rng.uniform(-ctx.z_hi, ctx.z_hi, n_realizations)
-    adv = rng.uniform(-0.5 * bound, 0.5 * bound, (n_adv, n_realizations))
-    adv += center  # center + offsets, in the offsets' buffer
-    del center
+    center_rng, *offset_rngs, honest_rng = (
+        np.random.Generator(np.random.PCG64(seed).advance(k * n_realizations))
+        for k in range(n_adv + 2))
 
     accepted = acceptance_mismatch = error_violations = pair_mismatch = 0
     for start in range(0, n_realizations, _SUITE_BLOCK):
-        block = adv[:, start:start + _SUITE_BLOCK]
-        honest = ctx.noise.sample(rng, block.shape[1])
+        count = min(_SUITE_BLOCK, n_realizations - start)
+        center = center_rng.uniform(-ctx.z_hi, ctx.z_hi, count)
+        block = np.array([r.uniform(-0.5 * bound, 0.5 * bound, count) for r in offset_rngs])
+        block += center  # center + offsets, in the offsets' buffer
+        honest = ctx.noise.sample(honest_rng, count)
 
         fmax = np.maximum(honest, block.max(axis=0))
         fmin = np.minimum(honest, block.min(axis=0))
@@ -291,20 +310,19 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceRepo
     """Monte Carlo test that no candidate beats the optimum's utility.
 
     All runs share the same seed, so candidate-vs-optimum comparisons use
-    common random numbers. The common part of each chunk, the honest noise,
-    is drawn once and held, 8 bytes per trial; each strategy replays its
-    adversary draw from the generator state saved after it, so every entry
-    equals a standalone run_monte_carlo of its strategy. One loop scores the
-    optimum first, then each candidate. A candidate is flagged only when its
-    estimated utility exceeds the optimum's by more than 4 combined standard
-    errors. Candidates with no accepted trials have undefined utility and
-    cannot be flagged; they are recorded with a note. An optimum with none
-    raises NumericalError.
+    common random numbers. The optimum and every candidate run together,
+    chunk by chunk: each chunk's honest noise is drawn once and each strategy
+    replays its adversary draw from the generator state saved after it, so
+    every entry equals a standalone run_monte_carlo of its strategy, and
+    memory holds one chunk whatever the trials. A candidate is flagged only
+    when its estimated utility exceeds the optimum's by more than 4 combined
+    standard errors. Candidates with no accepted trials have undefined
+    utility and cannot be flagged; they are recorded with a note. An optimum
+    with none raises NumericalError, once every strategy has run.
     """
-    common = list(_common_draws(cfg))
+    labels, strategies = zip(("optimum", optimum), *candidates)
     scored = []  # the optimum's entry, then each candidate's
-    for label, strat in [("optimum", optimum), *candidates]:
-        res = run_monte_carlo(cfg, strat, common)
+    for label, res in zip(labels, _run_strategies(cfg, strategies)):
         if res.mse_hat is None:
             if not scored:
                 raise NumericalError("optimum strategy produced no accepted trials")

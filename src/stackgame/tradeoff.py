@@ -8,8 +8,9 @@ two-atom segment it is monotone in the mixing weight and the optimum sits at
 a vertex (single atom) or at the weight where the acceptance constraint
 binds. Singles plus binding pairs therefore cover the search space; a random
 three-atom probe in the tests spot-checks this reduction. The pair search runs
-in blocks of rows and returns the same first maximum as one search over every
-pair would.
+in blocks of rows, filled in place into two (ORACLE_BLOCK, grid) buffers
+allocated once per call, and returns the same first maximum as one search
+over every pair would.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .numerics import adaptive_simpson
 ALPHA_MIN = 1e-3  # lowest reported level: below it the conditional MSE means little
 DEFAULT_ORACLE_GRID = 2048
 MIN_ORACLE_GRID = 64
-ORACLE_BLOCK = 64  # hi rows per block of the pair search: its memory is O(64 * grid)
+ORACLE_BLOCK = 64  # hi rows per block of the pair search: two 64 x grid buffers
 QUAD_TOL = 1e-10  # absolute tolerance of the oracle table's quadrature, scaled by delta^k
 
 
@@ -128,17 +129,25 @@ def oracle_c2_witness(ctx: KernelContext, alpha: float,
     # pairs need an atom on each side of alpha. A block's maximum replaces the
     # best only when strictly greater: the first maximum in row order, as one
     # argmax over the whole matrix picks
+    gap = alpha - k_lo
+    w_buf = np.empty((min(ORACLE_BLOCK, k_hi.size), k_lo.size))
+    num_buf = np.empty_like(w_buf)
     for start in range(0, k_hi.size if k_lo.size else 0, ORACLE_BLOCK):
         rows = slice(start, start + ORACLE_BLOCK)
-        w = (alpha - k_lo) / (k_hi[rows, None] - k_lo)  # in (0, 1) by construction
-        num = w * nu_hi[rows, None] + (1.0 - w) * nu_lo
-        ratios = num / (4.0 * alpha)
-        flat = int(np.argmax(ratios))
-        val = float(ratios.flat[flat])
+        w, num = w_buf[:k_hi.size - start], num_buf[:k_hi.size - start]
+        np.subtract(k_hi[rows, None], k_lo, out=w)
+        np.divide(gap, w, out=w)  # the hi atom's weight, in (0, 1) by construction
+        np.subtract(1.0, w, out=num)
+        num *= nu_lo
+        w *= nu_hi[rows, None]
+        num += w  # (1 - w) nu_lo + w nu_hi: addition commutes, so these are its bits
+        num /= 4.0 * alpha
+        flat = int(np.argmax(num))
+        val = float(num.flat[flat])
         if val > best:
             best = val
-            i, j = np.unravel_index(flat, ratios.shape)
-            w_ij = float(w[i, j])
+            i, j = np.unravel_index(flat, num.shape)
+            w_ij = float(gap[j] / (k_hi[start + i] - k_lo[j]))
             witness = ((float(zs_hi[start + i]), w_ij), (float(zs_lo[j]), 1.0 - w_ij))
 
     if witness is None:

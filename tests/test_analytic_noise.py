@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import stackgame as sg
 from stackgame.errors import NumericalError
 from stackgame.envelope import build_envelope
-from stackgame.noise_model import KINDS
+from stackgame.noise_model import _SAMPLE_BLOCK, KINDS
 from stackgame.numerics import adaptive_simpson
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -127,6 +127,19 @@ def test_inv_cdf_round_trip_check_raises(monkeypatch):
         model.inv_cdf(np.array([0.3, 0.7]))
     with pytest.raises(NumericalError):
         model.sample(np.random.default_rng(0), 10)
+
+
+def test_a_miss_in_the_last_sample_block_raises(monkeypatch):
+    """The round-trip check covers every block: one miss in the last one still raises."""
+    model = sg.truncated_normal(1.0, 0.5)
+    count = 3 * _SAMPLE_BLOCK + 5
+    draws = np.random.default_rng(9).random(count)
+    target = draws[-1]  # the draw with index 3B + 4, and no other
+    assert np.count_nonzero(draws == target) == 1
+    exact = model.law.inv_cdf
+    monkeypatch.setattr(model.law, "inv_cdf", lambda p: exact(p) + 1e-9 * (p == target))
+    with pytest.raises(NumericalError, match="misses its target"):
+        model.sample(np.random.default_rng(9), count)
 
 
 def test_tabulated_matches_the_family_it_tabulates():

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import stackgame as sg
 from stackgame.errors import DomainError
-from stackgame.noise_model import KINDS
+from stackgame.noise_model import _SAMPLE_BLOCK, KINDS, WIDE_SIGMA
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,43 @@ def test_sample_count_zero():
     rng = np.random.default_rng(0)
     out = sg.uniform(1.0).sample(rng, 0)
     assert out.shape == (0,)
+
+
+_XS = np.linspace(-1.0, 1.0, 9)
+_BLOCK_MODELS = {
+    "uniform": sg.uniform(1.0),
+    "triangular": sg.triangular(1.0),
+    "truncated-normal-0.5": sg.truncated_normal(1.0, 0.5),
+    "wide-normal": sg.truncated_normal(1.0, 2.0 * WIDE_SIGMA),
+    "tabulated": sg.tabulated(_XS, 1.0 - 0.6 * np.abs(_XS)),
+}
+_B = _SAMPLE_BLOCK
+
+
+@pytest.mark.parametrize("count", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("kind", list(_BLOCK_MODELS))
+def test_blocked_sample_is_the_whole_transform(kind, count):
+    """Blocks that end short, exactly at, or just past a block edge give inv_cdf of all the
+    uniforms at once, to the bit, and leave the generator where one draw of them does."""
+    model = _BLOCK_MODELS[kind]
+    rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+    got = model.sample(rng, count)
+    want = model.inv_cdf(twin.random(count))
+    assert got.shape == (count,)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_sample_memory_is_the_output_alone():
+    # 10**6 draws are 7.6 MiB; transforming them whole held four more arrays that size
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        sg.uniform(1.0).sample(rng, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_validate_passes(all_models):

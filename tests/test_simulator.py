@@ -201,14 +201,14 @@ def test_scenario_suite_blocks_match_the_whole_arrays(kind, n_adv, realizations)
 
 
 def test_scenario_suite_memory_is_bounded(uniform_ctx):
-    """Only the offsets grow with the realizations (3.2 MB here); the rest is per block."""
+    """Every stream is read per block: the whole offsets alone would be 3.2 MB here."""
     tracemalloc.start()
     try:
         sg.run_scenario_suite(uniform_ctx, 100_000, 4, seed=31337)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 def test_dominance_smoke(uniform_ctx, uniform_env):
@@ -257,6 +257,27 @@ def test_dominance_entries_equal_standalone_runs():
         assert (entry.pa_hat, entry.mse_hat) == (res.pa_hat, res.mse_hat), entry.label
         if res.mse_hat is not None:
             assert entry.utility == float(spec.adversary.value(res.mse_hat, res.pa_hat))
+
+
+def _dominance_peak_bytes(ctx, trials):
+    spec = sg.UtilitySpec.from_spec({})
+    cfg = sg.GameConfig(ctx=ctx, n_nodes=3, trials=trials, seed=8)
+    candidates = [("replicated", sg.ReplicatedStrategy([-1.5, 0.0, 1.5], [0.25, 0.5, 0.25])),
+                  ("iid", sg.IidStrategy([-1.5, 1.5], [0.5, 0.5]))]
+    tracemalloc.start()
+    try:
+        sg.dominance_check(cfg, spec, candidates, sg.ReplicatedStrategy([-1.2, 1.2], [0.5, 0.5]))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dominance_memory_does_not_grow_with_the_trials(uniform_ctx):
+    """The strategies run chunk by chunk, so four chunks of trials peak as one does;
+    holding every chunk's honest draw would add 8 bytes per trial."""
+    chunk = simulator.DEFAULT_CHUNK_SIZE
+    one, four = (_dominance_peak_bytes(uniform_ctx, k * chunk) for k in (1, 4))
+    assert four - one < 0.25 * 2**20
 
 
 def test_dominance_refuses_an_optimum_with_no_accepted_trials(uniform_ctx):

@@ -11,13 +11,15 @@ Trials are split into fixed-size chunks; each chunk draws from its own
 counter-based substream (Philox keyed by the seed, jumped by the chunk
 index) and partial sums are merged in chunk order, so results are bitwise
 reproducible for a given (seed, trials, chunk size). Within a chunk the
-draw order is fixed: honest noise, then adversary noise.
+draw order is fixed: honest noise, then one (rows, count) uniform draw.
 
-The honest noise is common to every strategy run on one config. The
-dominance check runs its strategies chunk by chunk: it draws a chunk's honest
-noise once, keeps the generator state after it, and replays each strategy's
-adversary draw from that state, so each of its runs equals a standalone run
-of the same strategy to the bit.
+The collector reads the adversary's n-1 noises only through their lowest
+and highest, so a strategy maps its rows of the chunk's uniforms to those
+two extremes, _STATS_BLOCK trials at a time. Row 0 holds the values of
+rng.random(count), and the first k rows those of rng.random((k, count)).
+So strategies run together read one draw, of the most rows any of them
+reads: the dominance check draws each chunk once for the optimum and every
+candidate, and each of its runs equals a standalone run to the bit.
 
 The scenario suite reads each of its streams block by block, _SUITE_BLOCK
 realizations at a time. So memory grows with chunk_size and the block sizes,
@@ -37,6 +39,7 @@ from .strategy import AtomicAdversary
 
 DEFAULT_CHUNK_SIZE = 65536
 _SUITE_BLOCK = 8192  # realizations the scenario suite takes at a time
+_STATS_BLOCK = 8192  # trials a strategy's extremes and statistics take at a time
 
 
 # --- adversary strategies ----------------------------------------------------
@@ -64,24 +67,31 @@ class ReplicatedStrategy:
     def from_atomic(cls, adv: AtomicAdversary) -> "ReplicatedStrategy":
         return cls(*zip(*adv.atoms))
 
-    def _atoms(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """The atoms rng.choice(K, shape, p=weights) picks from the same draws, by its own
-        rule (normalized-CDF cuts at or below rng.random(shape)), at a quarter of its cost."""
-        u = rng.random(shape)
+    def _atoms(self, u: np.ndarray) -> np.ndarray:
+        """The atoms rng.choice(K, u.shape, p=weights) picks from the draws u = rng.random(shape),
+        by its own rule (normalized-CDF cuts at or below u), at a quarter of its cost."""
         idx = np.zeros(u.shape, dtype=np.intp)
         for cut in self._cuts:
             idx += u >= cut
         return self.locations[idx]
 
-    def sample(self, rng: np.random.Generator, count: int, n_adv: int) -> np.ndarray:
-        return np.broadcast_to(self._atoms(rng, count), (n_adv, count))
+    def rows(self, n_adv: int) -> int:
+        return 1
+
+    def extremes(self, u: np.ndarray):
+        z = self._atoms(u[0])
+        return z, z
 
 
 class IidStrategy(ReplicatedStrategy):
     """An independent draw from an atom mixture for each controlled node."""
 
-    def sample(self, rng: np.random.Generator, count: int, n_adv: int) -> np.ndarray:
-        return self._atoms(rng, (n_adv, count))
+    def rows(self, n_adv: int) -> int:
+        return n_adv
+
+    def extremes(self, u: np.ndarray):
+        z = self._atoms(u)
+        return z.min(axis=0), z.max(axis=0)
 
 
 # --- the simulation loop ------------------------------------------------------
@@ -124,31 +134,6 @@ class SimulationResult:
         return asdict(self)
 
 
-def _common_draws(cfg: GameConfig):
-    """Per chunk, in order: its generator, the state after the honest noise, the honest noise."""
-    for index, offset in enumerate(range(0, cfg.trials, cfg.chunk_size)):
-        count = min(cfg.chunk_size, cfg.trials - offset)
-        bitgen = np.random.Philox(key=cfg.seed)
-        rng = np.random.Generator(bitgen.jumped(index) if index else bitgen)
-        honest = cfg.ctx.noise.sample(rng, count)
-        yield rng, rng.bit_generator.state, honest
-
-
-def _chunk_stats(cfg: GameConfig, honest: np.ndarray, adv: np.ndarray):
-    nmax = adv.max(axis=0)
-    np.maximum(honest, nmax, out=nmax)
-    nmin = adv.min(axis=0)
-    np.minimum(honest, nmin, out=nmin)
-    mask = (nmax - nmin) <= cfg.ctx.eta * cfg.ctx.delta
-    nmax += nmin  # in place from here: the midrange, then its square and fourth power
-    err = nmax[mask]
-    err *= 0.5
-    err *= err
-    s2 = float(np.sum(err))
-    err *= err
-    return int(np.count_nonzero(mask)), s2, float(np.sum(err))
-
-
 def _result(trials: int, accepted: int, s2: float, s4: float) -> SimulationResult:
     pa_hat = accepted / trials
     pa_stderr = math.sqrt(pa_hat * (1.0 - pa_hat) / trials)
@@ -160,41 +145,76 @@ def _result(trials: int, accepted: int, s2: float, s4: float) -> SimulationResul
     return SimulationResult(trials, accepted, pa_hat, pa_stderr, mse_hat, mse_stderr)
 
 
-def _run_strategies(cfg: GameConfig, strategies) -> list:
-    """Each strategy's SimulationResult, the strategies run chunk by chunk on common draws.
+def _chunk_stats(strategy, u: np.ndarray, honest: np.ndarray, bound: float, err: np.ndarray):
+    """A strategy's (accepted, s2, s4) over one chunk, from its rows u of the chunk's uniforms.
 
-    Each chunk's honest noise is drawn once; every strategy draws its
-    adversary from the state after it, and its sums are merged in chunk order,
-    so each result equals a run of that strategy alone to the bit.
+    The extremes are formed _STATS_BLOCK trials at a time and the accepted
+    trials' doubled midranges are packed into err, so err[:accepted] is the
+    whole chunk's nmax[mask] and its sums keep their pairwise order.
     """
-    sums = [[0, 0.0, 0.0] for _ in strategies]  # accepted, s2, s4 per strategy
+    kept = 0
+    for start in range(0, honest.size, _STATS_BLOCK):
+        block = slice(start, start + _STATS_BLOCK)
+        h = honest[block]
+        lo, hi = strategy.extremes(u[:, block])
+        if np.shape(lo) != h.shape or np.shape(hi) != h.shape:
+            raise DomainError(f"strategy gave extremes of shapes {np.shape(lo)} and "
+                              f"{np.shape(hi)}, expected {h.shape}")
+        nmax = np.maximum(h, hi)
+        nmin = np.minimum(h, lo)
+        mask = nmax - nmin <= bound
+        nmax += nmin  # twice the midrange
+        k = int(np.count_nonzero(mask))
+        np.compress(mask, nmax, out=err[kept:kept + k])
+        kept += k
+    err = err[:kept]  # in place from here: the midrange, then its square and fourth power
+    err *= 0.5
+    err *= err
+    s2 = float(np.sum(err))
+    err *= err
+    return kept, s2, float(np.sum(err))
+
+
+def _run_strategies(cfg: GameConfig, strategies) -> list:
+    """Each strategy's [accepted, s2, s4], the strategies run together on one draw per chunk.
+
+    A strategy reads the first rows(n_adv) rows of the draw, the values a run
+    of it alone draws, and its sums are merged in chunk order, so each equals
+    a run of that strategy alone to the bit.
+    """
     n_adv = cfg.n_nodes - 1
-    for rng, state, honest in _common_draws(cfg):
-        count = honest.size
-        for strategy, acc in zip(strategies, sums):
-            rng.bit_generator.state = state  # replay the adversary's draw from the common state
-            # adv is held until the next draw replaces it: freed before that draw, its
-            # pages went back to the OS and were faulted in again (5x verify's minor faults)
-            adv = np.asarray(strategy.sample(rng, count, n_adv), dtype=float)
-            if adv.shape != (n_adv, count):
-                raise DomainError(f"strategy drew shape {adv.shape}, expected {(n_adv, count)}")
-            for k, part in enumerate(_chunk_stats(cfg, honest, adv)):
+    rows = [strategy.rows(n_adv) for strategy in strategies]
+    depth = max(rows)
+    size = min(cfg.chunk_size, cfg.trials)
+    uniforms, err = np.empty(depth * size), np.empty(size)  # reused by every chunk
+    bound = cfg.ctx.eta * cfg.ctx.delta
+    sums = [[0, 0.0, 0.0] for _ in strategies]
+    for index, start in enumerate(range(0, cfg.trials, cfg.chunk_size)):
+        count = min(cfg.chunk_size, cfg.trials - start)
+        bitgen = np.random.Philox(key=cfg.seed)
+        rng = np.random.Generator(bitgen.jumped(index) if index else bitgen)
+        honest = cfg.ctx.noise.sample(rng, count)
+        u = rng.random(out=uniforms[:depth * count].reshape(depth, count))
+        for strategy, r, acc in zip(strategies, rows, sums):
+            for k, part in enumerate(_chunk_stats(strategy, u[:r], honest, bound, err)):
                 acc[k] += part
-    return [_result(cfg.trials, *acc) for acc in sums]
+        del honest  # released before the next chunk's draw, so two never overlap
+    return sums
 
 
 def run_monte_carlo(cfg: GameConfig, strategy) -> SimulationResult:
     """Estimate acceptance probability and conditional MSE for a strategy.
 
-    strategy is any object whose sample(rng, count, n_adv) returns the n_adv
-    controlled nodes' noises as an (n_adv, count) array; a draw of another
-    shape raises DomainError rather than simulating another node count.
-    When no trial is accepted the conditional MSE is reported as absent
-    (None) rather than zero. pa_stderr is the binomial standard error;
-    mse_stderr is the sample standard error of the squared errors among
-    accepted trials. Memory holds one chunk, whatever the trials.
+    strategy is any object with two methods: rows(n_adv), how many rows of a
+    chunk's uniforms it reads, and extremes(u), which maps u[:rows, block] to
+    the n_adv controlled nodes' lowest and highest noise in each trial of
+    the block. Extremes of another shape raise DomainError. When no trial is
+    accepted the conditional MSE is reported as absent (None) rather than
+    zero. pa_stderr is the binomial standard error; mse_stderr is the sample
+    standard error of the squared errors among accepted trials. Memory holds
+    one chunk, whatever the trials.
     """
-    return _run_strategies(cfg, [strategy])[0]
+    return _result(cfg.trials, *_run_strategies(cfg, [strategy])[0])
 
 
 # --- scenario reductions (exact, noise-space) ---------------------------------
@@ -311,18 +331,19 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceRepo
 
     All runs share the same seed, so candidate-vs-optimum comparisons use
     common random numbers. The optimum and every candidate run together,
-    chunk by chunk: each chunk's honest noise is drawn once and each strategy
-    replays its adversary draw from the generator state saved after it, so
-    every entry equals a standalone run_monte_carlo of its strategy, and
-    memory holds one chunk whatever the trials. A candidate is flagged only
-    when its estimated utility exceeds the optimum's by more than 4 combined
-    standard errors. Candidates with no accepted trials have undefined
-    utility and cannot be flagged; they are recorded with a note. An optimum
-    with none raises NumericalError, once every strategy has run.
+    chunk by chunk, on one draw per chunk: its honest noise, then the rows of
+    uniforms the most demanding strategy reads. Each strategy reads its own
+    first rows, so every entry equals a standalone run_monte_carlo of its
+    strategy, and memory holds one chunk whatever the trials. A candidate is
+    flagged only when its estimated utility exceeds the optimum's by more
+    than 4 combined standard errors. Candidates with no accepted trials have
+    undefined utility and cannot be flagged; they are recorded with a note.
+    An optimum with none raises NumericalError, once every strategy has run.
     """
     labels, strategies = zip(("optimum", optimum), *candidates)
     scored = []  # the optimum's entry, then each candidate's
-    for label, res in zip(labels, _run_strategies(cfg, strategies)):
+    for label, sums in zip(labels, _run_strategies(cfg, strategies)):
+        res = _result(cfg.trials, *sums)
         if res.mse_hat is None:
             if not scored:
                 raise NumericalError("optimum strategy produced no accepted trials")

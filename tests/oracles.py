@@ -1,6 +1,6 @@
 """Independent oracles the tests check the package against: direct quadrature of
-the kernel, a scalar bisection and the scenario suite on whole arrays. The
-package itself never calls them."""
+the kernel, a scalar bisection, and the scenario suite and the Monte Carlo
+chunk statistics on whole arrays. The package itself never calls them."""
 
 import numpy as np
 
@@ -103,3 +103,20 @@ def scenario_suite_full(ctx, n_realizations: int, n_adv: int, seed: int) -> dict
         "pair_mismatches": pair_mismatch,
         "passed": acceptance_mismatch == 0 and error_violations == 0 and pair_mismatch == 0,
     }
+
+
+def chunk_stats_whole(ctx, honest, adv) -> tuple:
+    """One chunk's (accepted, s2, s4) from the whole (n_adv, count) array of adversarial
+    noises: every node's noise held at once and reduced over the nodes, with no blocks."""
+    nmax = adv.max(axis=0)
+    np.maximum(honest, nmax, out=nmax)
+    nmin = adv.min(axis=0)
+    np.minimum(honest, nmin, out=nmin)
+    mask = (nmax - nmin) <= ctx.eta * ctx.delta
+    nmax += nmin  # in place from here: the midrange, then its square and fourth power
+    err = nmax[mask]
+    err *= 0.5
+    err *= err
+    s2 = float(np.sum(err))
+    err *= err
+    return int(np.count_nonzero(mask)), s2, float(np.sum(err))

@@ -8,7 +8,7 @@ import stackgame as sg
 from stackgame import simulator
 from stackgame.errors import DomainError
 
-from oracles import scenario_suite_full
+from oracles import chunk_stats_whole, scenario_suite_full
 
 
 @pytest.fixture(scope="module")
@@ -17,10 +17,12 @@ def base_cfg(uniform_ctx):
 
 
 def test_replicated_strategy_shape(rng):
+    """One row of uniforms, one atom per trial: both extremes are that atom."""
     strat = sg.ReplicatedStrategy([-2.0, 2.0], [0.5, 0.5])
-    out = strat.sample(rng, 100, 3)
-    assert out.shape == (3, 100)
-    assert np.all(out == out[0])
+    assert strat.rows(3) == 1
+    lo, hi = strat.extremes(rng.random((1, 100)))
+    assert lo.shape == (100,)
+    assert np.array_equal(lo, hi) and set(lo) == {-2.0, 2.0}
     with pytest.raises(DomainError):
         sg.ReplicatedStrategy([1.0, 2.0], [0.7, 0.7])
 
@@ -41,22 +43,29 @@ def _rng():
     return np.random.Generator(np.random.Philox(key=77))
 
 
+def _chunk_rng(cfg, index: int):
+    """The generator of chunk index: Philox keyed by the seed, jumped by the index."""
+    bitgen = np.random.Philox(key=cfg.seed)
+    return np.random.Generator(bitgen.jumped(index) if index else bitgen)
+
+
 @pytest.mark.parametrize("weights", [[1.0], [0.3, 0.7], [0.2, 0.5, 0.3], [0.1, 0.2, 0.3, 0.4],
                                      [0.4, 0.1, 0.1, 0.3, 0.1], [1 / 6] * 6, [0.1] * 10])
 def test_atom_picks_match_rng_choice(weights):
-    """Each strategy picks the atoms rng.choice(K, shape, p=weights) picks, from the
-    same draws: the next draw after the pick matches too."""
+    """Each strategy's extremes are those of the atoms rng.choice(K, shape, p=weights)
+    picks from the same draws: the next draw after the pick matches too."""
     k = len(weights)
     locations = np.arange(k, dtype=float)
     replicated, iid = sg.ReplicatedStrategy(locations, weights), sg.IidStrategy(locations, weights)
     for count in (0, 1, 1000):
         for n_adv in (1, 3):
-            for strategy, shape in ((replicated, count), (iid, (n_adv, count))):
+            for strategy, rows in ((replicated, 1), (iid, n_adv)):
+                assert strategy.rows(n_adv) == rows
                 ref_rng, rng = _rng(), _rng()
-                ref = ref_rng.choice(k, size=shape, p=weights).astype(float)
-                got = strategy.sample(rng, count, n_adv)
-                assert got.shape == (n_adv, count)
-                assert np.array_equal(got, np.broadcast_to(ref, (n_adv, count)))
+                picks = ref_rng.choice(k, size=(rows, count), p=weights).astype(float)
+                lo, hi = strategy.extremes(rng.random((rows, count)))
+                assert np.array_equal(lo, picks.min(axis=0))
+                assert np.array_equal(hi, picks.max(axis=0))
                 assert rng.random() == ref_rng.random()
 
 
@@ -83,8 +92,8 @@ def test_chunk_size_changes_stream_but_stays_reproducible(base_cfg):
 
 
 def test_monte_carlo_stream_is_pinned(uniform_ctx):
-    # the per-chunk draw order (honest noise, then adversary noise) is the
-    # stream contract: adding, dropping or reordering a draw moves these
+    # the per-chunk draw order (honest noise, then the adversary's uniforms) is
+    # the stream contract: adding, dropping or reordering a draw moves these
     cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=10_000, seed=2024, chunk_size=4096)
     locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]
     replicated = sg.ReplicatedStrategy(locs, weights)
@@ -107,23 +116,30 @@ def estimate(y) -> float:
 
 @pytest.mark.parametrize("iid", [False, True])
 def test_monte_carlo_matches_a_per_trial_reference(uniform_ctx, iid):
-    """Every trial replayed from the same substreams in the same draw order,
-    accepted and estimated one report vector at a time in value space. The
-    collected values come from a generator of their own: no statistic reads them."""
-    locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]  # +/-1.5: accepted 3/4
+    """Every trial replayed from the same substreams in the same draw order, each
+    node's atom picked from the chunk's uniforms by rng.choice's cut rule in plain
+    Python, and accepted and estimated one report vector at a time in value space.
+    The collected values come from a generator of their own: no statistic reads them."""
+    locs, weights = [-1.5, 0.0, 1.5], [0.25, 0.5, 0.25]  # +/-1.5: accepted 3/4
     strategy = (sg.IidStrategy if iid else sg.ReplicatedStrategy)(locs, weights)
     cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=2500, seed=31, chunk_size=1000)
+    n_adv = cfg.n_nodes - 1
+    cuts = [sum(weights[:j + 1]) / sum(weights) for j in range(len(weights))]
+
+    def atom(x: float) -> float:  # the first atom whose normalized CDF exceeds x
+        return locs[sum(1 for cut in cuts if cut <= x)]
+
     values = np.random.default_rng(8)
     accepted, s2 = 0, 0.0
     for index, start in enumerate(range(0, cfg.trials, cfg.chunk_size)):
         count = min(cfg.chunk_size, cfg.trials - start)
-        bitgen = np.random.Philox(key=cfg.seed)
-        rng = np.random.Generator(bitgen.jumped(index) if index else bitgen)
+        rng = _chunk_rng(cfg, index)
         u = values.uniform(-1000.0, 1000.0, count)
         honest = cfg.ctx.noise.sample(rng, count)
-        adv = strategy.sample(rng, count, cfg.n_nodes - 1)
+        draws = rng.random((n_adv if iid else 1, count))
         for i in range(count):
-            noise = [float(honest[i])] + [float(a) for a in adv[:, i]]
+            adv = [atom(float(draws[j if iid else 0, i])) for j in range(n_adv)]
+            noise = [float(honest[i])] + adv
             if accept(noise, cfg.ctx.eta, cfg.ctx.delta):
                 accepted += 1
                 s2 += (estimate([float(u[i]) + n for n in noise]) - float(u[i])) ** 2
@@ -148,18 +164,23 @@ def test_zero_acceptance_flagged(uniform_ctx):
     assert res.mse_hat is None and res.mse_stderr is None
 
 
-@pytest.mark.parametrize("shape", [lambda count, n_adv: (2, count),
-                                   lambda count, n_adv: (n_adv, count + 1),
-                                   lambda count, n_adv: (count,)],
+def _scaled(u):
+    return 0.2 * u - 0.1
+
+
+@pytest.mark.parametrize("extremes", [lambda u: (_scaled(np.vstack([u, u])),) * 2,
+                                      lambda u: (_scaled(np.append(u[0], 0.5)),) * 2,
+                                      lambda u: (_scaled(u[:1]),) * 2],
                          ids=["node-count", "trial-count", "one-axis"])
-def test_run_monte_carlo_refuses_a_wrong_shaped_draw(uniform_ctx, shape):
-    """Any object with sample(rng, count, n_adv) is a strategy; its draw must be (n_adv, count)."""
-    strategy = SimpleNamespace(
-        sample=lambda r, count, n_adv: r.normal(0.0, 0.1, shape(count, n_adv)))
+def test_run_monte_carlo_refuses_a_wrong_shaped_draw(uniform_ctx, extremes):
+    """Any object with rows(n_adv) and extremes(u) is a strategy; its extremes must each be
+    one value per trial of the block: not one per node, nor one trial too many, nor a
+    (1, block) row with a second axis."""
     cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=2, trials=1000, seed=9)
+    strategy = SimpleNamespace(rows=lambda n_adv: n_adv, extremes=extremes)
     with pytest.raises(DomainError, match="shape"):
-        sg.run_monte_carlo(cfg, strategy)  # two nodes: each chunk must draw (1, count)
-    right = SimpleNamespace(sample=lambda r, count, n_adv: r.normal(0.0, 0.1, (n_adv, count)))
+        sg.run_monte_carlo(cfg, strategy)
+    right = SimpleNamespace(rows=lambda n_adv: n_adv, extremes=lambda u: (_scaled(u[0]),) * 2)
     assert sg.run_monte_carlo(cfg, right).trials == 1000
 
 
@@ -244,8 +265,9 @@ def test_dominance_entries_equal_standalone_runs():
     candidates = [
         ("replicated", sg.ReplicatedStrategy(locs, weights)),
         ("iid", sg.IidStrategy(locs, weights)),
-        ("joint", SimpleNamespace(
-            sample=lambda r, count, n_adv: r.normal(0.0, 0.8, (n_adv, count)))),
+        ("joint", SimpleNamespace(  # every node uniform on [-0.8, 0.8], not atomic
+            rows=lambda n_adv: n_adv,
+            extremes=lambda u: (1.6 * u.min(axis=0) - 0.8, 1.6 * u.max(axis=0) - 0.8))),
         ("never", sg.ReplicatedStrategy([50.0], [1.0])),
     ]
     report = sg.dominance_check(cfg, spec, candidates, optimum)
@@ -259,11 +281,12 @@ def test_dominance_entries_equal_standalone_runs():
             assert entry.utility == float(spec.adversary.value(res.mse_hat, res.pa_hat))
 
 
-def _dominance_peak_bytes(ctx, trials):
+def _dominance_peak_bytes(ctx, trials, n_nodes=3):
     spec = sg.UtilitySpec.from_spec({})
-    cfg = sg.GameConfig(ctx=ctx, n_nodes=3, trials=trials, seed=8)
+    cfg = sg.GameConfig(ctx=ctx, n_nodes=n_nodes, trials=trials, seed=8)
     candidates = [("replicated", sg.ReplicatedStrategy([-1.5, 0.0, 1.5], [0.25, 0.5, 0.25])),
                   ("iid", sg.IidStrategy([-1.5, 1.5], [0.5, 0.5]))]
+    _chunk_rng(cfg, 1)  # numpy.random imports lazily, about 0.7 MiB: not in the trace
     tracemalloc.start()
     try:
         sg.dominance_check(cfg, spec, candidates, sg.ReplicatedStrategy([-1.2, 1.2], [0.5, 0.5]))
@@ -278,6 +301,70 @@ def test_dominance_memory_does_not_grow_with_the_trials(uniform_ctx):
     chunk = simulator.DEFAULT_CHUNK_SIZE
     one, four = (_dominance_peak_bytes(uniform_ctx, k * chunk) for k in (1, 4))
     assert four - one < 0.25 * 2**20
+
+
+def test_dominance_memory_is_one_array_of_uniforms(uniform_ctx):
+    """At five nodes a chunk's uniforms are 4 rows of 512 KiB, drawn once for every strategy;
+    each strategy's extremes are formed a block at a time. Drawing every strategy's
+    whole-chunk (4, chunk) node values, and reducing them over the nodes, peaked at 7.0 MiB."""
+    peak = _dominance_peak_bytes(uniform_ctx, 2 * simulator.DEFAULT_CHUNK_SIZE, n_nodes=5)
+    assert peak < 4.5 * 2**20
+
+
+def _sums_whole(cfg, locations, weights, iid):
+    """run_monte_carlo's (accepted, s2, s4) from the whole-chunk statistics: each chunk's
+    atoms picked by rng.choice after the honest draw, then reduced over the nodes."""
+    locations, n_adv = np.asarray(locations), cfg.n_nodes - 1
+    sums = [0, 0.0, 0.0]
+    for index, start in enumerate(range(0, cfg.trials, cfg.chunk_size)):
+        count = min(cfg.chunk_size, cfg.trials - start)
+        rng = _chunk_rng(cfg, index)
+        honest = cfg.ctx.noise.sample(rng, count)
+        picks = rng.choice(len(locations), size=(n_adv if iid else 1, count), p=weights)
+        adv = np.broadcast_to(locations[picks], (n_adv, count))
+        for k, part in enumerate(chunk_stats_whole(cfg.ctx, honest, adv)):
+            sums[k] += part
+    return sums
+
+
+_SB = simulator._STATS_BLOCK
+
+
+@pytest.mark.parametrize("chunk_size", [_SB - 1, _SB, _SB + 1, 3 * _SB + 5])
+@pytest.mark.parametrize("n_nodes", [2, 5])
+def test_blocked_stats_match_the_whole_chunk(uniform_ctx, n_nodes, chunk_size):
+    """Chunks that end short of, at, or just past a block edge, and a last chunk shorter
+    than the rest, give the whole-chunk sums to the bit; the replicated and iid
+    strategies run together, so the replicated one reads row 0 of a deeper draw."""
+    locs, weights = [-1.5, 0.0, 1.5], [0.25, 0.5, 0.25]
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=n_nodes, trials=2 * chunk_size + 1234,
+                        seed=41, chunk_size=chunk_size)
+    strategies = [sg.ReplicatedStrategy(locs, weights), sg.IidStrategy(locs, weights)]
+    assert simulator._run_strategies(cfg, strategies) == [
+        _sums_whole(cfg, locs, weights, iid) for iid in (False, True)]
+
+
+@pytest.mark.parametrize("iid, rows", [(False, 1), (True, 3)])
+def test_a_chunk_draws_honest_noise_then_its_rows_of_uniforms(uniform_ctx, monkeypatch, iid,
+                                                               rows):
+    """The stream contract: one chunk draws count honest uniforms, then rows x count
+    uniforms, and nothing else; a twin generator that skips as many is in the same place."""
+    model = type(uniform_ctx.noise)
+    sample, seen = model.sample, []
+
+    def spy(self, rng, count):
+        seen.append(rng)
+        return sample(self, rng, count)
+
+    monkeypatch.setattr(model, "sample", spy)
+    count = 5000
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=4, trials=count, seed=12)
+    strategy = (sg.IidStrategy if iid else sg.ReplicatedStrategy)([-1.0, 1.0], [0.5, 0.5])
+    sg.run_monte_carlo(cfg, strategy)
+    (rng,) = seen
+    twin = _chunk_rng(cfg, 0)
+    twin.random(count + rows * count)
+    assert rng.random(8).tolist() == twin.random(8).tolist()
 
 
 def test_dominance_refuses_an_optimum_with_no_accepted_trials(uniform_ctx):

@@ -2,9 +2,9 @@
 
 Commands read a JSON run configuration (all keys optional, defaults are
 documented in docs/formats), echo the fully resolved configuration next to
-their outputs, and write deterministic artifacts: byte-identical reruns for
-identical configs. Reports embed the resolved-config hash and the seed, and
-data files carry no timestamps.
+their outputs, and write deterministic artifacts: the same bytes for the same
+resolved config, wherever `--output` puts them. Reports embed the
+resolved-config hash and the seed, and data files carry no timestamps.
 
 Exit codes: 0 success, 1 computation or check failure, 2 usage error.
 """
@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,7 +32,6 @@ from .strategy import (ACCEPT_TOL, ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTIL
 from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, build_oracle_table,
                        c_alpha, oracle_c2, zero_limit)
 
-OUTPUT_DIR_ENV = "STACKGAME_OUTPUT_DIR"
 # a start/stop/step grid must span a whole number of steps, up to fp rounding
 _STEP_SLACK = 1e-9
 _DELTA_MIN = sys.float_info.min ** 0.25  # the scale rule's lower half: delta^4 stays normal
@@ -90,7 +88,6 @@ _RULES = {
                    "chunk_size": (int, 1)},
     "envelope": {"grid_size": (int, MIN_GRID_SIZE)},
     "oracle": {"grid_size": (int, MIN_ORACLE_GRID)},
-    "output_dir": (str, None),
 }
 
 
@@ -182,8 +179,7 @@ def _check_scale(where: str, eta: float, noise) -> None:
 class RunConfig:
     """Fully resolved run configuration plus the derived model objects."""
 
-    def __init__(self, resolved: dict, base_dir=None, output_override=None,
-                 check_noise: bool = True):
+    def __init__(self, resolved: dict, base_dir=None, check_noise: bool = True):
         self.noise = noise_model.from_spec(resolved["honest_noise"], base_dir=base_dir)
         self.eta_grid = _resolve_grid(resolved["eta_grid"], "/eta_grid")
         self.alpha_grid = _resolve_grid(resolved["alpha_grid"], "/alpha_grid")
@@ -196,13 +192,9 @@ class RunConfig:
         self.chunk_size = int(sim["chunk_size"])
         self.envelope_grid = int(resolved["envelope"]["grid_size"])
         self.oracle_grid = int(resolved["oracle"]["grid_size"])
-        out = output_override or resolved.get("output_dir") \
-            or os.environ.get(OUTPUT_DIR_ENV) or "out"
-        self.output_dir = Path(out)
         self.raw = dict(resolved)
         # a config without delta echoes the one from_spec built the model with
         self.raw["honest_noise"] = {"delta": self.noise.delta, **resolved["honest_noise"]}
-        self.raw["output_dir"] = str(out)
         self.raw["utility"] = {role: {"family": u.family, "params": u.params}
                                for role, u in vars(self.utility).items()}
         self.config_hash = hashlib.sha256(
@@ -237,10 +229,10 @@ class RunConfig:
             raise ConfigError("; ".join(problems))
 
 
-def parse_config(path=None, output_override=None, check_noise: bool = True) -> RunConfig:
+def parse_config(path=None, check_noise: bool = True) -> RunConfig:
     """Load, validate, and resolve a JSON run configuration.
 
-    Breaks of _RULES are all reported, each at its JSON pointer; a missing path
+    Breaks of _RULES are all reported, each at its JSON pointer; no path
     means an empty configuration (all defaults). A tabulated noise model that
     fails noise_model.validate is a config error unless check_noise is false,
     which is how `validate-noise` reports on it instead.
@@ -249,11 +241,14 @@ def parse_config(path=None, output_override=None, check_noise: bool = True) -> R
     base_dir = None
     if path is not None:
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
         base_dir = p.parent
         try:
-            user = json.loads(p.read_text())
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"--config: cannot read {p}: {reason}") from exc
+        try:
+            user = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     problems = sorted(_problems(user))
@@ -268,8 +263,7 @@ def parse_config(path=None, output_override=None, check_noise: bool = True) -> R
             resolved[key] = {k: v for k, v in resolved[key].items()
                              if k in named or k not in _GRID_SHAPES}
     try:
-        return RunConfig(resolved, base_dir=base_dir, output_override=output_override,
-                         check_noise=check_noise)
+        return RunConfig(resolved, base_dir=base_dir, check_noise=check_noise)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -464,6 +458,10 @@ def _symmetric_atoms(rng, z_hi: float):
     return np.concatenate([-zs, zs]), w / w.sum()
 
 
+_REALIZATIONS = 100_000  # verify's scenario suite
+_CANDIDATES = (20, 2)  # verify's random replicated and iid candidates
+
+
 def _random_candidates(ctx, rng, n_replicated: int, n_iid: int):
     """Random symmetric atomic strategies: replicated, then independent draws."""
     return [(f"{kind}_{i}", strategy(*_symmetric_atoms(rng, ctx.z_hi)))
@@ -472,16 +470,15 @@ def _random_candidates(ctx, rng, n_replicated: int, n_iid: int):
             for i in range(n)]
 
 
-def cmd_verify(cfg: RunConfig, out: Path, realizations: int = 100_000,
-               candidates: int = 20) -> int:
+def cmd_verify(cfg: RunConfig, out: Path) -> int:
     env = _envelope(cfg)
-    scenario = run_scenario_suite(env.ctx, realizations, max(cfg.n_nodes) - 1, cfg.seed)
+    scenario = run_scenario_suite(env.ctx, _REALIZATIONS, max(cfg.n_nodes) - 1, cfg.seed)
 
     aset = best_alpha_set(env, cfg.utility, cfg.alpha_grid)
     alpha_star = float(aset[0])
     optimum = ReplicatedStrategy.from_atomic(build_adversary(env, alpha_star))
     rng = np.random.default_rng(cfg.seed)
-    cands = _random_candidates(env.ctx, rng, candidates, max(2, candidates // 10))
+    cands = _random_candidates(env.ctx, rng, *_CANDIDATES)
     game = GameConfig(env.ctx, cfg.n_nodes[0], cfg.trials, cfg.seed, cfg.chunk_size)
     dom = dominance_check(game, cfg.utility, cands, optimum)
 
@@ -555,8 +552,6 @@ _DOMAINS = {
     "eta": (lambda v: 2.0 <= v < np.inf, "a finite threshold multiple >= 2"),
     "alpha": (lambda v: bool(np.all((v >= ALPHA_MIN) & (v <= 1.0))),
               f"an acceptance level in [{ALPHA_MIN}, 1]"),
-    "realizations": (lambda v: v >= 1, "at least 1"),
-    "candidates": (lambda v: v >= 0, "at least 0"),
 }
 
 
@@ -569,8 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON run configuration (defaults apply)")
-        p.add_argument("--output", help="output directory (default: config, "
-                                        f"then ${OUTPUT_DIR_ENV}, then ./out)")
+        p.add_argument("--output", default="out", help="output directory (default: ./out)")
 
     common(sub.add_parser("validate-noise", help="check the noise model assumptions"))
 
@@ -587,11 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adversary",
                    help="adversary JSON (default: the solved equilibrium optimum)")
 
-    p = sub.add_parser("verify", help="scenario-reduction and dominance suites")
-    common(p)
-    p.add_argument("--realizations", type=int, help="scenario realizations (default: 100000)")
-    p.add_argument("--candidates", type=int,
-                   help="random replicated candidates (default: 20)")
+    common(sub.add_parser("verify", help="scenario-reduction and dominance suites"))
 
     common(sub.add_parser("sweep", help="full pipeline with a combined report"))
     return parser
@@ -606,13 +596,16 @@ def main(argv=None) -> int:
         for flag, (accepts, need) in _DOMAINS.items():
             if flag in options and not accepts(options[flag]):
                 raise ConfigError(f"--{flag}: must be {need}, got {options[flag]}")
-        cfg = parse_config(config, output_override=output,
-                           check_noise=command != "validate-noise")
+        cfg = parse_config(config, check_noise=command != "validate-noise")
         if "adversary" in options:
             options["adversary"] = _load_adversary(options["adversary"], cfg.noise)
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(cfg.output_dir / "resolved_config.json", cfg.raw)
-        return COMMANDS[command](cfg, cfg.output_dir, **options)
+        out = Path(output)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--output: cannot create {out}: {exc.strerror or exc}") from exc
+        _write_json(out / "resolved_config.json", cfg.raw)
+        return COMMANDS[command](cfg, out, **options)
     except ConfigError as exc:
         json.dump({"error": {"type": "ConfigError", "message": str(exc)}},
                   sys.stderr, sort_keys=True)

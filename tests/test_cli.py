@@ -68,6 +68,9 @@ def test_config_error_paths(tmp_path):
     bad.write_text(json.dumps({"unknown_key": 1}))
     with pytest.raises(ConfigError, match="unknown_key"):
         cli.parse_config(bad)
+    bad.write_text(json.dumps({"output_dir": "out"}))  # --output alone names the directory
+    with pytest.raises(ConfigError, match=r"^/: unknown keys \['output_dir'\]$"):
+        cli.parse_config(bad)
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         cli.parse_config(bad)
@@ -87,8 +90,7 @@ def test_incomplete_utility_spec_names_required_params(tmp_path):
         cli.parse_config(bad)
 
 
-def test_other_utility_family_takes_only_its_own_params(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+def test_other_utility_family_takes_only_its_own_params(tmp_path, capsys):
     weighted = {"family": "weighted_sum", "params": {"a": 1, "b": 2}}
     config = write_config(tmp_path, {"utility": {"adversary": weighted}})
     code, out = run(["validate-noise"], tmp_path, config=config)
@@ -108,7 +110,7 @@ def test_other_utility_family_takes_only_its_own_params(tmp_path, capsys, monkey
     default.write_text(json.dumps({"utility": {"adversary": {"family": "scaled_product"},
                                                "dc": {"family": "linear_penalty"}}}))
     assert cli.parse_config(default).config_hash == (
-        "8f17ce6eabd829907b1c0f8142e097319c0c1a1f2cd440c77c6a6ace570e5b3f")
+        "401d3127d0057e1387df69c61fe1d956e4ceb436b8cbbe99d4a76a3262e095f4")
 
 
 def test_grid_step_must_divide_the_range(tmp_path):
@@ -216,8 +218,8 @@ def test_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["verify", "--realizations", "0"], "--realizations"),
-    (["verify", "--candidates", "-1"], "--candidates"),
+    (["adversary", "--alpha", "inf"], "--alpha"),
+    (["adversary", "--alpha", "-0.5"], "--alpha"),
     (["adversary", "--alpha", "nan"], "--alpha"),
     (["adversary", "--alpha", "0"], "--alpha"),
     (["adversary", "--alpha", "1.5"], "--alpha"),
@@ -242,6 +244,17 @@ def test_eta_and_the_reported_levels_are_no_flags(tmp_path, capsys, argv):
         cli.main(argv + ["--output", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments: " + " ".join(argv[1:3]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# verify runs a fixed 100 000 scenario realizations and 20 + 2 random candidates
+@pytest.mark.parametrize("flag", ["--realizations", "--candidates"])
+def test_verify_counts_are_no_flags(tmp_path, capsys, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", flag, "5", "--output", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -349,8 +362,7 @@ def test_adversary_and_simulate_roundtrip(tmp_path):
 def test_verify_command(tmp_path):
     # the dominance game's budget is simulation.trials; verify has no flag of its own for it
     config = write_config(tmp_path, {"simulation": {"n_nodes": [2], "trials": 4000, "seed": 9}})
-    code, out = run(["verify", "--realizations", "5000", "--candidates", "4"],
-                    tmp_path, config=config)
+    code, out = run(["verify"], tmp_path, config=config)
     assert code == 0
     with pytest.raises(SystemExit):
         run(["verify", "--trials", "4000"], tmp_path, config=config)
@@ -373,11 +385,49 @@ def test_sweep_byte_identical(tmp_path):
         assert (out / n).read_bytes() == first[n], n
 
 
-def test_output_dir_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
-    code = cli.main(["validate-noise", "--config", str(write_config(tmp_path))])
-    assert code == 0
-    assert (tmp_path / "envout" / "noise_validation.json").exists()
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_artifacts_do_not_depend_on_where_they_are_written(tmp_path, command):
+    # the same config, copied into two directories, run to two absolute outputs whose paths
+    # differ in length: every file is the same, byte for byte
+    config = write_config(tmp_path, {"simulation": {"n_nodes": [2, 3], "trials": 4000,
+                                                    "seed": 9, "chunk_size": 1500}})
+    trees = []
+    for where, out in (("a", "o1"), ("b/c", "other/output22")):
+        copy = tmp_path / where / "config.json"
+        copy.parent.mkdir(parents=True)
+        copy.write_bytes(config.read_bytes())
+        code, out = run([command], tmp_path, name=out, config=copy)
+        assert code == 0
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert trees[0] == trees[1] and "resolved_config.json" in trees[0]
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b'{"eta_grid": "\xff"}'), "invalid start byte"),
+    (lambda path: None, "No such file or directory"),
+], ids=["directory", "non-UTF-8", "missing"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, make, reason):
+    config, out = tmp_path / "config.json", tmp_path / "o"
+    make(config)
+    assert cli.main(["solve", "--config", str(config), "--output", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"--config: cannot read {config}: ")
+    assert reason in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("output", ["file", "file/out"])
+def test_uncreatable_output_is_a_config_error(tmp_path, capsys, output):
+    (tmp_path / "file").write_text("kept\n")
+    code = cli.main(["validate-noise", "--output", str(tmp_path / output)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"--output: cannot create {tmp_path / output}: ")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def run_module(args, timeout=60):
@@ -583,25 +633,25 @@ def test_only_the_truncated_normal_loads_scipy(tmp_path, noise, loads_scipy):
     assert bool(loaded) is loads_scipy
 
 
-def test_config_hashes_are_unchanged(tmp_path, monkeypatch):
+def test_config_hashes_are_unchanged(tmp_path):
     # the default config, and the benchmark workloads' configs at seed 11; re-recorded
-    # when the resolved config stopped echoing a range for the collected values
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    # when the resolved config stopped echoing a range for the collected values, and
+    # again when it stopped echoing the output directory
     assert cli.parse_config(None).config_hash == (
-        "8f17ce6eabd829907b1c0f8142e097319c0c1a1f2cd440c77c6a6ace570e5b3f")
+        "401d3127d0057e1387df69c61fe1d956e4ceb436b8cbbe99d4a76a3262e095f4")
     uniform = {"kind": "uniform", "delta": 1.0}
     workloads = [
         ({"honest_noise": uniform,
           "utility": {"dc": {"family": "linear_penalty", "params": {"gamma": 0.02}}},
           "simulation": {"seed": 11}},
-         "68b0b51847cf96edc224c08692c2f0bfe84ce61614caad4149097c25f630ec0e"),
+         "4ca0d4a5cc7b53fa920dca4b2d606c970d411263255c6bfb85abca0a8537dd23"),
         ({"honest_noise": {"kind": "truncated-normal", "delta": 1.0, "params": {"sigma": 0.5}},
           "eta_grid": {"start": 2.0, "stop": 3.0, "step": 0.25},
           "simulation": {"n_nodes": [2, 5], "trials": 100_000, "seed": 11}},
-         "39e3e616305a98fc904b9f3aa9c8ff753726592dfe4bb190a81b86cb0f174e65"),
+         "71f6130c02709113cd434b0f4cd99a7a91fc8566c4b339203152936e9ad6fc5e"),
         ({"honest_noise": uniform,
           "simulation": {"n_nodes": [2, 5], "trials": 200_000, "seed": 11}},
-         "82b068b76c9ac2e0a5da27fd021530cf74ef4676ce385bf5e4642da4fa0d39d3"),
+         "9b97abefe0af00499cda6c11add89c59321f416bd9f09dc96a9a3157a526b238"),
     ]
     path = tmp_path / "config.json"
     for config, digest in workloads:

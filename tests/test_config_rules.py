@@ -3,7 +3,8 @@
 `REFERENCE_SCHEMA` is the schema the CLI validated with through jsonschema.
 On a corpus of broken configs, the rule table must report the same JSON
 pointers. Its one addition is that every number must be finite, so a NaN or
-an infinity is also reported at its own pointer.
+an infinity is also reported at its own pointer. Both have since dropped the
+`output_dir` key: `--output` alone names the output directory.
 """
 
 import copy
@@ -93,7 +94,6 @@ REFERENCE_SCHEMA = {
             "properties": {"grid_size": {"type": "integer", "minimum": 64}},
             "additionalProperties": False,
         },
-        "output_dir": {"type": "string"},
     },
     "additionalProperties": False,
 }
@@ -116,7 +116,6 @@ def _full(kind, adversary, dc):
         "simulation": {"n_nodes": [2, 3], "trials": 10, "seed": 0, "chunk_size": 8},
         "envelope": {"grid_size": 64},
         "oracle": {"grid_size": 64},
-        "output_dir": "out",
     })
 
 

@@ -123,3 +123,22 @@ def test_only_the_envelope_module_builds_majorants():
     own = found.pop("envelope.py")
     assert {name: steps for name, steps in found.items() if steps} == {}
     assert own == sorted(MAJORANT_STEPS), "no majorant step parsed"
+
+
+def _environment_reads(tree: ast.AST) -> list:
+    """Lines that read os.environ or os.getenv, or import either from os."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in names
+                   or isinstance(node, ast.ImportFrom) and node.module == "os"
+                   and any(alias.name in names for alias in node.names)})
+
+
+def test_no_module_reads_the_environment():
+    """A run's only inputs are its config file and its flags."""
+    planted = ast.parse("import os\nfrom os import getenv\nx = os.environ.get('X')\n"
+                        "y = os.getenv('Y')\n")
+    assert _environment_reads(planted) == [2, 3, 4], "no environment reads parsed"
+    found = {path.name: _environment_reads(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

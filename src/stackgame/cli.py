@@ -24,8 +24,8 @@ from . import noise_model
 from .envelope import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, build_envelope
 from .errors import ConfigError, DomainError
 from .kernel import KernelContext
-from .simulator import (DEFAULT_CHUNK_SIZE, GameConfig, IidStrategy, ReplicatedStrategy,
-                        dominance_check, run_monte_carlo, run_scenario_suite)
+from .simulator import (GameConfig, IidStrategy, ReplicatedStrategy, dominance_check,
+                        run_monte_carlo, run_scenario_suite)
 from .strategy import (ACCEPT_TOL, ADVERSARY_FAMILIES, DC_FAMILIES, DEFAULT_UTILITY,
                        AtomicAdversary, UtilitySpec, best_alpha_set, build_adversary,
                        solve_equilibrium)
@@ -42,8 +42,7 @@ DEFAULT_CONFIG = {
     "alpha_grid": {"start": ALPHA_MIN, "stop": 1.0, "num": 1000},
     "report_alphas": {"start": 0.1, "stop": 1.0, "num": 10},
     # "utility" is resolved over DEFAULT_UTILITY by UtilitySpec.from_spec
-    "simulation": {"n_nodes": [2, 3, 5], "trials": 100000, "seed": 20260814,
-                   "chunk_size": DEFAULT_CHUNK_SIZE},
+    "simulation": {"n_nodes": [2, 3, 5], "trials": 100000, "seed": 20260814},
     "envelope": {"grid_size": DEFAULT_GRID_SIZE},
     "oracle": {"grid_size": DEFAULT_ORACLE_GRID},
 }
@@ -51,9 +50,9 @@ DEFAULT_CONFIG = {
 
 # What each config key must be. A dict is an object that takes only its keys.
 # A (type, bound) pair is a leaf: a finite float > bound, an int >= bound, a
-# str among bound, or any dict; a None bound is no bound. (list, n, rule) is
-# an array of at least n items that each meet rule. A function maps an object
-# to the rule it must meet.
+# str among bound, or any dict; a None bound is no bound. (int, bound, limit)
+# is an int >= bound and < limit. (list, n, rule) is an array of at least n
+# items that each meet rule. A function maps an object to the rule it must meet.
 _NUMBER, _POSITIVE = (float, None), (float, 0)
 _GRID = {"values": (list, 1, _NUMBER), "start": _NUMBER, "stop": _NUMBER, "step": _POSITIVE,
          "num": (int, 1)}
@@ -84,8 +83,8 @@ _RULES = {
     "utility": {role: _choice("family", {f: names for f, (names, _) in families.items()},
                               DEFAULT_UTILITY[role]["family"])
                 for role, families in (("adversary", ADVERSARY_FAMILIES), ("dc", DC_FAMILIES))},
-    "simulation": {"n_nodes": (list, 1, (int, 2)), "trials": (int, 1), "seed": (int, 0),
-                   "chunk_size": (int, 1)},
+    # a cell's seed, seed + cell index, must stay a Philox key, below 2**128
+    "simulation": {"n_nodes": (list, 1, (int, 2)), "trials": (int, 1), "seed": (int, 0, 2**64)},
     "envelope": {"grid_size": (int, MIN_GRID_SIZE)},
     "oracle": {"grid_size": (int, MIN_ORACLE_GRID)},
 }
@@ -115,8 +114,9 @@ def _problems(value, rule=_RULES, path=()) -> list:
         ok = number and (bound is None or value > bound)
         need = "a finite number" + ("" if bound is None else f" > {bound}")
     elif kind is int:
-        ok = number and (isinstance(value, int) or value.is_integer()) and value >= bound
-        need = f"an integer >= {bound}"
+        ok = (number and (isinstance(value, int) or value.is_integer()) and value >= bound
+              and (not item or value < item[0]))
+        need = f"an integer >= {bound}" + (f" and < {item[0]}" if item else "")
     elif kind is str:
         ok = isinstance(value, str) and (bound is None or value in bound)
         need = "a string" if bound is None else f"one of {bound}"
@@ -189,7 +189,6 @@ class RunConfig:
         self.n_nodes = [int(n) for n in sim["n_nodes"]]
         self.trials = int(sim["trials"])
         self.seed = int(sim["seed"])
-        self.chunk_size = int(sim["chunk_size"])
         self.envelope_grid = int(resolved["envelope"]["grid_size"])
         self.oracle_grid = int(resolved["oracle"]["grid_size"])
         self.raw = dict(resolved)
@@ -391,13 +390,20 @@ def cmd_adversary(cfg: RunConfig, out: Path, alpha: float) -> int:
     return 0
 
 
+def _number(obj: dict, key: str) -> float:
+    """obj[key], a JSON number, as a float: a string or a boolean is a TypeError."""
+    if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
+        raise TypeError(f"{key} must be a number, got {obj[key]!r}")
+    return float(obj[key])
+
+
 def _load_adversary(path, noise) -> AtomicAdversary:
     """The adversary file at path: valid eta and alpha, and noise's delta, as AtomicAdversary."""
     try:
         raw = json.loads(Path(path).read_text())
-        atoms = tuple((float(a["z"]), float(a["weight"])) for a in raw["atoms"])
-        eta, alpha, delta = (float(raw[key]) for key in ("eta", "alpha", "delta"))
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        atoms = tuple((_number(a, "z"), _number(a, "weight")) for a in raw["atoms"])
+        eta, alpha, delta = (_number(raw, key) for key in ("eta", "alpha", "delta"))
+    except (OSError, KeyError, OverflowError, TypeError, ValueError) as exc:  # JSON errors too
         raise ConfigError(f"--adversary: cannot load {path}: {exc}") from exc
     for name, value in (("eta", eta), ("alpha", alpha)):
         accepts, need = _DOMAINS[name]
@@ -422,10 +428,9 @@ def _simulate_cells(cfg: RunConfig, cells):
 
     Returns one _SIM_HEADER row and one SimulationResult per cell.
     """
-    rows = []
-    results = []
+    rows, results = [], []
     for n, adv, seed in cells:
-        game = GameConfig(adv.ctx, n, cfg.trials, seed, cfg.chunk_size)
+        game = GameConfig(adv.ctx, n, cfg.trials, seed)
         res = run_monte_carlo(game, ReplicatedStrategy.from_atomic(adv))
         rows.append((n, adv.ctx.eta, adv.alpha, res.pa_hat, res.mse_hat,
                      res.pa_stderr, res.mse_stderr, seed))
@@ -479,7 +484,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     optimum = ReplicatedStrategy.from_atomic(build_adversary(env, alpha_star))
     rng = np.random.default_rng(cfg.seed)
     cands = _random_candidates(env.ctx, rng, *_CANDIDATES)
-    game = GameConfig(env.ctx, cfg.n_nodes[0], cfg.trials, cfg.seed, cfg.chunk_size)
+    game = GameConfig(env.ctx, cfg.n_nodes[0], cfg.trials, cfg.seed)
     dom = dominance_check(game, cfg.utility, cands, optimum)
 
     payload = {

@@ -7,23 +7,20 @@ same collected value, which shifts every report equally, so acceptance and
 the estimation error depend only on the noise vector: the game is played in
 noise space, on the kernel's context (eta and the honest noise).
 
-Trials are split into fixed-size chunks; each chunk draws from its own
+Trials are split into chunks of _CHUNK; each chunk draws from its own
 counter-based substream (Philox keyed by the seed, jumped by the chunk
 index) and partial sums are merged in chunk order, so results are bitwise
-reproducible for a given (seed, trials, chunk size). Within a chunk the
-draw order is fixed: honest noise, then one (rows, count) uniform draw.
+reproducible for a given seed and trial count. Within a chunk the draw
+order is fixed: honest noise, then one (rows, count) uniform draw.
 
 The collector reads the adversary's n-1 noises only through their lowest
 and highest, so a strategy maps its rows of the chunk's uniforms to those
-two extremes, _STATS_BLOCK trials at a time. Row 0 holds the values of
-rng.random(count), and the first k rows those of rng.random((k, count)).
-So strategies run together read one draw, of the most rows any of them
-reads: the dominance check draws each chunk once for the optimum and every
-candidate, and each of its runs equals a standalone run to the bit.
-
-The scenario suite reads each of its streams block by block, _SUITE_BLOCK
-realizations at a time. So memory grows with chunk_size and the block sizes,
-never with the trials or the realizations.
+two extremes. Row 0 holds the values of rng.random(count), and the first k
+rows those of rng.random((k, count)). So strategies run together read one
+draw, of the most rows any of them reads: the dominance check draws each
+chunk once for the optimum and every candidate, and each of its runs equals
+a standalone run to the bit. The scenario suite reads its streams in blocks
+of _CHUNK realizations, so memory never grows with trials or realizations.
 """
 
 from __future__ import annotations
@@ -37,9 +34,7 @@ from .errors import DomainError, NumericalError
 from .kernel import KernelContext
 from .strategy import AtomicAdversary
 
-DEFAULT_CHUNK_SIZE = 65536
-_SUITE_BLOCK = 8192  # realizations the scenario suite takes at a time
-_STATS_BLOCK = 8192  # trials a strategy's extremes and statistics take at a time
+_CHUNK = 8192  # trials per random substream, and realizations per scenario-suite block
 
 
 # --- adversary strategies ----------------------------------------------------
@@ -109,7 +104,6 @@ class GameConfig:
     n_nodes: int
     trials: int
     seed: int
-    chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
         _check_one_game(self.ctx)
@@ -117,8 +111,6 @@ class GameConfig:
             raise DomainError(f"need at least 2 nodes, got {self.n_nodes}")
         if self.trials < 1:
             raise DomainError(f"need at least one trial, got {self.trials}")
-        if self.chunk_size < 1:
-            raise DomainError(f"chunk size must be positive, got {self.chunk_size}")
 
 
 @dataclass(frozen=True)
@@ -145,34 +137,22 @@ def _result(trials: int, accepted: int, s2: float, s4: float) -> SimulationResul
     return SimulationResult(trials, accepted, pa_hat, pa_stderr, mse_hat, mse_stderr)
 
 
-def _chunk_stats(strategy, u: np.ndarray, honest: np.ndarray, bound: float, err: np.ndarray):
-    """A strategy's (accepted, s2, s4) over one chunk, from its rows u of the chunk's uniforms.
-
-    The extremes are formed _STATS_BLOCK trials at a time and the accepted
-    trials' doubled midranges are packed into err, so err[:accepted] is the
-    whole chunk's nmax[mask] and its sums keep their pairwise order.
-    """
-    kept = 0
-    for start in range(0, honest.size, _STATS_BLOCK):
-        block = slice(start, start + _STATS_BLOCK)
-        h = honest[block]
-        lo, hi = strategy.extremes(u[:, block])
-        if np.shape(lo) != h.shape or np.shape(hi) != h.shape:
-            raise DomainError(f"strategy gave extremes of shapes {np.shape(lo)} and "
-                              f"{np.shape(hi)}, expected {h.shape}")
-        nmax = np.maximum(h, hi)
-        nmin = np.minimum(h, lo)
-        mask = nmax - nmin <= bound
-        nmax += nmin  # twice the midrange
-        k = int(np.count_nonzero(mask))
-        np.compress(mask, nmax, out=err[kept:kept + k])
-        kept += k
-    err = err[:kept]  # in place from here: the midrange, then its square and fourth power
+def _chunk_stats(strategy, u: np.ndarray, honest: np.ndarray, bound: float):
+    """A strategy's (accepted, s2, s4) over one chunk, from its rows u of the chunk's uniforms."""
+    lo, hi = strategy.extremes(u)
+    if np.shape(lo) != honest.shape or np.shape(hi) != honest.shape:
+        raise DomainError(f"strategy gave extremes of shapes {np.shape(lo)} and "
+                          f"{np.shape(hi)}, expected {honest.shape}")
+    nmax = np.maximum(honest, hi)
+    nmin = np.minimum(honest, lo)
+    mask = nmax - nmin <= bound
+    nmax += nmin  # twice the midrange
+    err = nmax.compress(mask)  # in place from here: the midrange, then its square and fourth power
     err *= 0.5
     err *= err
-    s2 = float(np.sum(err))
+    s2 = float(err.sum())
     err *= err
-    return kept, s2, float(np.sum(err))
+    return err.size, s2, float(err.sum())
 
 
 def _run_strategies(cfg: GameConfig, strategies) -> list:
@@ -182,23 +162,19 @@ def _run_strategies(cfg: GameConfig, strategies) -> list:
     of it alone draws, and its sums are merged in chunk order, so each equals
     a run of that strategy alone to the bit.
     """
-    n_adv = cfg.n_nodes - 1
-    rows = [strategy.rows(n_adv) for strategy in strategies]
+    rows = [strategy.rows(cfg.n_nodes - 1) for strategy in strategies]
     depth = max(rows)
-    size = min(cfg.chunk_size, cfg.trials)
-    uniforms, err = np.empty(depth * size), np.empty(size)  # reused by every chunk
+    uniforms = np.empty(depth * min(_CHUNK, cfg.trials))  # reused by every chunk
     bound = cfg.ctx.eta * cfg.ctx.delta
     sums = [[0, 0.0, 0.0] for _ in strategies]
-    for index, start in enumerate(range(0, cfg.trials, cfg.chunk_size)):
-        count = min(cfg.chunk_size, cfg.trials - start)
-        bitgen = np.random.Philox(key=cfg.seed)
-        rng = np.random.Generator(bitgen.jumped(index) if index else bitgen)
+    for index, start in enumerate(range(0, cfg.trials, _CHUNK)):
+        count = min(_CHUNK, cfg.trials - start)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(index))
         honest = cfg.ctx.noise.sample(rng, count)
         u = rng.random(out=uniforms[:depth * count].reshape(depth, count))
         for strategy, r, acc in zip(strategies, rows, sums):
-            for k, part in enumerate(_chunk_stats(strategy, u[:r], honest, bound, err)):
+            for k, part in enumerate(_chunk_stats(strategy, u[:r], honest, bound)):
                 acc[k] += part
-        del honest  # released before the next chunk's draw, so two never overlap
     return sums
 
 
@@ -206,9 +182,9 @@ def run_monte_carlo(cfg: GameConfig, strategy) -> SimulationResult:
     """Estimate acceptance probability and conditional MSE for a strategy.
 
     strategy is any object with two methods: rows(n_adv), how many rows of a
-    chunk's uniforms it reads, and extremes(u), which maps u[:rows, block] to
-    the n_adv controlled nodes' lowest and highest noise in each trial of
-    the block. Extremes of another shape raise DomainError. When no trial is
+    chunk's uniforms it reads, and extremes(u), which maps u[:rows] to the
+    n_adv controlled nodes' lowest and highest noise in each trial of the
+    chunk. Extremes of another shape raise DomainError. When no trial is
     accepted the conditional MSE is reported as absent (None) rather than
     zero. pa_stderr is the binomial standard error; mse_stderr is the sample
     standard error of the squared errors among accepted trials. Memory holds
@@ -230,9 +206,8 @@ def run_scenario_suite(ctx: KernelContext, n_realizations: int, n_adv: int,
     the honest noise, R = n_realizations doubles each. Here each of those
     n_adv + 2 streams has its own generator, PCG64(seed) advanced by k*R
     doubles, read block by block; uniform and random take one 64-bit output
-    per double, so every block gets the values of the whole arrays. Only the
-    four counts are kept, and memory holds one block of _SUITE_BLOCK
-    realizations, whatever n_realizations.
+    per double, so every block of _CHUNK realizations gets the values of the
+    whole arrays, and only the four counts are kept.
     """
     _check_one_game(ctx)
     if n_realizations < 1 or n_adv < 1:
@@ -243,8 +218,8 @@ def run_scenario_suite(ctx: KernelContext, n_realizations: int, n_adv: int,
         for k in range(n_adv + 2))
 
     accepted = acceptance_mismatch = error_violations = pair_mismatch = 0
-    for start in range(0, n_realizations, _SUITE_BLOCK):
-        count = min(_SUITE_BLOCK, n_realizations - start)
+    for start in range(0, n_realizations, _CHUNK):
+        count = min(_CHUNK, n_realizations - start)
         center = center_rng.uniform(-ctx.z_hi, ctx.z_hi, count)
         block = np.array([r.uniform(-0.5 * bound, 0.5 * bound, count) for r in offset_rngs])
         block += center  # center + offsets, in the offsets' buffer

@@ -37,87 +37,89 @@ NOISES = {
 # drawing those values (a new stream), and the tabulated level_curve.csv and
 # tradeoff_summary.json when the curve's slope took its moments at the curve's own level.
 # Every JSON artifact re-recorded again when the resolved config stopped echoing the
-# output directory (a new config_hash; every CSV kept its hash)
+# output directory (a new config_hash; every CSV kept its hash), and again, with
+# sweep_simulations.csv, when simulation.chunk_size went and a chunk became 8192 trials
+# (a new config_hash and a new Monte Carlo stream; every other CSV kept its hash)
 PINS = {
     "uniform": {
         "adversary.json":
-            "22a701c927530726ac2cc58231392301228ea2b80eee8ce4bf7860b81089ff26",
+            "5fe73b7541d851850ad5ff701c9eb1203e6c32819c3122b554448ba6ec538c34",
         "equilibrium.json":
-            "d74637335b92d6cd9784785e14d376c3a67a8cd6822fe03c69d73bc32bd6d756",
+            "472df8599af0bcc2a7ad17d4cfe659f9521a11cd5100df9c97633929d7b7563f",
         "eta_utility.csv":
             "00ff96c927f6664a00d2279db030ee057483bf97833e18315643432df25f2aac",
         "level_curve.csv":
             "a99a76ba9a27ca0947fb6e27cd07a621ee98088c8b30cd255066598af6dbc94f",
         "resolved_config.json":
-            "a5a1df6e8552a11621129faeb262bdb33de80f736dd360dd72e95c046e45818b",
+            "f925ff0bab216d4f27a972d3e2987e2de112cb3b30770282b36b331d7e2aab2e",
         "sweep_report.json":
-            "7bebd8a333f2c8555b1e794ea6ac5037597441514d6164f459aee701427a33e3",
+            "1d0d0d29d47a68dad60e2fbf49f6056b6822a19f1bd660036d8c565bc3700d69",
         "sweep_simulations.csv":
-            "6ca8e3aa14254931f9ce65a1f4019a9d1a9f56bfc4d6d8ba6b359897a1ccf22a",
+            "ad0b73722de57ae12388cde9473834f18d44be87b3ceeac7c09c86b1923d7c7f",
         "tradeoff.csv":
             "e8b299dd974849dcea3fc717c6639bd0763b0b964de48875a514ad2ad3664786",
         "tradeoff_summary.json":
-            "37d8a73cd7a76f39bfc144581169410193819d89c65a6a5989f22200c2f8bf06",
+            "5b9a83b72f73a3d7d07a831aaea5fcbef9085c016b66ec7543710a6d614b6a73",
     },
     "truncated-normal": {
         "adversary.json":
-            "f13c0e556cf64b0ff36d9e81cd5cb39b8db303df1fbf25467ae9fc862f941165",
+            "7c69b60a7262250120fcbd3494a82a8be318b3d5c83d811451df2d704db9947f",
         "equilibrium.json":
-            "11374dcc8148bc708ab526ba4e895b68b9375422f518421a6002a76e77297535",
+            "8f69fa7c86969a500c6c804b6c89705fa648b7d5543cd165f9c83f96bbbcadc9",
         "eta_utility.csv":
             "26fb1e5d9c9fba6ae03646e8fb60a5c5e3de0dc1d4f7bcdd20ffd8fef2e55f55",
         "level_curve.csv":
             "260ffe831371046f60493f21f66bd19eac028c465c7dab7b007d778662531711",
         "resolved_config.json":
-            "2a0fae37275429813cb60c40616670354938f125c73895080d045e6bebedc994",
+            "c09b7eb2303d798d5e9aa91e76de16bef7124e62efb093dd79425655994d7bce",
         "sweep_report.json":
-            "812862fa7c6d67866b1cfbfc4fd2208a498b3d3bf6cc6ff7007c409b2a7c8ac2",
+            "371ea58573ef4fcdc309331aa9ad0b17e949e929d9606537df7549c424642bf5",
         "sweep_simulations.csv":
-            "f412b81f0d0404d6e39fbadb7d67beb713f017616f7eda2fdeb6b50003fc182e",
+            "48fdcca576cb84345da75af883fc29d2cb3e261778d1c5f21c69d5825c216361",
         "tradeoff.csv":
             "7f6d44cab515f1fe408d36d3bb49407206f807fd308785455fba63c4466520c1",
         "tradeoff_summary.json":
-            "cdccd9682d5f56320e2f042c9ac54651e812c96d1bd31656fb2aec16051f0e09",
+            "50fd43f286d3c7c7951add6dbe943554b87e3decd08829d765f32d6e7dd55955",
     },
     "triangular": {
         "adversary.json":
-            "bf52542f13ef249f51c7afc5c3ce5add1eaa8628e4bb3240c5d4fd1c26bc33e2",
+            "0e8cdb18661c327f6da961faeee78ae597d02fa50e4658a90810429d73e15264",
         "equilibrium.json":
-            "cc222f32a7d9d3853ae25e4eebab6c437986aaa7c8fa768239900480ea99252b",
+            "50d30c615ee81a5f62c9ba759dc72d0769b2833fc48275591a891bbe1346571e",
         "eta_utility.csv":
             "4ea3de732eeb3a88229c719498eb2657d4f54626377c5a2c12eeef3805c7dcc5",
         "level_curve.csv":
             "95ddd167a2a9061062b98e8f9b89b5cbc44516b4b833234092c6af3c3e8d7666",
         "resolved_config.json":
-            "4a119c029bce5429fa8ca3252623ba60d65e8f2a1cf43603d1ddfaa22c999850",
+            "f0bf41b7ae131d1136b9a912eca9f6d2324c5c2b9cbb7ad7fb338346b6277057",
         "sweep_report.json":
-            "f29d821e9ea6c15ba79bc892fb4a92567d70b030df6b249be8350d2852977ffd",
+            "6e41fd53f6cda6fafefd1d1625c7ee7242e0b50b4a3c4577e99c85d371731361",
         "sweep_simulations.csv":
-            "fc4901491afc61dba82304d153358484c2f5b8831b11ff09a66f14ff6fdf1e6b",
+            "629628a0b62c08ad71a284487d6a282fe4822c7271670966b04d6d7c353e7505",
         "tradeoff.csv":
             "da6569aad372570a84f53a5217ec0d551c7f08cbe269f29092d577fd98d041dd",
         "tradeoff_summary.json":
-            "357efc35713aa1aad5d401a039c2dae1e08caf244385181e0a2097260103f5ae",
+            "4d193359a9977bf4bd8ba82a26284d2fad5556280c745e69f569f8cc6a178228",
     },
     "tabulated": {
         "adversary.json":
-            "b2fcf37de56abe26d364cd960e236476f548e47f08f210b26cd28dac65482098",
+            "275ccc4b68f4206705d16a6132b0df00f304610ff270e8756170dc244cbb01a9",
         "equilibrium.json":
-            "d84a3d115821044e36347b79eb199f21254359cd918f4142620421e8b0ea89bc",
+            "c00142cf5cb7ed47a2a4fbb61739016d9383d55cb19702c744314f21ea643020",
         "eta_utility.csv":
             "3b0f230169921ac6a93aaf5a5da903105f2872f749dcc9b59ac59027f3c902a7",
         "level_curve.csv":
             "60f72bb383ea1300614035b1c026a28ce21edf419b68f1eca51839422b117447",
         "resolved_config.json":
-            "1fc8d1b8a7e2589165bd0972560cc89ab3a076640dd3bf2b805882052c762962",
+            "346b42ccbfa2fa996ede1e1f784a9453452f13ec04d9cd5f6adba759dea8afa1",
         "sweep_report.json":
-            "3433fc03df875db3f8204570fde2a5c5641156dc3c2e9ad22a191af60a662b9a",
+            "c84ce591cdbd18c792b2fdec14bd43f1531550fd2458dd5ff1a9fcef99a37607",
         "sweep_simulations.csv":
-            "6911200bfa35e175f21715a6690be293af646f2aa2063b10fe4924aefadd6930",
+            "601ed90ea6b474a81c87bd41ac5507bdb4661591501ce840a4b9ea4b71295f39",
         "tradeoff.csv":
             "56b95476781e39acf085956803fb80f569d1da1adc792c73ed4c76210f6996d5",
         "tradeoff_summary.json":
-            "a0e0219bf9b0344bf3541b44e0c29b8d9017cfc16136b7400467581ba8276903",
+            "be01199c7d235f27cf8d7403ebcddbe8a49f8ff22a634bf1f4823e8f614b9e69",
     },
 }
 
@@ -145,25 +147,26 @@ def test_sweep_artifacts_are_pinned(name, tmp_path):
 # SHA-256 of each `verify` artifact, recorded before the dominance check drew its
 # common random numbers once per chunk; re-recorded with the stream and config_hash above,
 # and again when verify's scenario realizations and candidates became the fixed 100 000
-# and 20 (and 2 iid), run here without flags, and the config_hash left out the output
+# and 20 (and 2 iid), run here without flags, and the config_hash left out the output,
+# and again when a chunk became 8192 trials
 VERIFY_PINS = {
     "uniform": {
         "resolved_config.json":
-            "e141ff693edfc100f37bf7de87842c0442abd85e57103f8ec2ecf7570194129e",
+            "f41518a162de5a3852556a6b22c96aae5da6d4fd571c6e57f86f901e39a1d26f",
         "verify_report.json":
-            "9c3c5a9fc3ba65c8d07e47fed406d02b74234c6394f07e49a620f9c1c306bcd9",
+            "0fa7ba5b8b67e4f6ba80c8f142417ac985dce0c04aa6a3dab1fcea1beb108135",
     },
     "truncated-normal": {
         "resolved_config.json":
-            "10d677d44f53b3003b3a9bba4f2be4cbad52cc87a527e7d2c64aac4ca04ee4fd",
+            "146751a592d0876d15299f96edb8274e5f6ef8cc1769af1f64793fce67b64455",
         "verify_report.json":
-            "6b3589eff191f7726f2354543549b1f7606111e31116636e89ba660e7d492c53",
+            "ced2209d660b542184db2a3bb38265c31d93d3e44f3defd513a732d240a31ce7",
     },
     "tabulated": {
         "resolved_config.json":
-            "d02f9023739cc7ff141774c1f9d41f5318e1701ecb2a824a27174ac42673fb1f",
+            "87f4293a3d65b5f04b64a8dedbdda2da67cf9f92eb91819761664e4dbcb13793",
         "verify_report.json":
-            "5347d4abedfeee1936036ff2fbd2ef812fec553726541b0f5b1b1a41d270b1cc",
+            "c2f5413e5e49985525d4e93d92645673c475e43a125f6fc81b0b2a58c573b673",
     },
 }
 
@@ -171,12 +174,12 @@ VERIFY_PINS = {
 def verify_hashes(workdir, noise) -> dict:
     """Run `verify` in workdir on a small config; SHA-256 of each artifact by name.
 
-    Three controlled nodes and four chunks exercise the replicated and iid
+    Three controlled nodes and three chunks exercise the replicated and iid
     candidates on every chunk's shared draws.
     """
     (workdir / "config.json").write_text(json.dumps({
         "honest_noise": noise,
-        "simulation": {"n_nodes": [4], "trials": 20_000, "seed": 29, "chunk_size": 6000},
+        "simulation": {"n_nodes": [4], "trials": 20_000, "seed": 29},
         "envelope": {"grid_size": 512},
     }))
     assert cli.main(["verify", "--config", str(workdir / "config.json"),
@@ -192,31 +195,32 @@ def test_verify_artifacts_are_pinned(name, tmp_path):
 
 # SHA-256 of each standalone `adversary` artifact at eta 2, recorded before the
 # envelope kept its chords as one array of ends, and re-recorded with each config_hash
-# above; per noise, one alpha off a chord (two atoms) and one on a chord (four atoms)
+# above, the last when simulation.chunk_size left the resolved config; per noise, one
+# alpha off a chord (two atoms) and one on a chord (four atoms)
 ADVERSARY_PINS = {
     ("uniform", 0.5, False): {
         "adversary.json":
-            "a2c98ea8d398bf3e4425b88a81a6abe21cc728320da2692e9b08a5f27ac4e187",
+            "f5cd464f6769d4313e7010425264bc7ea65403c6c887ce0c26661e13b81d4822",
         "resolved_config.json":
-            "e91f008ea637f86f21c3bd3e206e1b0e03a842c85b62f449e2be8dbf3857da46",
+            "32c8c18caaffc251e017d7f97724fc80ed8fd326741218cc0b57796903aae8f0",
     },
     ("uniform", 0.9, True): {
         "adversary.json":
-            "471f4f67cb8d690f196acfd42ac129dcfa99cac14d161d6c2916f27a3b5c2f53",
+            "d7f016b26cd95cab7e3d88fdb4539c5c79278000d6ad32bdd870c2dbb83b8b0b",
         "resolved_config.json":
-            "e91f008ea637f86f21c3bd3e206e1b0e03a842c85b62f449e2be8dbf3857da46",
+            "32c8c18caaffc251e017d7f97724fc80ed8fd326741218cc0b57796903aae8f0",
     },
     ("tabulated", 0.25, False): {
         "adversary.json":
-            "dac1b6b6ed4334b9352be9f26e47a58ff15071646b403b103c719950761f8156",
+            "91535df765c663e936b5342b629956aa78bf30fec2b1d5b68170c432d4b283cb",
         "resolved_config.json":
-            "41efb5b244c68c79254e2efafffce52f4a04a370a756b517f2182d4c50701daa",
+            "3ca2802e2064b99589c3390548345135ec25aad1ee91c3933ec32857f7c0eff4",
     },
     ("tabulated", 0.9, True): {
         "adversary.json":
-            "f0862dc196256800b9952f7ec0aa1129f216bec88386b9f497751b9090e71480",
+            "d9645b965c9eba57a625ef81b1cac376ced65773cfd79a0f6091fa35542f2f11",
         "resolved_config.json":
-            "41efb5b244c68c79254e2efafffce52f4a04a370a756b517f2182d4c50701daa",
+            "3ca2802e2064b99589c3390548345135ec25aad1ee91c3933ec32857f7c0eff4",
     },
 }
 

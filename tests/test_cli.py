@@ -71,12 +71,34 @@ def test_config_error_paths(tmp_path):
     bad.write_text(json.dumps({"output_dir": "out"}))  # --output alone names the directory
     with pytest.raises(ConfigError, match=r"^/: unknown keys \['output_dir'\]$"):
         cli.parse_config(bad)
+    bad.write_text(json.dumps({"simulation": {"chunk_size": 1024}}))  # one chunk size, 8192
+    with pytest.raises(ConfigError, match=r"^/simulation: unknown keys \['chunk_size'\]$"):
+        cli.parse_config(bad)
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         cli.parse_config(bad)
     bad.write_text("[1]")
     with pytest.raises(ConfigError, match=r"^/: must be an object, got \[1\]$"):
         cli.parse_config(bad)
+
+
+def test_a_seed_beyond_philox_keys_fails_at_its_pointer(tmp_path, capsys):
+    """Cell k runs on seed + k, a Philox key below 2**128: a seed of 2**128 - 1 once wrote
+    seven artifacts, then crashed on its second cell. Seeds stop below 2**64."""
+    config = write_config(tmp_path, {"simulation": {"n_nodes": [2], "trials": 100,
+                                                    "seed": 2**128 - 1}})
+    code, out = run(["sweep"], tmp_path, config=config)
+    assert code == 2 and not out.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("/simulation/seed: must be an integer >= 0 and < ")
+    config = write_config(tmp_path, {"simulation": {"n_nodes": [2], "trials": 100,
+                                                    "seed": 2**64 - 1}})
+    code, out = run(["sweep"], tmp_path, config=config)
+    assert code == 0
+    seeds = [int(row.split(",")[-1]) for row in
+             (out / "sweep_simulations.csv").read_text().splitlines()[1:]]
+    assert seeds == [2**64 - 1, 2**64]
 
 
 def test_incomplete_utility_spec_names_required_params(tmp_path):
@@ -110,7 +132,7 @@ def test_other_utility_family_takes_only_its_own_params(tmp_path, capsys):
     default.write_text(json.dumps({"utility": {"adversary": {"family": "scaled_product"},
                                                "dc": {"family": "linear_penalty"}}}))
     assert cli.parse_config(default).config_hash == (
-        "401d3127d0057e1387df69c61fe1d956e4ceb436b8cbbe99d4a76a3262e095f4")
+        "e6220fe5eb112ec5dd1a2bef72aed5105d699888d0859467146267aac81c078b")
 
 
 def test_grid_step_must_divide_the_range(tmp_path):
@@ -389,8 +411,8 @@ def test_sweep_byte_identical(tmp_path):
 def test_artifacts_do_not_depend_on_where_they_are_written(tmp_path, command):
     # the same config, copied into two directories, run to two absolute outputs whose paths
     # differ in length: every file is the same, byte for byte
-    config = write_config(tmp_path, {"simulation": {"n_nodes": [2, 3], "trials": 4000,
-                                                    "seed": 9, "chunk_size": 1500}})
+    config = write_config(tmp_path, {"simulation": {"n_nodes": [2, 3], "trials": 9000,
+                                                    "seed": 9}})
     trees = []
     for where, out in (("a", "o1"), ("b/c", "other/output22")):
         copy = tmp_path / where / "config.json"
@@ -578,7 +600,7 @@ def test_every_problem_is_reported_in_pointer_order(tmp_path):
         "/eta_grid/values/2: must be a finite number, got True",
         "/honest_noise: must be an object, got 5",
         "/simulation/n_nodes/1: must be an integer >= 2, got 1.5",
-        "/simulation/seed: must be an integer >= 0, got -1",
+        "/simulation/seed: must be an integer >= 0 and < 18446744073709551616, got -1",
         "/utility/dc/family: must be one of ('linear_penalty', 'exp_penalty'), got 'nope'",
     ]
 
@@ -635,23 +657,23 @@ def test_only_the_truncated_normal_loads_scipy(tmp_path, noise, loads_scipy):
 
 def test_config_hashes_are_unchanged(tmp_path):
     # the default config, and the benchmark workloads' configs at seed 11; re-recorded
-    # when the resolved config stopped echoing a range for the collected values, and
-    # again when it stopped echoing the output directory
+    # when the resolved config stopped echoing a range for the collected values, again
+    # when it stopped echoing the output directory, and when it lost simulation.chunk_size
     assert cli.parse_config(None).config_hash == (
-        "401d3127d0057e1387df69c61fe1d956e4ceb436b8cbbe99d4a76a3262e095f4")
+        "e6220fe5eb112ec5dd1a2bef72aed5105d699888d0859467146267aac81c078b")
     uniform = {"kind": "uniform", "delta": 1.0}
     workloads = [
         ({"honest_noise": uniform,
           "utility": {"dc": {"family": "linear_penalty", "params": {"gamma": 0.02}}},
           "simulation": {"seed": 11}},
-         "4ca0d4a5cc7b53fa920dca4b2d606c970d411263255c6bfb85abca0a8537dd23"),
+         "8569e17cbb42f74bef77100290396840c5e833e1b3df450107a3b0dc3d7e18d5"),
         ({"honest_noise": {"kind": "truncated-normal", "delta": 1.0, "params": {"sigma": 0.5}},
           "eta_grid": {"start": 2.0, "stop": 3.0, "step": 0.25},
           "simulation": {"n_nodes": [2, 5], "trials": 100_000, "seed": 11}},
-         "71f6130c02709113cd434b0f4cd99a7a91fc8566c4b339203152936e9ad6fc5e"),
+         "8806304a59ce01f8ba29443c39f37cd527053400c0a777e40dc886931b152af0"),
         ({"honest_noise": uniform,
           "simulation": {"n_nodes": [2, 5], "trials": 200_000, "seed": 11}},
-         "9b97abefe0af00499cda6c11add89c59321f416bd9f09dc96a9a3157a526b238"),
+         "8a6f7af146a632d1a91182d5cbc9f63004a20918adec39a65a7516c47efeacc1"),
     ]
     path = tmp_path / "config.json"
     for config, digest in workloads:
@@ -678,6 +700,10 @@ def test_the_workloads_resolve_acceptance_to_1e_15(noise, eta):
     ("alpha", 7.5, {}),
     ("alpha", 0.5, {}),
     ("eta", 1e9, {}),  # its offsets place acceptance only to 6e-8
+    ("eta", "2.0", {}),  # only JSON numbers: no string or boolean is read as one
+    ("alpha", True, {}),
+    ("delta", "1.0", {}),
+    ("eta", 10**400, {}),  # an integer too large for a float
 ])
 def test_simulate_rejects_an_adversary_built_for_another_game(tmp_path, capsys, field, value,
                                                                 config):
@@ -731,6 +757,8 @@ def test_simulate_rejects_an_adversary_beyond_the_float_range(tmp_path, capsys):
     (0, "z", float("nan")),
     (1, "z", float("inf")),
     (1, "weight", float("inf")),
+    (0, "weight", "0.5"),
+    (1, "z", True),
 ])
 def test_simulate_rejects_non_finite_atoms(tmp_path, capsys, atom, field, value):
     adversary = {"eta": 2.0, "delta": 1.0, "alpha": 0.9,

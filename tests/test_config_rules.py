@@ -4,7 +4,9 @@
 On a corpus of broken configs, the rule table must report the same JSON
 pointers. Its one addition is that every number must be finite, so a NaN or
 an infinity is also reported at its own pointer. Both have since dropped the
-`output_dir` key: `--output` alone names the output directory.
+`output_dir` key (`--output` alone names the output directory) and the
+`simulation.chunk_size` key (a chunk is 8192 trials), and bound the seed
+below 2**64, so that every cell's seed is a Philox key.
 """
 
 import copy
@@ -79,8 +81,7 @@ REFERENCE_SCHEMA = {
                 "n_nodes": {"type": "array", "items": {"type": "integer", "minimum": 2},
                             "minItems": 1},
                 "trials": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "chunk_size": {"type": "integer", "minimum": 1},
+                "seed": {"type": "integer", "minimum": 0, "exclusiveMaximum": 2**64},
             },
             "additionalProperties": False,
         },
@@ -113,7 +114,7 @@ def _full(kind, adversary, dc):
         **{key: copy.deepcopy(_GRID) for key in ("eta_grid", "alpha_grid", "report_alphas")},
         "utility": {"adversary": {"family": adversary, "params": _PARAMS[adversary]},
                     "dc": {"family": dc, "params": _PARAMS[dc]}},
-        "simulation": {"n_nodes": [2, 3], "trials": 10, "seed": 0, "chunk_size": 8},
+        "simulation": {"n_nodes": [2, 3], "trials": 10, "seed": 0},
         "envelope": {"grid_size": 64},
         "oracle": {"grid_size": 64},
     })
@@ -121,9 +122,9 @@ def _full(kind, adversary, dc):
 
 FULL_CONFIGS = [_full("truncated-normal", "scaled_product", "linear_penalty"),
                 _full("tabulated", "weighted_sum", "exp_penalty")]
-# 32 and 63 sit just below the two grid minimums
-VALUES = [True, None, "1", -1, 0, 0.5, 1.5, 2, 32, 33, 63, 64, 1e5, [], [1.5], ["a"], {},
-          {"z": 1}]
+# 32 and 63 sit just below the two grid minimums, 2**64 at the seed's limit
+VALUES = [True, None, "1", -1, 0, 0.5, 1.5, 2, 32, 33, 63, 64, 1e5, 2**64 - 1, 2**64, [], [1.5],
+          ["a"], {}, {"z": 1}]
 
 
 def _paths(value, path=()):

@@ -39,6 +39,9 @@ def test_atom_strategies_reject_non_finite_atoms(locations, weights):
             strategy(locations, weights)
 
 
+_C = simulator._CHUNK  # trials per chunk
+
+
 def _rng():
     return np.random.Generator(np.random.Philox(key=77))
 
@@ -79,26 +82,15 @@ def test_zero_noise_adversary_mse(base_cfg):
     assert abs(res.mse_hat - 1.0 / 12.0) <= 4.0 * res.mse_stderr
 
 
-def test_chunk_size_changes_stream_but_stays_reproducible(base_cfg):
-    # the chunk layout is part of the stream contract: a different chunk size
-    # is a different (but itself reproducible) experiment
-    strat = sg.ReplicatedStrategy([-2.0, 2.0], [0.5, 0.5])
-    alt = sg.GameConfig(ctx=base_cfg.ctx, n_nodes=2, trials=50_000, seed=123, chunk_size=1024)
-    res_a = sg.run_monte_carlo(alt, strat)
-    assert sg.run_monte_carlo(alt, strat) == res_a
-    base = sg.run_monte_carlo(base_cfg, strat)
-    assert abs(res_a.pa_hat - base.pa_hat) <= 4.0 * np.hypot(res_a.pa_stderr,
-                                                             base.pa_stderr)
-
-
 def test_monte_carlo_stream_is_pinned(uniform_ctx):
-    # the per-chunk draw order (honest noise, then the adversary's uniforms) is
-    # the stream contract: adding, dropping or reordering a draw moves these
-    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=10_000, seed=2024, chunk_size=4096)
+    # the per-chunk draw order (honest noise, then the adversary's uniforms) and the
+    # chunk size are the stream contract: changing either moves these. Re-recorded when
+    # chunks went from 65536 trials to 8192, so these 10 000 trials span two substreams
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=10_000, seed=2024)
     locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]
     replicated = sg.ReplicatedStrategy(locs, weights)
     iid = sg.IidStrategy(locs, weights)
-    pinned = [(replicated, 8743, 0.3959893641049866), (iid, 7212, 0.4044687968748035)]
+    pinned = [(replicated, 8756, 0.3951375363188887), (iid, 7209, 0.3981674127801912)]
     for strategy, accepted, mse in pinned:
         res = sg.run_monte_carlo(cfg, strategy)
         assert (res.accepted_count, res.mse_hat) == (accepted, mse)
@@ -122,7 +114,7 @@ def test_monte_carlo_matches_a_per_trial_reference(uniform_ctx, iid):
     The collected values come from a generator of their own: no statistic reads them."""
     locs, weights = [-1.5, 0.0, 1.5], [0.25, 0.5, 0.25]  # +/-1.5: accepted 3/4
     strategy = (sg.IidStrategy if iid else sg.ReplicatedStrategy)(locs, weights)
-    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=2500, seed=31, chunk_size=1000)
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=2 * _C + 1000, seed=31)
     n_adv = cfg.n_nodes - 1
     cuts = [sum(weights[:j + 1]) / sum(weights) for j in range(len(weights))]
 
@@ -131,8 +123,8 @@ def test_monte_carlo_matches_a_per_trial_reference(uniform_ctx, iid):
 
     values = np.random.default_rng(8)
     accepted, s2 = 0, 0.0
-    for index, start in enumerate(range(0, cfg.trials, cfg.chunk_size)):
-        count = min(cfg.chunk_size, cfg.trials - start)
+    for index, start in enumerate(range(0, cfg.trials, _C)):
+        count = min(_C, cfg.trials - start)
         rng = _chunk_rng(cfg, index)
         u = values.uniform(-1000.0, 1000.0, count)
         honest = cfg.ctx.noise.sample(rng, count)
@@ -208,10 +200,9 @@ _SUITE_NOISES = {
     "truncated-normal-0.5": sg.truncated_normal(1.0, 0.5),
     "tabulated": sg.tabulated(_XS, 1.0 - 0.6 * np.abs(_XS)),
 }
-_B = simulator._SUITE_BLOCK
 
 
-@pytest.mark.parametrize("realizations", [1, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("realizations", [1, _C - 1, _C, _C + 1, 3 * _C + 5])
 @pytest.mark.parametrize("n_adv", [1, 4, 7])
 @pytest.mark.parametrize("kind", list(_SUITE_NOISES))
 def test_scenario_suite_blocks_match_the_whole_arrays(kind, n_adv, realizations):
@@ -259,7 +250,7 @@ def test_dominance_entries_equal_standalone_runs():
     equals a standalone run of its strategy, to the bit."""
     spec = sg.UtilitySpec.from_spec({})
     cfg = sg.GameConfig(ctx=sg.KernelContext(2.0, sg.truncated_normal(1.0, 0.5)), n_nodes=3,
-                        trials=7000, seed=5, chunk_size=2000)
+                        trials=2 * _C + 1000, seed=5)
     locs, weights = np.array([-1.5, 0.0, 1.5]), [0.25, 0.5, 0.25]
     optimum = sg.ReplicatedStrategy([-1.2, 1.2], [0.5, 0.5])
     candidates = [
@@ -298,17 +289,17 @@ def _dominance_peak_bytes(ctx, trials, n_nodes=3):
 def test_dominance_memory_does_not_grow_with_the_trials(uniform_ctx):
     """The strategies run chunk by chunk, so four chunks of trials peak as one does;
     holding every chunk's honest draw would add 8 bytes per trial."""
-    chunk = simulator.DEFAULT_CHUNK_SIZE
-    one, four = (_dominance_peak_bytes(uniform_ctx, k * chunk) for k in (1, 4))
+    one, four = (_dominance_peak_bytes(uniform_ctx, k * _C) for k in (1, 4))
     assert four - one < 0.25 * 2**20
 
 
 def test_dominance_memory_is_one_array_of_uniforms(uniform_ctx):
-    """At five nodes a chunk's uniforms are 4 rows of 512 KiB, drawn once for every strategy;
-    each strategy's extremes are formed a block at a time. Drawing every strategy's
-    whole-chunk (4, chunk) node values, and reducing them over the nodes, peaked at 7.0 MiB."""
-    peak = _dominance_peak_bytes(uniform_ctx, 2 * simulator.DEFAULT_CHUNK_SIZE, n_nodes=5)
-    assert peak < 4.5 * 2**20
+    """At five nodes a chunk's uniforms are 4 rows of 64 KiB, drawn once for every strategy.
+    With 65536-trial chunks, whose extremes were formed 8192 trials at a time, this peaked
+    at 3.76 MiB; drawing every strategy's whole-chunk (4, 65536) node values, and reducing
+    them over the nodes, peaked at 7.0 MiB."""
+    peak = _dominance_peak_bytes(uniform_ctx, 2 * _C, n_nodes=5)
+    assert peak < 1 * 2**20
 
 
 def _sums_whole(cfg, locations, weights, iid):
@@ -316,8 +307,8 @@ def _sums_whole(cfg, locations, weights, iid):
     atoms picked by rng.choice after the honest draw, then reduced over the nodes."""
     locations, n_adv = np.asarray(locations), cfg.n_nodes - 1
     sums = [0, 0.0, 0.0]
-    for index, start in enumerate(range(0, cfg.trials, cfg.chunk_size)):
-        count = min(cfg.chunk_size, cfg.trials - start)
+    for index, start in enumerate(range(0, cfg.trials, _C)):
+        count = min(_C, cfg.trials - start)
         rng = _chunk_rng(cfg, index)
         honest = cfg.ctx.noise.sample(rng, count)
         picks = rng.choice(len(locations), size=(n_adv if iid else 1, count), p=weights)
@@ -327,18 +318,14 @@ def _sums_whole(cfg, locations, weights, iid):
     return sums
 
 
-_SB = simulator._STATS_BLOCK
-
-
-@pytest.mark.parametrize("chunk_size", [_SB - 1, _SB, _SB + 1, 3 * _SB + 5])
+@pytest.mark.parametrize("trials", [_C - 1, _C, _C + 1, 3 * _C + 5])
 @pytest.mark.parametrize("n_nodes", [2, 5])
-def test_blocked_stats_match_the_whole_chunk(uniform_ctx, n_nodes, chunk_size):
-    """Chunks that end short of, at, or just past a block edge, and a last chunk shorter
+def test_blocked_stats_match_the_whole_chunk(uniform_ctx, n_nodes, trials):
+    """Trials that end short of, at, or just past a chunk edge, and a last chunk shorter
     than the rest, give the whole-chunk sums to the bit; the replicated and iid
     strategies run together, so the replicated one reads row 0 of a deeper draw."""
     locs, weights = [-1.5, 0.0, 1.5], [0.25, 0.5, 0.25]
-    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=n_nodes, trials=2 * chunk_size + 1234,
-                        seed=41, chunk_size=chunk_size)
+    cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=n_nodes, trials=trials, seed=41)
     strategies = [sg.ReplicatedStrategy(locs, weights), sg.IidStrategy(locs, weights)]
     assert simulator._run_strategies(cfg, strategies) == [
         _sums_whole(cfg, locs, weights, iid) for iid in (False, True)]

@@ -11,12 +11,10 @@ oracles and Monte Carlo simulation.
 from .envelope import Chord, Envelope, build_envelope
 from .errors import ConfigError, DomainError, NumericalError
 from .kernel import KernelContext
-from .noise_model import (HonestNoiseModel, ValidationReport, from_spec, tabulated,
-                          tabulated_from_csv, triangular, truncated_normal, uniform,
-                          validate)
-from .simulator import (DominanceReport, GameConfig, IidStrategy, ReplicatedStrategy,
-                        SimulationResult, dominance_check, run_monte_carlo,
-                        run_scenario_suite)
+from .noise_model import (HonestNoiseModel, from_spec, tabulated, tabulated_from_csv,
+                          triangular, truncated_normal, uniform, validate)
+from .simulator import (GameConfig, IidStrategy, ReplicatedStrategy, SimulationResult,
+                        dominance_check, run_monte_carlo, run_scenario_suite)
 from .strategy import (AdversaryUtility, AtomicAdversary, DCUtility,
                        EquilibriumReport, UtilitySpec, best_alpha_set,
                        build_adversary, solve_equilibrium)

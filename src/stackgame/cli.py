@@ -206,10 +206,10 @@ class RunConfig:
         problems = []
         # the analytic families are valid by construction; a table may not be
         if check_noise and self.noise.kind == "tabulated":
-            failures = noise_model.validate(self.noise).failures
+            failures = [c for c in noise_model.validate(self.noise)["checks"] if not c["passed"]]
             if failures:
                 problems.append("/honest_noise: tabulated noise fails validation: " + ", ".join(
-                    f"{c.name} ({c.detail})" for c in failures))
+                    f"{c['name']} ({c['detail']})" for c in failures))
         if self.noise.delta < _DELTA_MIN:
             problems.append(f"/honest_noise/delta: must be >= {_DELTA_MIN:.4g}, where delta^4 "
                             f"underflows, got {self.noise.delta}")
@@ -310,11 +310,11 @@ def cmd_validate_noise(cfg: RunConfig, out: Path) -> int:
     report = noise_model.validate(cfg.noise)
     payload = {
         "noise": cfg.raw["honest_noise"],
-        **report.to_json_dict(),
+        **report,
         **_stamp(cfg),
     }
     _write_json(out / "noise_validation.json", payload)
-    return 0 if report.passed else 1
+    return 0 if report["passed"] else 1
 
 
 def _envelope(cfg: RunConfig):
@@ -489,7 +489,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 
     payload = {
         "scenario_suite": scenario,
-        "dominance": dom.to_json_dict(),
+        "dominance": dom,
         "alpha_star": alpha_star,
         "eta": env.ctx.eta,
         **_stamp(cfg),

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +35,6 @@ _INV_CDF_XTOL = 1e-12
 _CDF_ROUNDING = 1e-15
 # points of the grid on which validate checks symmetry and strict CDF increase
 _VALIDATE_GRID = 1025
-# draws sample transforms at a time: its temporaries hold this many, not all of them
-_SAMPLE_BLOCK = 8192
 # sigma / delta from which a truncated normal takes the forms of _WideNormal
 WIDE_SIGMA = 8.0
 # row j: 1 / (k! (2k + j + 1)), k = 11 down to 0, the series of the j-th partial moment
@@ -306,20 +303,10 @@ class HonestNoiseModel:
         return float(out) if arr.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw count variates via the inverse-CDF transform of rng.random.
-
-        The uniforms are drawn at once and transformed in place, _SAMPLE_BLOCK
-        at a time, each block round-trip checked by inv_cdf: the values are
-        inv_cdf(rng.random(count)) to the bit, and beyond the output the
-        temporaries hold one block.
-        """
+        """Draw count variates: inv_cdf(rng.random(count)), round-trip checked by inv_cdf."""
         if count < 0:
             raise DomainError(f"sample count must be nonnegative, got {count}")
-        out = rng.random(count)
-        for start in range(0, count, _SAMPLE_BLOCK):
-            block = out[start:start + _SAMPLE_BLOCK]
-            block[...] = self.inv_cdf(block)
-        return out
+        return self.inv_cdf(rng.random(count))
 
     def partial_moments(self, L):
         """(M0, M1, M2): integrals of x^k f(x) over [L, delta], L clamped to the support."""
@@ -419,36 +406,16 @@ def from_spec(spec: dict, base_dir=None) -> HonestNoiseModel:
 
 # --- validation ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
-
-
-def validate(model: HonestNoiseModel) -> ValidationReport:
+def validate(model: HonestNoiseModel) -> dict:
     """Check the distributional assumptions and report violations.
 
     Checks: zero density outside the support, nonnegativity, symmetry of the
     pdf, unit normalization (the exact integral M0 over the support), CDF
     endpoints, and strict CDF increase on a grid (tolerance 1e-12 between
     adjacent points).
+
+    Returns the body of noise_validation.json: {"passed", "checks"}, each
+    check a dict of name, passed and detail.
     """
     d = model.delta
     lo, hi = model.support
@@ -458,30 +425,31 @@ def validate(model: HonestNoiseModel) -> ValidationReport:
 
     outside = np.array([lo - 2 * d, lo - d * 1e-6 - 1e-12, hi + d * 1e-6 + 1e-12, hi + 2 * d])
     out_mass = float(np.max(np.abs(model.pdf(outside))))
-    checks.append(CheckResult("support", out_mass == 0.0,
-                              f"max |pdf| outside support = {out_mass}"))
+    checks.append(("support", out_mass == 0.0,
+                   f"max |pdf| outside support = {out_mass}"))
 
     min_pdf = float(np.min(pdf_grid))
-    checks.append(CheckResult("nonnegative", min_pdf >= 0.0, f"min pdf = {min_pdf}"))
+    checks.append(("nonnegative", min_pdf >= 0.0, f"min pdf = {min_pdf}"))
 
     sym_tol = 1e-12 * float(np.max(np.abs(pdf_grid)))  # relative: the verdict ignores the scale
     sym_gap = float(np.max(np.abs(pdf_grid - model.pdf(-grid))))
-    checks.append(CheckResult("symmetry", sym_gap <= sym_tol,
-                              f"max |pdf(x) - pdf(-x)| = {sym_gap}"))
+    checks.append(("symmetry", sym_gap <= sym_tol,
+                   f"max |pdf(x) - pdf(-x)| = {sym_gap}"))
 
     total = float(model.partial_moments(lo)[0])
-    checks.append(CheckResult("normalization", abs(total - 1.0) <= 1e-8,
-                              f"integral of pdf = {total}"))
+    checks.append(("normalization", abs(total - 1.0) <= 1e-8,
+                   f"integral of pdf = {total}"))
 
     c_lo, c_hi = float(model.cdf(lo)), float(model.cdf(hi))
-    checks.append(CheckResult("cdf_endpoints",
-                              c_lo <= 1e-12 and abs(c_hi - 1.0) <= 1e-12,
-                              f"cdf({lo}) = {c_lo}, cdf({hi}) = {c_hi}"))
+    checks.append(("cdf_endpoints",
+                   c_lo <= 1e-12 and abs(c_hi - 1.0) <= 1e-12,
+                   f"cdf({lo}) = {c_lo}, cdf({hi}) = {c_hi}"))
 
     steps = np.diff(model.cdf(grid))
     min_step = float(np.min(steps))
-    checks.append(CheckResult("cdf_strictly_increasing", min_step > 1e-12,
-                              f"min CDF increment on {_VALIDATE_GRID}-point grid = {min_step}"))
+    checks.append(("cdf_strictly_increasing", min_step > 1e-12,
+                   f"min CDF increment on {_VALIDATE_GRID}-point grid = {min_step}"))
 
-    return ValidationReport(tuple(checks))
+    checks = [{"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks]
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}
 

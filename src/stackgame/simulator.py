@@ -261,37 +261,6 @@ def run_scenario_suite(ctx: KernelContext, n_realizations: int, n_adv: int,
 
 # --- dominance ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DominanceEntry:
-    label: str
-    pa_hat: float
-    mse_hat: float | None
-    utility: float | None
-    utility_stderr: float | None
-    violation: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    optimum: DominanceEntry
-    entries: tuple
-
-    @property
-    def violation_labels(self) -> tuple:
-        return tuple(e.label for e in self.entries if e.violation)
-
-    @property
-    def passed(self) -> bool:
-        return len(self.violation_labels) == 0
-
-    def to_json_dict(self) -> dict:
-        return {"passed": self.passed,
-                "optimum": asdict(self.optimum),
-                "candidates": [asdict(e) for e in self.entries],
-                "violations": list(self.violation_labels)}
-
-
 def _utility_sigma(adv_utility, mse, pa, mse_sd, pa_sd) -> float:
     """First-order error propagation through the utility surface."""
     hm = 1e-6 * max(1.0, abs(mse))
@@ -301,7 +270,7 @@ def _utility_sigma(adv_utility, mse, pa, mse_sd, pa_sd) -> float:
     return math.sqrt((dm * mse_sd) ** 2 + (dp * pa_sd) ** 2)
 
 
-def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceReport:
+def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> dict:
     """Monte Carlo test that no candidate beats the optimum's utility.
 
     All runs share the same seed, so candidate-vs-optimum comparisons use
@@ -314,6 +283,11 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceRepo
     than 4 combined standard errors. Candidates with no accepted trials have
     undefined utility and cannot be flagged; they are recorded with a note.
     An optimum with none raises NumericalError, once every strategy has run.
+
+    Returns the `dominance` block of verify_report.json: {"passed", "optimum",
+    "candidates", "violations"}, each entry a dict of label, pa_hat, mse_hat,
+    utility, utility_stderr, violation and note, and violations the flagged
+    candidates' labels.
     """
     labels, strategies = zip(("optimum", optimum), *candidates)
     scored = []  # the optimum's entry, then each candidate's
@@ -322,14 +296,18 @@ def dominance_check(cfg: GameConfig, spec, candidates, optimum) -> DominanceRepo
         if res.mse_hat is None:
             if not scored:
                 raise NumericalError("optimum strategy produced no accepted trials")
-            scored.append(DominanceEntry(label, res.pa_hat, None, None, None,
-                                         False, note="no accepted trials"))
+            scored.append({"label": label, "pa_hat": res.pa_hat, "mse_hat": None,
+                           "utility": None, "utility_stderr": None, "violation": False,
+                           "note": "no accepted trials"})
             continue
         util = float(spec.adversary.value(res.mse_hat, res.pa_hat))
         sigma = _utility_sigma(spec.adversary, res.mse_hat, res.pa_hat,
                                res.mse_stderr, res.pa_stderr)
         opt = scored[0] if scored else None
-        bad = opt is not None and util > opt.utility + 4.0 * math.sqrt(
-            sigma * sigma + opt.utility_stderr * opt.utility_stderr)
-        scored.append(DominanceEntry(label, res.pa_hat, res.mse_hat, util, sigma, bad))
-    return DominanceReport(scored[0], tuple(scored[1:]))
+        bad = opt is not None and util > opt["utility"] + 4.0 * math.sqrt(
+            sigma * sigma + opt["utility_stderr"] * opt["utility_stderr"])
+        scored.append({"label": label, "pa_hat": res.pa_hat, "mse_hat": res.mse_hat,
+                       "utility": util, "utility_stderr": sigma, "violation": bad, "note": ""})
+    violations = [e["label"] for e in scored[1:] if e["violation"]]
+    return {"passed": not violations, "optimum": scored[0], "candidates": scored[1:],
+            "violations": violations}

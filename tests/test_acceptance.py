@@ -209,8 +209,7 @@ def test_criterion_8_dominance(uniform_ctx, uniform_env, family, params):
     cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=3, trials=10**5, seed=4242)
     report = sg.dominance_check(cfg, spec, cands, opt)
     _finish(8, f"no candidate beats the optimum [{family}]", 300.0, t0,
-            report.passed, f"110 candidates, violations: "
-                           f"{list(report.violation_labels)}")
+            report["passed"], f"110 candidates, violations: {report['violations']}")
 
 
 def test_criterion_9_sweep_determinism(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import stackgame as sg
 from stackgame.errors import NumericalError
 from stackgame.envelope import build_envelope
-from stackgame.noise_model import _SAMPLE_BLOCK, KINDS
+from stackgame.noise_model import KINDS
 from stackgame.numerics import adaptive_simpson
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -130,11 +130,12 @@ def test_inv_cdf_round_trip_check_raises(monkeypatch):
 
 
 def test_a_miss_in_the_last_sample_block_raises(monkeypatch):
-    """The round-trip check covers every block: one miss in the last one still raises."""
+    """The round-trip check covers every draw: one miss in the last of three chunks' worth
+    and five still raises."""
     model = sg.truncated_normal(1.0, 0.5)
-    count = 3 * _SAMPLE_BLOCK + 5
+    count = 24581
     draws = np.random.default_rng(9).random(count)
-    target = draws[-1]  # the draw with index 3B + 4, and no other
+    target = draws[-1]  # the draw with index 24580, and no other
     assert np.count_nonzero(draws == target) == 1
     exact = model.law.inv_cdf
     monkeypatch.setattr(model.law, "inv_cdf", lambda p: exact(p) + 1e-9 * (p == target))

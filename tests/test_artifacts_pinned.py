@@ -236,3 +236,24 @@ def test_adversary_artifacts_are_pinned(name, alpha, on_chord, tmp_path):
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
               for p in sorted((tmp_path / "out").iterdir())}
     assert hashes == ADVERSARY_PINS[name, alpha, on_chord]
+
+
+# SHA-256 of `noise_validation.json`, recorded before validate returned its report as
+# the plain dict this file holds; per noise, the command's exit code and the hash. The
+# asymmetric table fails its symmetry check, so the command exits 1 and still writes it.
+_ASYMMETRIC = {"kind": "tabulated", "delta": 1.0,
+               "params": {"xs": [-1, -0.5, 0, 0.5, 1], "pdf": [0.2, 0.2, 0.6, 0.8, 0.8]}}
+VALIDATION_PINS = {
+    "uniform": (0, "6a4dfc949214b0e95aebfada74adb5cfe4a611b8d2e3a156156be2ea30d79b7d"),
+    "asymmetric": (1, "32fa26a222cb59873d82a6266b16a5fe6b55ac508cca8b2cc2cea7bb39b3fb6f"),
+}
+
+
+@pytest.mark.parametrize("name", list(VALIDATION_PINS))
+def test_noise_validation_is_pinned(name, tmp_path):
+    noise = {**NOISES, "asymmetric": _ASYMMETRIC}[name]
+    (tmp_path / "config.json").write_text(json.dumps({"honest_noise": noise}))
+    code = cli.main(["validate-noise", "--config", str(tmp_path / "config.json"),
+                     "--output", str(tmp_path / "out")])
+    digest = hashlib.sha256((tmp_path / "out" / "noise_validation.json").read_bytes()).hexdigest()
+    assert (code, digest) == VALIDATION_PINS[name]

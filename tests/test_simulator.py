@@ -236,13 +236,11 @@ def test_dominance_smoke(uniform_ctx, uniform_env):
         ("self", opt),  # common random numbers make this an exact tie
     ]
     rep = sg.dominance_check(cfg, spec, cands, opt)
-    assert rep.passed
-    notes = {e.label: e.note for e in rep.entries}
+    assert rep["passed"] and len(rep["candidates"]) == 4
+    notes = {e["label"]: e["note"] for e in rep["candidates"]}
     assert notes["far"] == "no accepted trials"
-    self_entry = next(e for e in rep.entries if e.label == "self")
-    assert self_entry.utility == rep.optimum.utility and not self_entry.violation
-    d = rep.to_json_dict()
-    assert d["passed"] and len(d["candidates"]) == 4
+    self_entry = next(e for e in rep["candidates"] if e["label"] == "self")
+    assert self_entry["utility"] == rep["optimum"]["utility"] and not self_entry["violation"]
 
 
 def test_dominance_entries_equal_standalone_runs():
@@ -262,14 +260,14 @@ def test_dominance_entries_equal_standalone_runs():
         ("never", sg.ReplicatedStrategy([50.0], [1.0])),
     ]
     report = sg.dominance_check(cfg, spec, candidates, optimum)
-    entries = [report.optimum, *report.entries]
-    assert [e.label for e in entries] == ["optimum", "replicated", "iid", "joint", "never"]
-    assert entries[-1].note == "no accepted trials" and entries[-1].mse_hat is None
+    entries = [report["optimum"], *report["candidates"]]
+    assert [e["label"] for e in entries] == ["optimum", "replicated", "iid", "joint", "never"]
+    assert entries[-1]["note"] == "no accepted trials" and entries[-1]["mse_hat"] is None
     for entry, strategy in zip(entries, [optimum] + [s for _, s in candidates]):
         res = sg.run_monte_carlo(cfg, strategy)
-        assert (entry.pa_hat, entry.mse_hat) == (res.pa_hat, res.mse_hat), entry.label
+        assert (entry["pa_hat"], entry["mse_hat"]) == (res.pa_hat, res.mse_hat), entry["label"]
         if res.mse_hat is not None:
-            assert entry.utility == float(spec.adversary.value(res.mse_hat, res.pa_hat))
+            assert entry["utility"] == float(spec.adversary.value(res.mse_hat, res.pa_hat))
 
 
 def _dominance_peak_bytes(ctx, trials, n_nodes=3):
@@ -364,13 +362,12 @@ def test_dominance_refuses_an_optimum_with_no_accepted_trials(uniform_ctx):
 
 def test_violation_labels_are_the_flagged_entries(uniform_ctx):
     """A candidate that beats the planted optimum by far is flagged, and the report's
-    violation labels are read from the entries' flags."""
+    violations are the labels of the flagged entries."""
     spec = sg.UtilitySpec.from_spec({})
     cfg = sg.GameConfig(ctx=uniform_ctx, n_nodes=2, trials=20_000, seed=4)
     weak = sg.ReplicatedStrategy([0.0], [1.0])
     candidates = [("strong", sg.ReplicatedStrategy([-2.0, 2.0], [0.5, 0.5])),
                   ("same", weak)]
     report = sg.dominance_check(cfg, spec, candidates, weak)
-    assert [e.violation for e in report.entries] == [True, False]
-    assert report.violation_labels == ("strong",) and not report.passed
-    assert report.to_json_dict()["violations"] == ["strong"]
+    assert [e["violation"] for e in report["candidates"]] == [True, False]
+    assert report["violations"] == ["strong"] and not report["passed"]

@@ -86,10 +86,10 @@ class UtilitySpec:
 
 
 def _alpha_levels(alpha_grid) -> np.ndarray:
-    alphas = np.unique(np.asarray(alpha_grid, dtype=float))
+    alphas = np.sort(np.asarray(alpha_grid, dtype=float), axis=None)
     if alphas.size == 0:
         raise DomainError("alpha grid is empty")
-    return alphas
+    return alphas[np.append(True, alphas[1:] != alphas[:-1])]  # np.unique, without numpy.ma
 
 
 def _best_alphas(spec: UtilitySpec, alphas, cs):

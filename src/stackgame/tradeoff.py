@@ -78,7 +78,8 @@ def build_oracle_table(ctx: KernelContext, grid_size: int = DEFAULT_ORACLE_GRID)
     """
     if grid_size < MIN_ORACLE_GRID:
         raise DomainError(f"oracle grid too small: {grid_size}")
-    zs = np.unique(np.append(np.linspace(0.0, ctx.z_hi, grid_size), ctx.z_lo))
+    zs = np.sort(np.append(np.linspace(0.0, ctx.z_hi, grid_size), ctx.z_lo))
+    zs = zs[np.append(True, zs[1:] != zs[:-1])]  # np.unique, without numpy.ma
     moment = np.empty_like(zs)
     inner = zs < ctx.z_lo  # never empty: zs starts at 0
     # expand (x+z)^2 once: full-support partial moments do not depend on z

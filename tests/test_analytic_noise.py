@@ -6,6 +6,8 @@ acceptance levels alpha; hypothesis runs derandomized so the suite stays
 deterministic and fast.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackgame as sg
+from stackgame import noise_model
 from stackgame.errors import NumericalError
 from stackgame.envelope import build_envelope
 from stackgame.noise_model import KINDS
@@ -74,6 +77,73 @@ def test_wide_truncated_normal_moments_against_mpmath(sigma):
             want = [mpmath.quad(lambda x: x ** k * f(x), [float(L), 1]) / mass for L in ls]
             assert np.max(np.abs(got[k] - np.array(want, dtype=float))) <= 1e-14, (sigma, k)
 
+
+
+def _economised(series, terms):
+    """series (lowest power first) economised on [0, 1] to terms terms, highest first: each
+    dropped power u^n becomes the lower ones of the shifted Chebyshev polynomial it leads,
+    T*_n(u) = T_n(2u - 1), at a cost of |c_n| / 2^(2n - 1)."""
+    t = [[1], [-1, 2]]  # T*_n, lowest power first: T*_(n+1) = (4u - 2) T*_n - T*_(n-1)
+    while len(t) < len(series):
+        t.append([4 * a - 2 * b - c for a, b, c in zip([0] + t[-1], t[-1] + [0], t[-2] + [0, 0])])
+    c = list(series)
+    while len(c) > terms:
+        k = c.pop() / t[len(c)][-1]
+        c = [ci - k * ti for ci, ti in zip(c, t[len(c)])]
+    return c[::-1]
+
+
+def test_erf_series_is_the_economised_taylor_series():
+    taylor = [2.0 / math.sqrt(math.pi) * (-1) ** k / (math.factorial(k) * (2 * k + 1))
+              for k in range(21)]
+    assert noise_model._ERF_SERIES == tuple(_economised(taylor, 12))
+
+
+def test_erf_against_mpmath():
+    # a grid, random points, and both sides of 1 and of 6, where the branches meet
+    edges = [1.0, 6.0, *np.nextafter([1.0, 6.0], 0.0)]
+    xs = np.concatenate([np.linspace(-6.5, 6.5, 2601),
+                         np.random.default_rng(3).uniform(-6.5, 6.5, 400), edges])
+    tiny = np.geomspace(1e-300, 1.0, 601)
+    erf = noise_model._erf
+    with mpmath.workdps(50):
+        err = [abs(mpmath.mpf(g) - mpmath.erf(x)) for g, x in zip(erf(xs), xs)]
+        rel = [abs(mpmath.mpf(g) / mpmath.erf(x) - 1) for g, x in zip(erf(tiny), tiny)]
+    assert max(err) <= 2.5e-16 and max(rel) <= 4e-16
+    assert np.array_equal(erf(-xs), -erf(xs))  # odd to the bit
+
+
+def test_norm_ppf_against_mpmath():
+    # a log grid, random points, both sides of the branches' edges p = 0.075 and exp(-25),
+    # and 1/2, whose quantile is 0
+    edges = [p for e in (0.075, np.exp(-25.0)) for p in np.nextafter(e, [0.0, 1.0])]
+    ps = np.concatenate([np.geomspace(1e-300, 0.5, 300, endpoint=False),
+                         np.random.default_rng(5).uniform(0.0, 0.5, 100), edges, [0.5]])
+    got = noise_model._norm_ppf(ps, ps - 0.5)
+    with mpmath.workdps(40):
+        for g, p in zip(got, ps):
+            want = mpmath.findroot(lambda t: mpmath.log(mpmath.ncdf(t) / p), g) if p < 0.5 else 0
+            assert abs(mpmath.mpf(g) - want) <= 1e-15 * abs(want), p
+
+
+@pytest.mark.parametrize("sigma", [1e-155, 3e-8, 0.5, 3.0, 8.0, 50.0])
+def test_truncated_normal_inverse_against_mpmath(sigma):
+    # both laws, from a density of 4e154 to one flat to 2e-4: the ends and the center
+    # exact, mirrored levels mirrored to the bit, and the rest to 2e-15 relative, which
+    # the wide law reaches only by taking its quantile's central offset exactly
+    model = sg.truncated_normal(1.0, sigma)
+    assert [model.inv_cdf(p) for p in (0.0, 0.5, 1.0)] == [-1.0, 0.0, 1.0]
+    ps = np.arange(1, 512) / 1024.0
+    assert np.array_equal(model.inv_cdf(1.0 - ps), -model.inv_cdf(ps))
+    ps = np.array([1e-300, 1e-9, 1e-3, 0.1, 0.25, 0.4, 0.499, 0.5001, 0.6, 0.9, 1.0 - 1e-6])
+    with mpmath.workdps(60):
+        scale = mpmath.mpf(sigma) * mpmath.sqrt(2)
+        mass = mpmath.erf(1 / scale)
+        for got, p in zip(model.inv_cdf(ps), ps):
+            # |x| = -sigma t, where the untruncated normal puts this mass below t
+            below = mass * min(mpmath.mpf(p), 1 - mpmath.mpf(p)) + (1 - mass) / 2
+            t = mpmath.findroot(lambda t: mpmath.log(mpmath.ncdf(t) / below), -abs(got) / sigma)
+            assert abs(abs(mpmath.mpf(got)) / (-sigma * t) - 1) <= 2e-15, p
 
 @PROPERTY
 @given(noise_models(), st.floats(2.0, 4.0), st.floats(0.0, 1.0))

@@ -629,30 +629,32 @@ def test_malformed_noise_table_row_is_a_config_error(tmp_path, capsys):
 
 _LOADED_MODULES = """
 import json, sys
+sys.modules["scipy"] = None  # an import of scipy or any of its modules now fails
 from stackgame import cli
 assert cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))))
+print(json.dumps(sorted(m for m, mod in sys.modules.items() if mod is not None
+                        and (m.split(".")[0] in ("scipy", "jsonschema") or m == "numpy.ma"))))
 """
+_TRUNCATED_NORMAL = {"kind": "truncated-normal", "params": {"sigma": 0.5}}
 
 
-@pytest.mark.parametrize("noise, loads_scipy", [
-    ({"kind": "uniform"}, False), ({"kind": "triangular"}, False),
-    ({"kind": "truncated-normal", "params": {"sigma": 0.5}}, True),
-    ({"kind": "tabulated", "params": {"xs": [-1.0, 0.0, 1.0], "pdf": [0.5, 1.0, 0.5]}}, False),
-])
-def test_only_the_truncated_normal_loads_scipy(tmp_path, noise, loads_scipy):
-    # and no command loads jsonschema, which only the tests use
+@pytest.mark.parametrize("command, noise", [
+    ("solve", {"kind": "uniform"}), ("solve", {"kind": "triangular"}),
+    ("solve", _TRUNCATED_NORMAL),
+    ("solve", {"kind": "tabulated", "params": {"xs": [-1.0, 0.0, 1.0], "pdf": [0.5, 1.0, 0.5]}}),
+    ("sweep", _TRUNCATED_NORMAL), ("verify", _TRUNCATED_NORMAL),
+], ids=lambda v: v if isinstance(v, str) else v["kind"])
+def test_no_command_needs_scipy(tmp_path, command, noise):
+    # nor loads numpy.ma, which np.unique imports, or jsonschema, which only the tests use
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     config = write_config(tmp_path, {"honest_noise": noise})
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, "solve", "--config",
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, command, "--config",
                            str(config), "--output", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert not any(m.startswith("jsonschema") for m in loaded), loaded
-    assert bool(loaded) is loads_scipy
+    assert json.loads(proc.stdout) == []
 
 
 def test_config_hashes_are_unchanged(tmp_path):

@@ -12,11 +12,17 @@ Exit codes: 0 success, 1 computation or check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import sys
 from pathlib import Path
+
+# CPython's own SHA-256, not hashlib's: hashlib loads OpenSSL's libcrypto, 3.5-4.5 MiB of
+# RSS for the one digest a run takes
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    from _sha256 import sha256
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .tradeoff import (ALPHA_MIN, DEFAULT_ORACLE_GRID, MIN_ORACLE_GRID, build_or
 # a start/stop/step grid must span a whole number of steps, up to fp rounding
 _STEP_SLACK = 1e-9
 _DELTA_MIN = sys.float_info.min ** 0.25  # the scale rule's lower half: delta^4 stays normal
+_MAX_POINTS = 2**20  # a step/num grid's or a grid_size's most points, far below a MemoryError
 
 DEFAULT_CONFIG = {
     "honest_noise": {"kind": "uniform", "params": {}},  # from_spec owns delta's default
@@ -143,6 +150,9 @@ def _resolve_grid(spec: dict, path: str) -> np.ndarray:
         if stop < start:
             raise ConfigError(f"{path}: stop must be >= start")
         steps = (stop - start) / step
+        if not steps < _MAX_POINTS - 0.5:  # round(steps) + 1 points; inf too, which round refuses
+            raise ConfigError(f"{path}/step: (stop - start) / step = {steps:.10g} steps "
+                              f"make more than {_MAX_POINTS} points")
         if abs(steps - round(steps)) > _STEP_SLACK * max(1.0, steps):
             raise ConfigError(
                 f"{path}: (stop - start) / step = {steps:.10g} is not a whole number of steps")
@@ -150,6 +160,8 @@ def _resolve_grid(spec: dict, path: str) -> np.ndarray:
     elif "start" in spec and "stop" in spec and "num" in spec:
         if spec["stop"] < spec["start"]:
             raise ConfigError(f"{path}: stop must be >= start")
+        if spec["num"] > _MAX_POINTS:
+            raise ConfigError(f"{path}/num: must be at most {_MAX_POINTS}, got {spec['num']}")
         grid = np.linspace(spec["start"], spec["stop"], int(spec["num"]))
     else:
         raise ConfigError(f"{path}: grid needs either values or start/stop with step or num")
@@ -196,7 +208,7 @@ class RunConfig:
         self.raw["honest_noise"] = {"delta": self.noise.delta, **resolved["honest_noise"]}
         self.raw["utility"] = {role: {"family": u.family, "params": u.params}
                                for role, u in vars(self.utility).items()}
-        self.config_hash = hashlib.sha256(
+        self.config_hash = sha256(
             json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
 
@@ -213,6 +225,9 @@ class RunConfig:
         if self.noise.delta < _DELTA_MIN:
             problems.append(f"/honest_noise/delta: must be >= {_DELTA_MIN:.4g}, where delta^4 "
                             f"underflows, got {self.noise.delta}")
+        for key, size in (("envelope", self.envelope_grid), ("oracle", self.oracle_grid)):
+            if size > _MAX_POINTS:
+                problems.append(f"/{key}/grid_size: must be at most {_MAX_POINTS}, got {size}")
         if self.eta_grid[0] < 2.0:
             problems.append(
                 "/eta_grid: every threshold multiple must satisfy eta >= 2; the "

@@ -55,6 +55,13 @@ def test_grid_spec_forms():
         cli._resolve_grid({"values": [2.0, 1.0]}, "/x")
     with pytest.raises(ConfigError):
         cli._resolve_grid({"start": 0.0}, "/x")
+    # a step or num grid holds at most 2**20 points
+    assert cli._resolve_grid({"start": 0, "stop": 1, "num": 2**20}, "/x").size == 2**20
+    assert cli._resolve_grid({"start": 0, "stop": 2**20 - 1, "step": 1}, "/x").size == 2**20
+    with pytest.raises(ConfigError, match=r"^/x/num: must be at most 1048576, got 1048577$"):
+        cli._resolve_grid({"start": 0, "stop": 1, "num": 2**20 + 1}, "/x")
+    with pytest.raises(ConfigError, match=r"^/x/step: "):
+        cli._resolve_grid({"start": 0, "stop": 2**20, "step": 1}, "/x")
 
 
 def test_config_error_paths(tmp_path):
@@ -512,8 +519,9 @@ def test_typed_params_fail_at_the_boundary(tmp_path, capsys, config, pointer):
 
 
 # NaN, Infinity and integers too large for a float parse as numbers; no config number may
-# be one, and no eta and delta may put the largest MSE, ((eta + 2) delta)^2, or its square
-# beyond the float range
+# be one, no eta and delta may put the largest MSE, ((eta + 2) delta)^2, or its square
+# beyond the float range, and no small number may set a size beyond 2**20 points, which would
+# be a MemoryError (or, for a step of 5e-324, an OverflowError) deep inside the command
 @pytest.mark.parametrize("text, pointer", [
     ('{"eta_grid": {"start": 2, "stop": 3, "step": NaN}}', "/eta_grid/step"),
     ('{"eta_grid": {"start": 2, "stop": 3, "step": Infinity}}', "/eta_grid/step"),
@@ -526,6 +534,12 @@ def test_typed_params_fail_at_the_boundary(tmp_path, capsys, config, pointer):
     ('{"honest_noise": {"delta": 1e-80}}', "/honest_noise/delta"),  # delta^4 underflows
     ('{"honest_noise": {"kind": "tabulated", "params": {"xs": [-1, 0, 1], "pdf": [1, NaN, 1]}}}',
      "/honest_noise/params/pdf/1"),
+    ('{"eta_grid": {"step": 1e-15}}', "/eta_grid/step"),
+    ('{"eta_grid": {"step": 5e-324}}', "/eta_grid/step"),
+    ('{"alpha_grid": {"num": 10000000000000}}', "/alpha_grid/num"),
+    ('{"report_alphas": {"num": 10000000000000}}', "/report_alphas/num"),
+    ('{"envelope": {"grid_size": 10000000000000}}', "/envelope/grid_size"),
+    ('{"oracle": {"grid_size": 10000000000000}}', "/oracle/grid_size"),
 ])
 def test_non_finite_numbers_fail_at_their_pointer(tmp_path, capsys, text, pointer):
     bad = tmp_path / "bad.json"
@@ -633,28 +647,39 @@ sys.modules["scipy"] = None  # an import of scipy or any of its modules now fail
 from stackgame import cli
 assert cli.main(sys.argv[1:]) == 0
 print(json.dumps(sorted(m for m, mod in sys.modules.items() if mod is not None
-                        and (m.split(".")[0] in ("scipy", "jsonschema") or m == "numpy.ma"))))
+                        and (m.split(".")[0] in ("scipy", "jsonschema", "_hashlib")
+                             or m == "numpy.ma"))))
 """
 _TRUNCATED_NORMAL = {"kind": "truncated-normal", "params": {"sigma": 0.5}}
+_FLAGS = {"adversary": ["--alpha", "0.5"]}
+# the commands that draw random numbers import numpy.random, which imports secrets, then hmac,
+# then hashlib, and so OpenSSL's _hashlib; the others hash their config without it
+_DRAWS = {"simulate", "verify", "sweep"}
 
 
 @pytest.mark.parametrize("command, noise", [
     ("solve", {"kind": "uniform"}), ("solve", {"kind": "triangular"}),
     ("solve", _TRUNCATED_NORMAL),
     ("solve", {"kind": "tabulated", "params": {"xs": [-1.0, 0.0, 1.0], "pdf": [0.5, 1.0, 0.5]}}),
+    ("tradeoff", _TRUNCATED_NORMAL), ("adversary", _TRUNCATED_NORMAL),
+    ("validate-noise", _TRUNCATED_NORMAL), ("simulate", _TRUNCATED_NORMAL),
     ("sweep", _TRUNCATED_NORMAL), ("verify", _TRUNCATED_NORMAL),
 ], ids=lambda v: v if isinstance(v, str) else v["kind"])
 def test_no_command_needs_scipy(tmp_path, command, noise):
-    # nor loads numpy.ma, which np.unique imports, or jsonschema, which only the tests use
+    # nor loads numpy.ma, which np.unique imports, or jsonschema, which only the tests use;
+    # and no command that draws no random number loads _hashlib. sys.modules["_hashlib"] =
+    # None would not show it, because hashlib falls back to its built-in modules silently
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     config = write_config(tmp_path, {"honest_noise": noise})
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, command, "--config",
-                           str(config), "--output", str(tmp_path / "out")],
+    argv = [command, *_FLAGS.get(command, []), "--config", str(config),
+            "--output", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    loaded = set(json.loads(proc.stdout))
+    assert loaded - ({"_hashlib"} if command in _DRAWS else set()) == set()
 
 
 def test_config_hashes_are_unchanged(tmp_path):

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-# CPython's own SHA-256, not hashlib's: hashlib loads OpenSSL's libcrypto, 3.5-4.5 MiB of
+# CPython's own SHA-256, not hashlib's: hashlib loads OpenSSL's libcrypto, 3.3-3.5 MiB of
 # RSS for the one digest a run takes
 try:
     from _sha2 import sha256  # Python >= 3.12
@@ -342,8 +342,9 @@ def cmd_tradeoff(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _write_tradeoff(cfg: RunConfig, out: Path, env) -> None:
-    """level_curve.csv, tradeoff.csv and tradeoff_summary.json for env at report_alphas."""
+def _write_tradeoff(cfg: RunConfig, out: Path, env) -> list:
+    """level_curve.csv, tradeoff.csv and tradeoff_summary.json for env at report_alphas;
+    returns c_alpha at those levels."""
     ctx = env.ctx
     levels = cfg.report_alphas
     values = c_alpha(env, levels)
@@ -366,6 +367,7 @@ def _write_tradeoff(cfg: RunConfig, out: Path, env) -> None:
         **_stamp(cfg),
     }
     _write_json(out / "tradeoff_summary.json", summary)
+    return values.tolist()
 
 
 def _solve(cfg: RunConfig):
@@ -519,7 +521,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
     eta_star = report.eta_star
     env = report.envelope
-    _write_tradeoff(cfg, out, env)
+    c_values = _write_tradeoff(cfg, out, env)
     adv_eq = build_adversary(env, report.equilibrium_pa)
     _write_json(out / "adversary.json", {**adv_eq.to_json_dict(), **_stamp(cfg)})
 
@@ -530,13 +532,13 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
               for k, (n, adv) in enumerate(itertools.product(cfg.n_nodes, advs))])
     worst_pa_sigmas = 0.0
     worst_mse_sigmas = 0.0
-    for row, res in zip(rows, results):
+    # c_values runs over report_alphas, the cells' inner loop
+    for row, res, c in zip(rows, results, itertools.cycle(c_values)):
         alpha = row[2]
         if res.pa_stderr > 0:
             worst_pa_sigmas = max(worst_pa_sigmas, abs(res.pa_hat - alpha) / res.pa_stderr)
         if res.mse_hat is not None and res.mse_stderr and res.mse_stderr > 0:
-            worst_mse_sigmas = max(worst_mse_sigmas,
-                                   abs(res.mse_hat - c_alpha(env, alpha)) / res.mse_stderr)
+            worst_mse_sigmas = max(worst_mse_sigmas, abs(res.mse_hat - c) / res.mse_stderr)
     _write_csv(out / "sweep_simulations.csv", _SIM_HEADER, rows)
 
     payload = {
@@ -608,7 +610,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command: its flags' destination names are its keyword arguments."""
+    """Run one command: its flags' destination names are its keyword arguments.
+
+    main is the program: `python -m stackgame`, `python -m stackgame.cli` and the
+    `stackgame` console script all enter here, so it keeps OpenSSL out of the process.
+    """
+    # numpy.random imports secrets, which imports hmac, which maps OpenSSL's libcrypto through
+    # _hashlib. Without it, hmac and hashlib fall back to CPython's built-in digests and
+    # _operator._compare_digest. setdefault: a process that already loaded _hashlib keeps it
+    sys.modules.setdefault("_hashlib", None)
     options = vars(_build_parser().parse_args(argv))
     command, config, output = options.pop("command"), options.pop("config"), options.pop("output")
     options = {flag: value for flag, value in options.items() if value is not None}

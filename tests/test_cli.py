@@ -644,42 +644,57 @@ def test_malformed_noise_table_row_is_a_config_error(tmp_path, capsys):
 _LOADED_MODULES = """
 import json, sys
 sys.modules["scipy"] = None  # an import of scipy or any of its modules now fails
+exec(sys.argv.pop(1))  # what the host program runs before main
+preloaded = sys.modules.get("_hashlib")
 from stackgame import cli
 assert cli.main(sys.argv[1:]) == 0
+if preloaded is None:
+    try:
+        maps = open("/proc/self/maps").read()
+    except OSError:  # no procfs: the sys.modules check below stands alone
+        maps = ""
+    assert "libcrypto" not in maps
+else:  # a program that loaded OpenSSL's _hashlib before main keeps it, and its digests work
+    import hashlib
+    assert sys.modules["_hashlib"] is preloaded
+    assert hashlib.new("sha256", b"x").hexdigest() == (
+        "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881")
 print(json.dumps(sorted(m for m, mod in sys.modules.items() if mod is not None
                         and (m.split(".")[0] in ("scipy", "jsonschema", "_hashlib")
                              or m == "numpy.ma"))))
 """
 _TRUNCATED_NORMAL = {"kind": "truncated-normal", "params": {"sigma": 0.5}}
 _FLAGS = {"adversary": ["--alpha", "0.5"]}
-# the commands that draw random numbers import numpy.random, which imports secrets, then hmac,
-# then hashlib, and so OpenSSL's _hashlib; the others hash their config without it
-_DRAWS = {"simulate", "verify", "sweep"}
 
 
-@pytest.mark.parametrize("command, noise", [
-    ("solve", {"kind": "uniform"}), ("solve", {"kind": "triangular"}),
-    ("solve", _TRUNCATED_NORMAL),
-    ("solve", {"kind": "tabulated", "params": {"xs": [-1.0, 0.0, 1.0], "pdf": [0.5, 1.0, 0.5]}}),
-    ("tradeoff", _TRUNCATED_NORMAL), ("adversary", _TRUNCATED_NORMAL),
-    ("validate-noise", _TRUNCATED_NORMAL), ("simulate", _TRUNCATED_NORMAL),
-    ("sweep", _TRUNCATED_NORMAL), ("verify", _TRUNCATED_NORMAL),
-], ids=lambda v: v if isinstance(v, str) else v["kind"])
-def test_no_command_needs_scipy(tmp_path, command, noise):
-    # nor loads numpy.ma, which np.unique imports, or jsonschema, which only the tests use;
-    # and no command that draws no random number loads _hashlib. sys.modules["_hashlib"] =
-    # None would not show it, because hashlib falls back to its built-in modules silently
+@pytest.mark.parametrize("prelude, command, noise", [
+    pytest.param("", command, noise, id=f"{command}-{noise['kind']}")
+    for command, noise in [
+        ("solve", {"kind": "uniform"}), ("solve", {"kind": "triangular"}),
+        ("solve", _TRUNCATED_NORMAL),
+        ("solve", {"kind": "tabulated",
+                   "params": {"xs": [-1.0, 0.0, 1.0], "pdf": [0.5, 1.0, 0.5]}}),
+        ("tradeoff", _TRUNCATED_NORMAL), ("adversary", _TRUNCATED_NORMAL),
+        ("validate-noise", _TRUNCATED_NORMAL), ("simulate", _TRUNCATED_NORMAL),
+        ("sweep", _TRUNCATED_NORMAL), ("verify", _TRUNCATED_NORMAL),
+    ]
+] + [pytest.param("import hashlib", "sweep", _TRUNCATED_NORMAL,
+                  id="sweep-truncated-normal-after-hashlib")])
+def test_no_command_needs_scipy(tmp_path, prelude, command, noise):
+    # nor loads numpy.ma, which np.unique imports, jsonschema, which only the tests use, or
+    # OpenSSL's _hashlib, which numpy.random reaches through secrets and hmac. The child
+    # leaves _hashlib alone before main, so it sees whether main keeps it out: hashlib and
+    # hmac fall back to CPython's built-in digests without a word either way
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     config = write_config(tmp_path, {"honest_noise": noise})
     argv = [command, *_FLAGS.get(command, []), "--config", str(config),
             "--output", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, prelude, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert loaded - ({"_hashlib"} if command in _DRAWS else set()) == set()
+    assert set(json.loads(proc.stdout)) == ({"_hashlib"} if prelude else set())
 
 
 def test_config_hashes_are_unchanged(tmp_path):

@@ -8,7 +8,7 @@ atomic noise distribution, and verifies all of it against brute-force
 oracles and Monte Carlo simulation.
 """
 
-from .envelope import Chord, Envelope, build_envelope
+from .envelope import Envelope, build_envelope
 from .errors import ConfigError, DomainError, NumericalError
 from .kernel import KernelContext
 from .noise_model import (HonestNoiseModel, from_spec, tabulated, tabulated_from_csv,

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 computation or check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -90,7 +89,7 @@ _RULES = {
     "utility": {role: _choice("family", {f: names for f, (names, _) in families.items()},
                               DEFAULT_UTILITY[role]["family"])
                 for role, families in (("adversary", ADVERSARY_FAMILIES), ("dc", DC_FAMILIES))},
-    # a cell's seed, seed + cell index, must stay a Philox key, below 2**128
+    # a run's seed, seed + the index of its n in n_nodes, must stay a Philox key, below 2**128
     "simulation": {"n_nodes": (list, 1, (int, 2)), "trials": (int, 1), "seed": (int, 0, 2**64)},
     "envelope": {"grid_size": (int, MIN_GRID_SIZE)},
     "oracle": {"grid_size": (int, MIN_ORACLE_GRID)},
@@ -208,9 +207,10 @@ class RunConfig:
         self.raw["honest_noise"] = {"delta": self.noise.delta, **resolved["honest_noise"]}
         self.raw["utility"] = {role: {"family": u.family, "params": u.params}
                                for role, u in vars(self.utility).items()}
-        self.config_hash = sha256(
-            json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
+        digest = sha256(json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode())
+        if "csv" in self.noise.params:  # a table's path names no contents: hash its bytes too
+            digest.update(Path(self.noise.params["csv"]).read_bytes())
+        self.config_hash = digest.hexdigest()
 
         self._semantic_checks(check_noise)
 
@@ -337,14 +337,10 @@ def _envelope(cfg: RunConfig):
     return build_envelope(KernelContext(float(cfg.eta_grid[0]), cfg.noise), cfg.envelope_grid)
 
 
-def cmd_tradeoff(cfg: RunConfig, out: Path) -> int:
-    _write_tradeoff(cfg, out, _envelope(cfg))
-    return 0
-
-
-def _write_tradeoff(cfg: RunConfig, out: Path, env) -> list:
-    """level_curve.csv, tradeoff.csv and tradeoff_summary.json for env at report_alphas;
-    returns c_alpha at those levels."""
+def cmd_tradeoff(cfg: RunConfig, out: Path, env=None) -> int:
+    """level_curve.csv, tradeoff.csv and tradeoff_summary.json for env (default: the
+    envelope at the eta grid's start) at report_alphas."""
+    env = env or _envelope(cfg)
     ctx = env.ctx
     levels = cfg.report_alphas
     values = c_alpha(env, levels)
@@ -363,11 +359,11 @@ def _write_tradeoff(cfg: RunConfig, out: Path, env) -> list:
         "max_abs_diff": float(np.max(diffs)),
         "max_rel_diff": float(np.max(diffs / values)),
         "zero_limit": zero_limit(env),
-        "chords": [[c.q1, c.q2] for c in env.chords()],
+        "chords": env.chords(),
         **_stamp(cfg),
     }
     _write_json(out / "tradeoff_summary.json", summary)
-    return values.tolist()
+    return 0
 
 
 def _solve(cfg: RunConfig):
@@ -391,8 +387,8 @@ def cmd_solve(cfg: RunConfig, out: Path, report=None) -> int:
     return 0
 
 
-def cmd_adversary(cfg: RunConfig, out: Path, alpha: float) -> int:
-    env = _envelope(cfg)
+def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, env=None) -> int:
+    env = env or _envelope(cfg)
     adv = build_adversary(env, alpha)
     achieved_mse = float(sum(w * env.ctx.error_moment(z) for z, w in adv.atoms)
                          / (4.0 * adv.achieved_pa))
@@ -440,18 +436,20 @@ _SIM_HEADER = ["n_nodes", "eta", "alpha", "pa_hat", "mse_hat",
                "pa_stderr", "mse_stderr", "seed"]
 
 
-def _simulate_cells(cfg: RunConfig, cells):
-    """Monte Carlo runs of replicated adversaries over (n_nodes, adversary, seed) cells.
+def _simulate_cells(cfg: RunConfig, advs):
+    """Monte Carlo runs of each replicated adversary in advs at each configured n, n outer.
 
-    Returns one _SIM_HEADER row and one SimulationResult per cell.
+    Every run at the i-th n is keyed seed + i. Returns one _SIM_HEADER row and one
+    SimulationResult per run.
     """
     rows, results = [], []
-    for n, adv, seed in cells:
-        game = GameConfig(adv.ctx, n, cfg.trials, seed)
-        res = run_monte_carlo(game, ReplicatedStrategy.from_atomic(adv))
-        rows.append((n, adv.ctx.eta, adv.alpha, res.pa_hat, res.mse_hat,
-                     res.pa_stderr, res.mse_stderr, seed))
-        results.append(res)
+    for i, n in enumerate(cfg.n_nodes):
+        for adv in advs:
+            res = run_monte_carlo(GameConfig(adv.ctx, n, cfg.trials, cfg.seed + i),
+                                  ReplicatedStrategy.from_atomic(adv))
+            rows.append((n, adv.ctx.eta, adv.alpha, res.pa_hat, res.mse_hat,
+                         res.pa_stderr, res.mse_stderr, cfg.seed + i))
+            results.append(res)
     return rows, results
 
 
@@ -460,8 +458,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, adversary: AtomicAdversary | None = 
     if adv is None:
         report = _solve(cfg)
         adv = build_adversary(report.envelope, report.equilibrium_pa)
-    rows, results = _simulate_cells(
-        cfg, [(n, adv, cfg.seed + i) for i, n in enumerate(cfg.n_nodes)])
+    rows, results = _simulate_cells(cfg, [adv])
     _write_csv(out / "simulations.csv", _SIM_HEADER, rows)
     payload = {"adversary": adv.to_json_dict(),
                "results": [{"n_nodes": row[0], "seed": row[-1], **res.to_json_dict()}
@@ -499,7 +496,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     aset = best_alpha_set(env, cfg.utility, cfg.alpha_grid)
     alpha_star = float(aset[0])
     optimum = ReplicatedStrategy.from_atomic(build_adversary(env, alpha_star))
-    rng = np.random.default_rng(cfg.seed)
+    # the candidates' own stream: the scenario suite's streams start at PCG64(seed)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed).jumped())
     cands = _random_candidates(env.ctx, rng, *_CANDIDATES)
     game = GameConfig(env.ctx, cfg.n_nodes[0], cfg.trials, cfg.seed)
     dom = dominance_check(game, cfg.utility, cands, optimum)
@@ -519,21 +517,17 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     report = _solve(cfg)
     cmd_solve(cfg, out, report=report)
 
-    eta_star = report.eta_star
     env = report.envelope
-    c_values = _write_tradeoff(cfg, out, env)
-    adv_eq = build_adversary(env, report.equilibrium_pa)
-    _write_json(out / "adversary.json", {**adv_eq.to_json_dict(), **_stamp(cfg)})
+    cmd_tradeoff(cfg, out, env)
+    cmd_adversary(cfg, out, report.equilibrium_pa, env)
 
-    advs = [build_adversary(env, float(a)) for a in cfg.report_alphas]
-    # cell k = (n, alpha), n outer and alpha inner, runs on seed + k
-    rows, results = _simulate_cells(
-        cfg, [(n, adv, cfg.seed + k)
-              for k, (n, adv) in enumerate(itertools.product(cfg.n_nodes, advs))])
+    rows, results = _simulate_cells(cfg, [build_adversary(env, float(a))
+                                          for a in cfg.report_alphas])
+    # the rows run over report_alphas once per n
+    c_values = np.tile(c_alpha(env, cfg.report_alphas), len(cfg.n_nodes))
     worst_pa_sigmas = 0.0
     worst_mse_sigmas = 0.0
-    # c_values runs over report_alphas, the cells' inner loop
-    for row, res, c in zip(rows, results, itertools.cycle(c_values)):
+    for row, res, c in zip(rows, results, c_values):
         alpha = row[2]
         if res.pa_stderr > 0:
             worst_pa_sigmas = max(worst_pa_sigmas, abs(res.pa_hat - alpha) / res.pa_stderr)
@@ -542,7 +536,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "sweep_simulations.csv", _SIM_HEADER, rows)
 
     payload = {
-        "eta_star": eta_star,
+        "eta_star": report.eta_star,
         "equilibrium": {"mse": report.equilibrium_mse, "pa": report.equilibrium_pa},
         "cells": len(rows),
         "worst_pa_deviation_sigmas": worst_pa_sigmas,

@@ -28,7 +28,6 @@ chain, so the hull is the same to the bit.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +41,6 @@ TOUCH_REL = 1e-8
 TANGENCY_XTOL = 1e-14  # width of the bracket a chord end is solved to
 TANGENCY_PASSES = 2  # alternations of the two ends' solves
 BLOCK_ETAS = 8  # etas sampled together: 4 to 16 run equally fast, 32 or more spill the cache
-
-
-@dataclass(frozen=True)
-class Chord:
-    """The majorant is linear over [q1, q2] and strictly above the curve inside."""
-    q1: float
-    q2: float
 
 
 def _cross(qa, va, qb, vb, qi, vi):
@@ -154,8 +146,9 @@ class Envelope:
         (vals,) = next(majorant_rows([self], np.clip(arr, 0.0, 1.0).ravel()))
         return float(vals[0]) if np.ndim(q) == 0 else vals.reshape(arr.shape)
 
-    def chords(self) -> list[Chord]:
-        return [Chord(q1, q2) for q1, q2 in self.chord_ends.reshape(-1, 2).tolist()]
+    def chords(self) -> list:
+        """Each chord's [q1, q2]: the majorant is linear there, strictly above the curve inside."""
+        return self.chord_ends.reshape(-1, 2).tolist()
 
     def is_touch(self, q) -> np.ndarray:
         """Per q <= 1: True where the majorant meets the curve (q <= 0 counts as a touch).

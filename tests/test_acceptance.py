@@ -63,8 +63,8 @@ def test_criterion_2_envelope(uniform_ctx, uniform_env):
 
     chords = env.chords()
     one_chord = len(chords) == 1
-    q1 = chords[0].q1 if one_chord else float("nan")
-    q2 = chords[0].q2 if one_chord else float("nan")
+    q1 = chords[0][0] if one_chord else float("nan")
+    q2 = chords[0][1] if one_chord else float("nan")
 
     # independent tangency solve: phi(q) = h'(q)(1-q) - (h(1) - h(q)) with a
     # central-difference derivative of the implementation's level curve

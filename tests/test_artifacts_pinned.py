@@ -41,11 +41,14 @@ NOISES = {
 # sweep_simulations.csv, when simulation.chunk_size went and a chunk became 8192 trials
 # (a new config_hash and a new Monte Carlo stream; every other CSV kept its hash). The
 # truncated normal's, all but resolved_config.json, re-recorded when its erf and normal
-# quantile stopped coming from scipy (numbers moved at rounding level)
+# quantile stopped coming from scipy (numbers moved at rounding level). adversary.json,
+# sweep_report.json and sweep_simulations.csv re-recorded when sweep began to write the
+# standalone adversary command's adversary.json and to key every run at the i-th n on
+# seed + i, as simulate does
 PINS = {
     "uniform": {
         "adversary.json":
-            "5fe73b7541d851850ad5ff701c9eb1203e6c32819c3122b554448ba6ec538c34",
+            "eb8ee1af82f3456b1e95c8422ef2c1ad1082f57940b96e1e35820700ca42ca6d",
         "equilibrium.json":
             "472df8599af0bcc2a7ad17d4cfe659f9521a11cd5100df9c97633929d7b7563f",
         "eta_utility.csv":
@@ -55,9 +58,9 @@ PINS = {
         "resolved_config.json":
             "f925ff0bab216d4f27a972d3e2987e2de112cb3b30770282b36b331d7e2aab2e",
         "sweep_report.json":
-            "1d0d0d29d47a68dad60e2fbf49f6056b6822a19f1bd660036d8c565bc3700d69",
+            "e72258099bb40ef316d36ef15a3d9e9372782baa45422b21542971f12234c1b5",
         "sweep_simulations.csv":
-            "ad0b73722de57ae12388cde9473834f18d44be87b3ceeac7c09c86b1923d7c7f",
+            "fa0795954b3f00bbed55de1fc5d26bc2f43912d05a7859c2ab7dd794588224a1",
         "tradeoff.csv":
             "e8b299dd974849dcea3fc717c6639bd0763b0b964de48875a514ad2ad3664786",
         "tradeoff_summary.json":
@@ -65,7 +68,7 @@ PINS = {
     },
     "truncated-normal": {
         "adversary.json":
-            "aaf65ba81a9d1294e44e76edc720e07ba518d5169fa6ed50e607e9148f7f6ab8",
+            "def069f3176b1bb80387d898abeaf931b6d520fbcb3ad1753b04952848f89eb4",
         "equilibrium.json":
             "140058ff939bcac2cb3ffbfff1c6fe663767e9aa06e22c798e263b936a35a709",
         "eta_utility.csv":
@@ -75,9 +78,9 @@ PINS = {
         "resolved_config.json":
             "c09b7eb2303d798d5e9aa91e76de16bef7124e62efb093dd79425655994d7bce",
         "sweep_report.json":
-            "e08708c5ce170961336561f6cd061b771dda66861a3ee82f57a9986f34344999",
+            "aae098e4c713651e9d406efd70506338e4b7b7af9cf0466e64f033a29d154212",
         "sweep_simulations.csv":
-            "ac12df6892198bc965253592eadfea2f86b3f30a56797a6efa4c6661d96e2070",
+            "16d84e17e52b20ba307f834352b80fbf82ffba909a73771fc66cea6a58326788",
         "tradeoff.csv":
             "c16d8208ad93be809dc6e279feddc0985ba6a014cbe2003c9f77edab4c0a79e4",
         "tradeoff_summary.json":
@@ -85,7 +88,7 @@ PINS = {
     },
     "triangular": {
         "adversary.json":
-            "0e8cdb18661c327f6da961faeee78ae597d02fa50e4658a90810429d73e15264",
+            "cfe1230500e06205e7ae8971349f25e23040af33917fb2fc348847c63682104a",
         "equilibrium.json":
             "50d30c615ee81a5f62c9ba759dc72d0769b2833fc48275591a891bbe1346571e",
         "eta_utility.csv":
@@ -95,9 +98,9 @@ PINS = {
         "resolved_config.json":
             "f0bf41b7ae131d1136b9a912eca9f6d2324c5c2b9cbb7ad7fb338346b6277057",
         "sweep_report.json":
-            "6e41fd53f6cda6fafefd1d1625c7ee7242e0b50b4a3c4577e99c85d371731361",
+            "2591bdbc33528597ba73cf22932af8e189a47c8daf3bcf6b1ec988104d117065",
         "sweep_simulations.csv":
-            "629628a0b62c08ad71a284487d6a282fe4822c7271670966b04d6d7c353e7505",
+            "34289db5b98b00e34df544566cb272434c39133afd586f61c5287b8f6e5bc07c",
         "tradeoff.csv":
             "da6569aad372570a84f53a5217ec0d551c7f08cbe269f29092d577fd98d041dd",
         "tradeoff_summary.json":
@@ -105,7 +108,7 @@ PINS = {
     },
     "tabulated": {
         "adversary.json":
-            "275ccc4b68f4206705d16a6132b0df00f304610ff270e8756170dc244cbb01a9",
+            "abea8e7c4d74d9024ba79c8afe82f42dbc94e7ff5b48a4176682b09d97be79fe",
         "equilibrium.json":
             "c00142cf5cb7ed47a2a4fbb61739016d9383d55cb19702c744314f21ea643020",
         "eta_utility.csv":
@@ -115,9 +118,9 @@ PINS = {
         "resolved_config.json":
             "346b42ccbfa2fa996ede1e1f784a9453452f13ec04d9cd5f6adba759dea8afa1",
         "sweep_report.json":
-            "c84ce591cdbd18c792b2fdec14bd43f1531550fd2458dd5ff1a9fcef99a37607",
+            "2118d830d8f40290ac0756f17f048e1eb5a92c38665960586e2575f580ba3952",
         "sweep_simulations.csv":
-            "601ed90ea6b474a81c87bd41ac5507bdb4661591501ce840a4b9ea4b71295f39",
+            "33826f4c4e208c741e43f8920356edc8fd81a87922956d9d068f2ed1675b0cde",
         "tradeoff.csv":
             "56b95476781e39acf085956803fb80f569d1da1adc792c73ed4c76210f6996d5",
         "tradeoff_summary.json":
@@ -151,25 +154,26 @@ def test_sweep_artifacts_are_pinned(name, tmp_path):
 # and again when verify's scenario realizations and candidates became the fixed 100 000
 # and 20 (and 2 iid), run here without flags, and the config_hash left out the output,
 # and again when a chunk became 8192 trials; the truncated normal's verify_report.json
-# re-recorded when its erf and normal quantile stopped coming from scipy
+# re-recorded when its erf and normal quantile stopped coming from scipy, and every
+# verify_report.json when the random candidates left the scenario suite's stream
 VERIFY_PINS = {
     "uniform": {
         "resolved_config.json":
             "f41518a162de5a3852556a6b22c96aae5da6d4fd571c6e57f86f901e39a1d26f",
         "verify_report.json":
-            "0fa7ba5b8b67e4f6ba80c8f142417ac985dce0c04aa6a3dab1fcea1beb108135",
+            "f6a914fa5aa559d44e85d1aca287c6144491ef5fd1a304cb919982baf2ca6206",
     },
     "truncated-normal": {
         "resolved_config.json":
             "146751a592d0876d15299f96edb8274e5f6ef8cc1769af1f64793fce67b64455",
         "verify_report.json":
-            "d9ca0d9e84aed4380380f9cef8ae40001eb6b8d02bdb684be8f7de0ed9e87c72",
+            "113181c5487432cf2e7894c0a156e13bf960961147954ad1e4df92cab588f3dd",
     },
     "tabulated": {
         "resolved_config.json":
             "87f4293a3d65b5f04b64a8dedbdda2da67cf9f92eb91819761664e4dbcb13793",
         "verify_report.json":
-            "c2f5413e5e49985525d4e93d92645673c475e43a125f6fc81b0b2a58c573b673",
+            "bac6d36026a60b16e13f9922e2e6bfb8442912e06751974b0a3bfa5747889cac",
     },
 }
 

@@ -90,8 +90,9 @@ def test_config_error_paths(tmp_path):
 
 
 def test_a_seed_beyond_philox_keys_fails_at_its_pointer(tmp_path, capsys):
-    """Cell k runs on seed + k, a Philox key below 2**128: a seed of 2**128 - 1 once wrote
-    seven artifacts, then crashed on its second cell. Seeds stop below 2**64."""
+    """Every run at the i-th n runs on seed + i, a Philox key below 2**128: a seed of
+    2**128 - 1 once wrote seven artifacts, then crashed on its second cell. Seeds stop
+    below 2**64."""
     config = write_config(tmp_path, {"simulation": {"n_nodes": [2], "trials": 100,
                                                     "seed": 2**128 - 1}})
     code, out = run(["sweep"], tmp_path, config=config)
@@ -99,13 +100,15 @@ def test_a_seed_beyond_philox_keys_fails_at_its_pointer(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert error["message"].startswith("/simulation/seed: must be an integer >= 0 and < ")
-    config = write_config(tmp_path, {"simulation": {"n_nodes": [2], "trials": 100,
+    config = write_config(tmp_path, {"simulation": {"n_nodes": [2, 3], "trials": 100,
                                                     "seed": 2**64 - 1}})
     code, out = run(["sweep"], tmp_path, config=config)
     assert code == 0
-    seeds = [int(row.split(",")[-1]) for row in
+    cells = [row.split(",") for row in
              (out / "sweep_simulations.csv").read_text().splitlines()[1:]]
-    assert seeds == [2**64 - 1, 2**64]
+    # two report alphas at each n
+    assert [(int(c[0]), int(c[-1])) for c in cells] == [(2, 2**64 - 1), (2, 2**64 - 1),
+                                                        (3, 2**64), (3, 2**64)]
 
 
 def test_incomplete_utility_spec_names_required_params(tmp_path):
@@ -386,6 +389,41 @@ def test_adversary_and_simulate_roundtrip(tmp_path):
                    tmp_path, name="sim", config=config)
     assert code3 == 0
     assert {p.name: p.read_bytes() for p in out2.iterdir()} == first
+
+
+def test_sweep_runs_the_adversary_and_simulate_commands(tmp_path):
+    """sweep's adversary.json is the adversary command's at eta_star, config_hash apart, and
+    its row at (n, alpha) is the one simulate --adversary writes for adversary --alpha alpha."""
+    # gamma 0.02 puts eta_star at 4, the grid's last eta, off the start a command runs at
+    extra = {"eta_grid": {"start": 2.0, "stop": 4.0, "step": 0.5},
+             "utility": {"dc": {"family": "linear_penalty", "params": {"gamma": 0.02}}},
+             "simulation": {"n_nodes": [2, 3], "trials": 3000, "seed": 9}}
+    code, swept = run(["sweep"], tmp_path, config=write_config(tmp_path, extra))
+    assert code == 0
+    report = json.loads((swept / "sweep_report.json").read_text())
+    assert report["eta_star"] == 4.0
+    (tmp_path / "star").mkdir()
+    at_star = write_config(tmp_path / "star",
+                           {**extra, "eta_grid": {"values": [report["eta_star"]]}})
+    sweep_rows = (swept / "sweep_simulations.csv").read_text().splitlines()[1:]
+
+    code, out = run(["adversary", "--alpha", repr(report["equilibrium"]["pa"])], tmp_path,
+                    name="eq", config=at_star)
+    assert code == 0
+    alone, inside = (json.loads((d / "adversary.json").read_text()) for d in (out, swept))
+    assert alone.pop("config_hash") != inside.pop("config_hash")
+    assert inside == alone and "achieved_mse" in inside
+
+    for alpha in (0.4, 0.9):
+        code, adv = run(["adversary", "--alpha", repr(alpha)], tmp_path, name=f"adv{alpha}",
+                        config=at_star)
+        assert code == 0
+        code, sim = run(["simulate", "--adversary", str(adv / "adversary.json")], tmp_path,
+                        name=f"sim{alpha}", config=at_star)
+        assert code == 0
+        rows = (sim / "simulations.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["9", "10"]
+        assert rows == [row for row in sweep_rows if row.split(",")[2] == repr(alpha)]
 
 
 def test_verify_command(tmp_path):
@@ -721,6 +759,25 @@ def test_config_hashes_are_unchanged(tmp_path):
     for config, digest in workloads:
         path.write_text(json.dumps(config))
         assert cli.parse_config(path).config_hash == digest
+
+
+def test_the_config_hash_covers_a_noise_tables_contents(tmp_path):
+    """Two tables at one csv path resolve to the same config but give different artifacts,
+    so their hashes differ; the same table gives the same hash."""
+    config = write_config(tmp_path, {"honest_noise": {"kind": "tabulated",
+                                                      "params": {"csv": "table.csv"}}})
+    xs = np.linspace(-1.0, 1.0, 65).tolist()
+    hashes, resolved = [], []
+    for tilt in (0.5, 0.25, 0.5):
+        rows = "".join(f"{x!r},{1.0 - tilt * abs(x)!r}\n" for x in xs)
+        (tmp_path / "table.csv").write_text("x,pdf\n" + rows)
+        code, out = run(["tradeoff"], tmp_path, config=config)
+        assert code == 0
+        summary = json.loads((out / "tradeoff_summary.json").read_text())
+        hashes.append(summary["config_hash"])
+        resolved.append((out / "resolved_config.json").read_bytes())
+    assert resolved[0] == resolved[1] == resolved[2]
+    assert hashes[0] != hashes[1] and hashes[0] == hashes[2]
 
 
 # the benchmark workloads: uniform noise up to the default grid's eta 8, and sigma 0.5 up to

@@ -62,8 +62,8 @@ def test_single_chord_with_known_tangency(uniform_env):
     ch = chords[0]
     # tangency of the chord to q=1: root of 14 q^3 - 39 q^2 + 36 q - 11,
     # which factors as (q - 1)(14 q^2 - 25 q + 11) -> q1 = 11/14
-    assert abs(ch.q1 - 11.0 / 14.0) < 1e-12
-    assert ch.q2 == 1.0
+    assert abs(ch[0] - 11.0 / 14.0) < 1e-12
+    assert ch[1] == 1.0
 
 
 def test_supporting_chord_classification(uniform_env):
@@ -83,13 +83,13 @@ def test_touch_region_matches_curve(uniform_env, rng):
 
 def test_chord_region_is_linear(uniform_env):
     ch = uniform_env.chords()[0]
-    qs = np.linspace(ch.q1, ch.q2, 50)
+    qs = np.linspace(ch[0], ch[1], 50)
     vals = uniform_env.evaluate(qs)
-    t = (qs - ch.q1) / (ch.q2 - ch.q1)
+    t = (qs - ch[0]) / (ch[1] - ch[0])
     line = vals[0] + t * (vals[-1] - vals[0])
     np.testing.assert_allclose(vals, line, rtol=0, atol=1e-12)
     # the segment is the line through the curve values at its endpoints
-    line_h = h_uniform(ch.q1) + t * (h_uniform(ch.q2) - h_uniform(ch.q1))
+    line_h = h_uniform(ch[0]) + t * (h_uniform(ch[1]) - h_uniform(ch[0]))
     np.testing.assert_allclose(vals, line_h, rtol=0, atol=1e-10)
     assert np.all(uniform_env.evaluate(qs[1:-1]) > h_uniform(qs[1:-1]))
 
@@ -152,9 +152,9 @@ def test_tabulated_envelope_within_budget():
     # every chord end off the domain's ends is a tangency: the curve's slope
     # there is the chord's slope
     for ch in chords:
-        h1, h2 = ctx.moment_at_level(ch.q1), ctx.moment_at_level(ch.q2)
-        slope = (h2 - h1) / (ch.q2 - ch.q1)
-        for q in (ch.q1, ch.q2):
+        h1, h2 = ctx.moment_at_level(ch[0]), ctx.moment_at_level(ch[1])
+        slope = (h2 - h1) / (ch[1] - ch[0])
+        for q in ch:
             if 0.0 < q < 1.0:
                 assert abs(ctx.slope_at_level(q) - slope) <= 1e-10 * max(1.0, abs(slope)), q
 
@@ -239,7 +239,7 @@ def reference_is_touch(env, q):
     """The former scalar chord query: a loop over the chords; strictly inside one,
     a touch where the majorant is within the touch tolerance of the curve."""
     for ch in env.chords():
-        if ch.q1 < q < ch.q2:
+        if ch[0] < q < ch[1]:
             return env.evaluate(q) - env.ctx.moment_at_level(q) <= env.touch_tolerance
     return True
 
@@ -264,8 +264,8 @@ def reference_c_alpha(env, alphas):
     curve = env.ctx.moment_at_level
     vals = np.asarray(curve(alphas), dtype=float)
     for ch in env.chords():
-        on_chord = (alphas > ch.q1) & (alphas < ch.q2)
-        ends = np.array([ch.q1, ch.q2])
+        on_chord = (alphas > ch[0]) & (alphas < ch[1])
+        ends = np.array(ch)
         vals[on_chord] = np.interp(alphas[on_chord], ends, curve(ends))
     return vals / (4.0 * alphas)
 
@@ -274,7 +274,7 @@ def reference_c_alpha(env, alphas):
                          ids=["uniform", "truncated-normal", "tabulated"])
 def test_c_alpha_chord_rule_matches_the_chord_loop(noise):
     env = sg.build_envelope(sg.KernelContext(2.0, noise), 4096)
-    ends = np.array([q for ch in env.chords() for q in (ch.q1, ch.q2)])
+    ends = np.array([q for ch in env.chords() for q in ch])
     assert ends.size
     # every chord endpoint and its floating-point neighbors on both sides
     near = np.concatenate([ends, np.nextafter(ends, -1.0), np.nextafter(ends, 2.0)])

@@ -5,6 +5,8 @@ documented in docs/formats), echo the fully resolved configuration next to
 their outputs, and write deterministic artifacts: the same bytes for the same
 resolved config, wherever `--output` puts them. Reports embed the
 resolved-config hash and the seed, and data files carry no timestamps.
+This is the one module that knows each artifact's format, and it reads back the
+adversary file it writes.
 
 Exit codes: 0 success, 1 computation or check failure, 2 usage error.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 # CPython's own SHA-256, not hashlib's: hashlib loads OpenSSL's libcrypto, 3.3-3.5 MiB of
@@ -284,18 +287,8 @@ def parse_config(path=None, check_noise: bool = True) -> RunConfig:
 
 # --- deterministic writers -----------------------------------------------------
 
-def _np_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=_np_default) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(x) -> str:
@@ -374,13 +367,21 @@ def _solve(cfg: RunConfig):
 
 def cmd_solve(cfg: RunConfig, out: Path, report=None) -> int:
     report = report or _solve(cfg)
-    payload = {**report.to_json_dict(), **_stamp(cfg)}
-    _write_json(out / "equilibrium.json", payload)
-    rows = []
+    per_eta, rows = [], []
     for eta in sorted(report.dc_guaranteed_utility):
-        aset = report.best_alpha_sets[eta]
-        rows.append((eta, report.dc_guaranteed_utility[eta], len(aset),
-                     float(aset[0]), float(aset[-1])))
+        utility, aset = report.dc_guaranteed_utility[eta], report.best_alpha_sets[eta]
+        per_eta.append({"eta": eta, "dc_guaranteed_utility": utility,
+                        "best_alphas": aset.tolist()})
+        rows.append((eta, utility, len(aset), aset[0], aset[-1]))
+    payload = {
+        "eta_star": report.eta_star,
+        "equilibrium": {"mse": report.equilibrium_mse, "pa": report.equilibrium_pa},
+        "adversary_utility_at_eq": report.adversary_utility_at_eq,
+        "eta_on_grid_boundary": report.eta_on_grid_boundary,
+        "per_eta": per_eta,
+        **_stamp(cfg),
+    }
+    _write_json(out / "equilibrium.json", payload)
     _write_csv(out / "eta_utility.csv",
                ["eta", "dc_guaranteed_utility", "n_best_alphas",
                 "alpha_best_min", "alpha_best_max"], rows)
@@ -393,7 +394,7 @@ def cmd_adversary(cfg: RunConfig, out: Path, alpha: float, env=None) -> int:
     achieved_mse = float(sum(w * env.ctx.error_moment(z) for z, w in adv.atoms)
                          / (4.0 * adv.achieved_pa))
     payload = {
-        **adv.to_json_dict(),
+        **_adversary_json(adv),
         "achieved_pa": adv.achieved_pa,
         "achieved_mse": achieved_mse,
         "c_alpha": float(c_alpha(env, alpha)),
@@ -408,6 +409,12 @@ def _number(obj: dict, key: str) -> float:
     if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
         raise TypeError(f"{key} must be a number, got {obj[key]!r}")
     return float(obj[key])
+
+
+def _adversary_json(adv: AtomicAdversary) -> dict:
+    """The keys of an adversary file that _load_adversary reads back."""
+    return {"eta": adv.ctx.eta, "delta": adv.ctx.delta, "alpha": adv.alpha,
+            "atoms": [{"z": z, "weight": w} for z, w in adv.atoms]}
 
 
 def _load_adversary(path, noise) -> AtomicAdversary:
@@ -460,8 +467,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, adversary: AtomicAdversary | None = 
         adv = build_adversary(report.envelope, report.equilibrium_pa)
     rows, results = _simulate_cells(cfg, [adv])
     _write_csv(out / "simulations.csv", _SIM_HEADER, rows)
-    payload = {"adversary": adv.to_json_dict(),
-               "results": [{"n_nodes": row[0], "seed": row[-1], **res.to_json_dict()}
+    payload = {"adversary": _adversary_json(adv),
+               "results": [{"n_nodes": row[0], "seed": row[-1], **asdict(res)}
                            for row, res in zip(rows, results)],
                **_stamp(cfg)}
     _write_json(out / "simulation.json", payload)

@@ -74,7 +74,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     return sign * total
 
 
-def bisect_monotone_vec(fn, lo, hi, *, xtol: float = 1e-12) -> np.ndarray:
+def bisect_monotone_vec(fn, lo, hi, *, xtol: float) -> np.ndarray:
     """Vectorized bisection: the root of a decreasing fn in each bracket [lo, hi].
 
     fn must accept ndarray input; lo and hi are arrays of one shape. Each

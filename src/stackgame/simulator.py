@@ -26,7 +26,7 @@ of _CHUNK realizations, so memory never grows with trials or realizations.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,9 +121,6 @@ class SimulationResult:
     pa_stderr: float
     mse_hat: float | None
     mse_stderr: float | None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _result(trials: int, accepted: int, s2: float, s4: float) -> SimulationResult:

@@ -121,23 +121,6 @@ class EquilibriumReport:
     eta_on_grid_boundary: bool
     envelope: Envelope = field(repr=False)  # the envelope at eta_star
 
-    def to_json_dict(self) -> dict:
-        etas = sorted(self.best_alpha_sets)
-        return {
-            "eta_star": self.eta_star,
-            "equilibrium": {"mse": self.equilibrium_mse, "pa": self.equilibrium_pa},
-            "adversary_utility_at_eq": self.adversary_utility_at_eq,
-            "eta_on_grid_boundary": self.eta_on_grid_boundary,
-            "per_eta": [
-                {
-                    "eta": e,
-                    "dc_guaranteed_utility": self.dc_guaranteed_utility[e],
-                    "best_alphas": [float(a) for a in self.best_alpha_sets[e]],
-                }
-                for e in etas
-            ],
-        }
-
 
 def solve_equilibrium(ctxs, spec: UtilitySpec, alpha_grid,
                       grid_size: int = DEFAULT_GRID_SIZE) -> EquilibriumReport:
@@ -214,14 +197,6 @@ class AtomicAdversary:
     def achieved_pa(self) -> float:
         """Acceptance probability of the atoms replicated across the nodes."""
         return float(sum(w * self.ctx.accept_prob(z) for z, w in self.atoms))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eta": self.ctx.eta,
-            "delta": self.ctx.delta,
-            "alpha": self.alpha,
-            "atoms": [{"z": z, "weight": w} for z, w in self.atoms],
-        }
 
 
 def build_adversary(env: Envelope, alpha: float) -> AtomicAdversary:

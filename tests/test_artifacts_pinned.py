@@ -1,5 +1,6 @@
 """Every `sweep` artifact pinned to the byte for each noise family, `verify`'s for three,
-and the standalone `adversary` command's on and off a chord for two.
+the standalone `adversary` command's on and off a chord for two, and `simulate`'s for
+two, with the solved adversary and with one read back from an adversary file.
 
 A change to the program that keeps its numbers keeps these hashes. A change
 that alters artifacts on purpose updates the pins and names the changed
@@ -264,3 +265,62 @@ def test_noise_validation_is_pinned(name, tmp_path):
                      "--output", str(tmp_path / "out")])
     digest = hashlib.sha256((tmp_path / "out" / "noise_validation.json").read_bytes()).hexdigest()
     assert (code, digest) == VALIDATION_PINS[name]
+
+
+# SHA-256 of each `simulate` artifact on the sweep pins' config, recorded before the
+# CLI alone wrote the adversary and result dicts; per noise, the solved equilibrium's
+# adversary and the one `adversary --alpha 0.9` writes, read back through --adversary
+SIMULATE_PINS = {
+    ("uniform", False): {
+        "resolved_config.json":
+            "b34cb9658e9547d531d5cded85d64bfb68618a8449385c9c261032dfe64c1f9c",
+        "simulation.json":
+            "efa13860f64f030a51ecf061e3a7d38a9bd4e9d2f0c3387d279e1c1b4032a846",
+        "simulations.csv":
+            "5047ae0f5d2139f8debf479bc91fd549957126b5a7dbd5361ecaed063bfed6c4",
+    },
+    ("uniform", True): {
+        "resolved_config.json":
+            "b34cb9658e9547d531d5cded85d64bfb68618a8449385c9c261032dfe64c1f9c",
+        "simulation.json":
+            "72115aec2e2344f2c54b70c4882e80c5c8ac20f466096089bb25417af3bfd81e",
+        "simulations.csv":
+            "6ca8ce14315e85d816f3e8d99636a6a483cf9d7aa7377dc745641214b2a4e908",
+    },
+    ("tabulated", False): {
+        "resolved_config.json":
+            "9de9fc81c1297063b0da22daa44798486bc4d572a3dee0ae9b0dc4c24d65061a",
+        "simulation.json":
+            "e3f6d3359d71fb90fc6f1558f94ca8c704dce1b4d5b431bb69f845cf5c9c12e7",
+        "simulations.csv":
+            "356c1008374beddc0aea5e24fba4e6518460d6181e35dc88111698f73c6a9c87",
+    },
+    ("tabulated", True): {
+        "resolved_config.json":
+            "9de9fc81c1297063b0da22daa44798486bc4d572a3dee0ae9b0dc4c24d65061a",
+        "simulation.json":
+            "5f527ac462f0a16b70e45cda5cd89f26a9bf2dbd5958d7907505c532d53a8d49",
+        "simulations.csv":
+            "bb89c234403f6a164a69f83df7ee21e8b2bbb17489234d08028b1817fd2c4627",
+    },
+}
+
+
+@pytest.mark.parametrize("name, from_file", list(SIMULATE_PINS))
+def test_simulate_artifacts_are_pinned(name, from_file, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "honest_noise": NOISES[name],
+        "eta_grid": {"start": 2.0, "stop": 3.0, "step": 0.25},
+        "simulation": {"n_nodes": [2, 3], "trials": 20_000, "seed": 17},
+        "envelope": {"grid_size": 512},
+    }))
+    flags = ["--config", str(config), "--output", str(tmp_path / "out")]
+    if from_file:
+        assert cli.main(["adversary", "--config", str(config), "--output",
+                         str(tmp_path / "adv"), "--alpha", "0.9"]) == 0
+        flags += ["--adversary", str(tmp_path / "adv" / "adversary.json")]
+    assert cli.main(["simulate", *flags]) == 0
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted((tmp_path / "out").iterdir())}
+    assert hashes == SIMULATE_PINS[name, from_file]

@@ -142,3 +142,35 @@ def test_no_module_reads_the_environment():
     found = {path.name: _environment_reads(ast.parse(path.read_text()))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _json_imports(tree: ast.AST) -> list:
+    """Lines that import json or a name from it."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "json"
+                                                           for alias in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.level == 0
+                   and node.module.split(".")[0] == "json"})
+
+
+def _to_json_methods(tree: ast.AST) -> list:
+    """Class.method of each method whose name starts with to_json."""
+    return [f"{cls.name}.{node.name}" for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("to_json")]
+
+
+def test_only_the_cli_knows_the_artifact_formats():
+    """No package class turns itself into an artifact, and no module but cli.py imports json."""
+    planted = ast.parse("import json as j\nfrom json import dumps\nfrom . import json_like\n"
+                        "class Report:\n    def to_json_dict(self):\n        return {}\n")
+    assert (_json_imports(planted), _to_json_methods(planted)) == (
+        [1, 2], ["Report.to_json_dict"]), "no json import or to_json method parsed"
+    imports, methods = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports[path.name] = _json_imports(tree)
+        methods += [f"{path.name}:{name}" for name in _to_json_methods(tree)]
+    assert imports.pop("cli.py"), "cli.py's json import not parsed"
+    assert ({name: lines for name, lines in imports.items() if lines}, methods) == ({}, [])

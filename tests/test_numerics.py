@@ -45,13 +45,15 @@ def test_bisect_scalar_requires_bracket():
 
 def test_bisect_vec_cube_root():
     targets = np.linspace(0.01, 0.99, 17)
-    roots = bisect_monotone_vec(lambda x: targets - x**3, np.zeros(17), np.ones(17))
+    roots = bisect_monotone_vec(lambda x: targets - x**3, np.zeros(17), np.ones(17),
+                                xtol=1e-12)
     np.testing.assert_allclose(roots, targets ** (1 / 3), atol=1e-10)
 
 
 def test_bisect_vec_decreasing():
     targets = np.array([0.25, 0.5, 0.75])
-    roots = bisect_monotone_vec(lambda x: 1.0 - x - targets, np.zeros(3), np.ones(3))
+    roots = bisect_monotone_vec(lambda x: 1.0 - x - targets, np.zeros(3), np.ones(3),
+                                xtol=1e-12)
     np.testing.assert_allclose(roots, 1.0 - targets, atol=1e-10)
 
 
@@ -62,6 +64,7 @@ def test_bisect_vec_result_does_not_depend_on_the_batch():
     targets = np.array([0.3, 0.2000001**3])
 
     def roots(part):
-        return bisect_monotone_vec(lambda x: targets[part] - x**3, lo[part], hi[part])
+        return bisect_monotone_vec(lambda x: targets[part] - x**3, lo[part], hi[part],
+                                   xtol=1e-12)
 
     assert roots(slice(None)).tolist() == [roots(slice(i, i + 1))[0] for i in range(2)]

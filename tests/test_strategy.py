@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -182,12 +183,13 @@ def test_solve_equilibrium_grid_refinement_consistency(uniform_noise, alphas):
     assert abs(rep_f.eta_star - rep_c.eta_star) <= 0.5
 
 
-def test_report_serializes(uniform_noise, alphas):
+def test_report_serializes(uniform_noise, alphas, tmp_path):
     ctxs = [sg.KernelContext(e, uniform_noise) for e in (2.0, 2.5)]
     rep = sg.solve_equilibrium(ctxs, sg.UtilitySpec.from_spec({}), alphas)
-    d = rep.to_json_dict()
+    assert cli.cmd_solve(cli.parse_config(None), tmp_path, report=rep) == 0
+    d = json.loads((tmp_path / "equilibrium.json").read_text())
     assert set(d) == {"eta_star", "equilibrium", "adversary_utility_at_eq",
-                      "eta_on_grid_boundary", "per_eta"}
+                      "eta_on_grid_boundary", "per_eta", "config_hash", "seed"}
     assert len(d["per_eta"]) == 2
     mse, pa = rep.equilibrium_mse, rep.equilibrium_pa
     assert mse == d["equilibrium"]["mse"] and pa == d["equilibrium"]["pa"]
@@ -291,6 +293,12 @@ BLOCK_CASES = {
 }
 
 
+def _report_fields(rep: EquilibriumReport) -> dict:
+    """Every field of rep but its envelope, each eta's best alpha set as a list."""
+    return {**{f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "envelope"},
+            "best_alpha_sets": {eta: a.tolist() for eta, a in rep.best_alpha_sets.items()}}
+
+
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_block_solver_matches_the_per_eta_solver(case, alphas):
     noise, etas, utility, grid_size = BLOCK_CASES[case]
@@ -298,7 +306,7 @@ def test_block_solver_matches_the_per_eta_solver(case, alphas):
     spec = sg.UtilitySpec.from_spec(utility)
     got = sg.solve_equilibrium(ctxs, spec, alphas, grid_size=grid_size)
     want = reference_solve_equilibrium(ctxs, spec, alphas, grid_size=grid_size)
-    assert got.to_json_dict() == want.to_json_dict()
+    assert _report_fields(got) == _report_fields(want)
     assert np.array_equal(got.envelope.chord_ends, want.envelope.chord_ends)
 
 
